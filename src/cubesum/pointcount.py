@@ -1,15 +1,24 @@
 """Brute-force point counts over F_q and the closed-form count they certify.
 
-The surface count N(p, n) enumerates (t, x) pairs and resolves y through a
-precomputed square table, so the work is q^2 hash lookups rather than q^3
-curve tests. Extension fields use the lexicographically smallest irreducible
-polynomial so every count is reproducible bit for bit.
+F_{p^n} has one integer-coded model: an element is an integer 0..q-1 whose
+base-p digits are its coefficients over the lexicographically smallest monic
+irreducible polynomial, so every count is reproducible bit for bit. Exp/log
+tables built once from the smallest primitive element make products and
+powers table lookups and the quadratic character the parity of a log; sums
+and differences work digit by digit.
+
+The surface count N(p, n) still visits every (t, x) pair. For a block of t
+rows it forms x^3 - c(t) for all x at once with numpy and gathers, from a
+table of square roots counted over every y, how many y solve each fiber, so
+the work is q^2 array gathers rather than q^3 curve tests, with temporaries
+bounded by one block whatever q is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 from .arith import is_prime, legendre
 from .modular import closed_form_alpha, hecke_expand
@@ -22,225 +31,220 @@ MODULAR_COEFFICIENT = "modular-coefficient"
 CONVENTIONS = (FROBENIUS_POWER, MODULAR_COEFFICIENT)
 
 
-class PrimeField:
-    """F_p with plain int elements."""
+class FiniteField:
+    """F_{p^n} as F_p[T]/(g), g the smallest-coefficient monic irreducible.
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.q = p
-        self.zero = 0
-        self.one = 1
-
-    def elements(self):
-        return range(self.p)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def embed(self, n: int):
-        return n % self.p
-
-
-class ExtField:
-    """F_{p^n} as F_p[T]/(g) with g the smallest-coefficient monic irreducible.
-
-    Elements are n-tuples of ints (coefficients, lowest degree first).
+    An element is the integer sum(c_i p^i) of its coefficients c_i over g,
+    lowest degree first, so the elements of F_p are its residues 0..p-1.
+    exp[i] = generator^i for 0 <= i < q-1 and log inverts it (log[0] is a
+    placeholder: zero has no log). Every operation takes an element or a numpy
+    array of elements and works elementwise.
     """
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, p: int, n: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if n < 2:
-            raise ValueError("extension degree must be >= 2")
+        if n < 1:
+            raise ValueError("extension degree must be >= 1")
         self.p = p
         self.n = n
         self.q = p**n
-        self.modulus = self._find_irreducible(p, n)
-        # reduction rows: T^(n+k) as coefficient tuples, k = 0..n-2
-        rows = [tuple(-c % p for c in self.modulus)]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            shifted = (0,) + prev[:-1]
-            top = prev[-1]
-            rows.append(
-                tuple((shifted[i] - top * self.modulus[i]) % p for i in range(n))
-            )
-        self._high = rows
-        self.zero = (0,) * n
-        self.one = (1,) + (0,) * (n - 1)
-
-    @staticmethod
-    def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
-        """Smallest monic irreducible of degree n over F_p, lexicographic in
-        (c_0, ..., c_{n-1}); certified by checking gcd(T^(p^d) - T, g) for d | n."""
-        for tail in product(range(p), repeat=n):
-            g = tail  # non-leading coefficients, low to high; leading coeff 1
-            if _poly_is_irreducible_mod_p(g, p):
-                return tuple(g)
-        raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+        self.modulus = _find_irreducible(p, n)
+        self.zero = 0
+        self.one = 1
+        self.generator, self.exp, self.log = _exp_log_tables(p, self.modulus)
+        self._weights = [p**i for i in range(1, n)]
 
     def elements(self):
-        return product(range(self.p), repeat=self.n)
+        return range(self.q)
 
-    def embed(self, k: int):
-        return (k % self.p,) + (0,) * (self.n - 1)
+    def embed(self, k: int) -> int:
+        return k % self.p
+
+    # a // p^i is digit i of a plus a multiple of p, so reducing the sum or
+    # difference of those quotients mod p gives digit i of the result
 
     def add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        out = (a + b) % p
+        for w in self._weights:
+            out = out + (a // w + b // w) % p * w
+        return out
 
     def sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        p, n = self.p, self.n
-        prod_c = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod_c[i + j] += x * y
-        out = [c % p for c in prod_c[:n]]
-        for k in range(n, 2 * n - 1):
-            c = prod_c[k] % p
-            if c:
-                row = self._high[k - n]
-                for i in range(n):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def pow(self, a, e: int):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
+        out = (a - b) % p
+        for w in self._weights:
+            out = out + (a // w - b // w) % p * w
         return out
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
+    def mul(self, a, b):
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return prod * ((a != 0) & (b != 0))
+
+    def pow(self, a, e: int):
+        if e < 0:
+            raise ValueError("exponent must be >= 0")
+        order = self.q - 1
+        return self.exp[self.log[a] * (e % order) % order] * ((a != 0) | (e == 0))
+
+
+def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree n over F_p, lexicographic in
+    (c_0, ..., c_{n-1}); certified by checking gcd(T^(p^d) - T, g) for d | n."""
+    for tail in product(range(p), repeat=n):
+        if _poly_is_irreducible_mod_p(tail, p):
+            return tail
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+
+
+def _polymulmod(a, b, tail, p):
+    """a*b mod the monic g = T^n + tail over F_p; coefficient lists, low to high."""
+    n = len(tail)
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k] % p
+        out[k] = 0
+        if c:
+            for i, t in enumerate(tail):
+                out[k - n + i] = (out[k - n + i] - c * t) % p
+    return [c % p for c in out[:n]]
+
+
+def _polypowmod(a, e: int, tail, p):
+    """a^e mod g by square-and-multiply on the exponent."""
+    acc = [1] + [0] * (len(tail) - 1)
+    base = list(a)
+    while e:
+        if e & 1:
+            acc = _polymulmod(acc, base, tail, p)
+        base = _polymulmod(base, base, tail, p)
+        e >>= 1
+    return acc
 
 
 def _poly_is_irreducible_mod_p(tail: tuple[int, ...], p: int) -> bool:
     """Irreducibility of monic g = T^n + tail over F_p via x^(p^d) = x tests."""
     n = len(tail)
-
-    def polymulmod(a, b):
-        out = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        for k in range(2 * n - 2, n - 1, -1):
-            c = out[k] % p
-            out[k] = 0
-            if c:
-                for i, t in enumerate(tail):
-                    out[k - n + i] = (out[k - n + i] - c * t) % p
-        return [c % p for c in out[:n]]
+    ident = [0, 1] + [0] * (n - 2) if n > 1 else [0]  # T mod g
 
     def xq_pow(d):
         # T^(p^d) mod g by repeated Frobenius
-        cur = [0, 1] + [0] * (n - 2) if n > 1 else [0]
+        cur = ident
         for _ in range(d):
-            # raise to p-th power via square-and-multiply on the exponent
-            acc = [1] + [0] * (n - 1)
-            base = cur[:]
-            e = p
-            while e:
-                if e & 1:
-                    acc = polymulmod(acc, base)
-                base = polymulmod(base, base)
-                e >>= 1
-            cur = acc
+            cur = _polypowmod(cur, p, tail, p)
         return cur
 
-    xq = xq_pow(n)
-    ident = [0, 1] + [0] * (n - 2) if n > 1 else [0]
-    if xq != ident:
+    if xq_pow(n) != ident:
         return False
     # no root in any proper subfield: T^(p^d) != T for maximal d | n, d < n
-    for d in _maximal_proper_divisors(n):
-        if xq_pow(d) == ident:
-            return False
-    return True
+    return all(xq_pow(n // r) != ident for r in _prime_factors(n))
 
 
-def _maximal_proper_divisors(n: int) -> list[int]:
-    primes = set()
-    m = n
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending."""
+    primes = []
     f = 2
     while f * f <= m:
-        while m % f == 0:
-            primes.add(f)
-            m //= f
+        if m % f == 0:
+            primes.append(f)
+            while m % f == 0:
+                m //= f
         f += 1
     if m > 1:
-        primes.add(m)
-    return sorted(n // q for q in primes)
+        primes.append(m)
+    return primes
 
 
-def make_field(p: int, n: int):
-    return PrimeField(p) if n == 1 else ExtField(p, n)
+def _exp_log_tables(p: int, tail: tuple[int, ...]):
+    """(g, exp, log) for F_p[T]/(T^n + tail): g the smallest primitive element,
+    exp[i] = g^i for 0 <= i < q-1, log[exp[i]] = i and log[0] = 0."""
+    # numpy loads on first use, so commands that count no points start without it
+    import numpy as np
+
+    n = len(tail)
+    q = p**n
+    order = q - 1
+    weights = [p**i for i in range(n)]
+    one = [1] + [0] * (n - 1)
+    cofactors = [order // r for r in _prime_factors(order)]
+    for g in range(1, q):
+        g_poly = [g // w % p for w in weights]
+        # g generates F_q^* iff g^((q-1)/r) != 1 for every prime r | q-1
+        if all(_polypowmod(g_poly, e, tail, p) != one for e in cofactors):
+            break
+    exp = np.empty(order, dtype=np.int64)
+    cur = one
+    for i in range(order):
+        exp[i] = sum(c * w for c, w in zip(cur, weights))
+        cur = _polymulmod(cur, g_poly, tail, p)
+    if cur != one:
+        raise ArithmeticError(f"{g} has no order {order} modulo T^{n} + {tail}")
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(order)
+    return g, exp, log
+
+
+def make_field(p: int, n: int) -> FiniteField:
+    return FiniteField(p, n)
 
 
 # --- counting ----------------------------------------------------------------
 
+# (t, x) pairs per block of the fiber sum: a block's numpy temporaries hold
+# 2^14 int64s (128 KB) each, or one row of q if q is larger, and the few alive
+# at once stay under 1 MB for every q within the default budget
+_BLOCK_ELEMENTS = 1 << 14
 
-def is_square(field, x) -> int:
-    """Quadratic character: 0 at zero, +-1 by x^((q-1)/2)."""
+
+def is_square(field: FiniteField, x) -> int:
+    """Quadratic character: 0 at zero, +1 on even logs, -1 on odd ones."""
     if field.p == 2:
         raise ValueError("quadratic character needs odd characteristic")
     if x == field.zero:
         return 0
-    if isinstance(field, PrimeField):
-        return 1 if pow(x, (field.q - 1) // 2, field.p) == 1 else -1
-    return 1 if field.pow(x, (field.q - 1) // 2) == field.one else -1
+    return -1 if field.log[x] % 2 else 1
 
 
-def _square_counts(field) -> dict:
-    counts: dict = {}
-    for y in field.elements():
-        v = field.mul(y, y)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
+def _check_hasse(q: int, t0: int, fibers) -> None:
+    """Raise unless each affine fiber count (the fibers over t0, t0+1, ...)
+    lies within the Hasse bound around q, as every fiber's count must."""
+    bound = 2 * (isqrt(q) + 1)
+    bad = (abs(fibers - q) > bound).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(f"the fiber over t = {t0 + i} has {int(fibers[i])} affine "
+                              f"points, outside the Hasse bound {q} +- {bound}")
 
 
 def brute_count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
-    """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} by exhaustive enumeration."""
+    """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} by exhaustive enumeration.
+
+    Every (t, x) pair is visited: a block of t rows forms x^3 - c(t) for every
+    x and gathers how many y square to it.
+    """
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
     if p**n > budget:
         raise ValueError(f"q = {p}^{n} exceeds the budget {budget}")
+    import numpy as np
+
     F = make_field(p, n)
-    sq = _square_counts(F)
-    cubes = {x: F.mul(F.mul(x, x), x) for x in F.elements()}
+    xs = np.arange(F.q)
+    roots = np.bincount(F.pow(xs, 2), minlength=F.q)  # roots[v] = #{y : y^2 = v}
+    cubes = F.pow(xs, 3)
+    c = F.mul(F.pow(xs, 4), cubes[F.sub(F.pow(xs, 2), F.one)])  # c(t) for every t
+    rows = max(1, _BLOCK_ELEMENTS // F.q)
     total = 0
-    hasse = 2 * (int(F.q**0.5) + 1)
-    for t in F.elements():
-        t2 = F.mul(t, t)
-        t4 = F.mul(t2, t2)
-        w = F.sub(t2, F.one)
-        w3 = F.mul(F.mul(w, w), w)
-        c = F.mul(t4, w3)
-        fiber = 0
-        for x in F.elements():
-            fiber += sq.get(F.sub(cubes[x], c), 0)
-        # each affine cubic fiber obeys the Hasse bound around q
-        assert abs(fiber - F.q) <= hasse, "fiber count violates the Hasse bound"
-        total += fiber
+    for t0 in range(0, F.q, rows):
+        fibers = roots[F.sub(cubes, c[t0:t0 + rows, None])].sum(axis=1)
+        _check_hasse(F.q, t0, fibers)
+        total += int(fibers.sum())
     return total
 
 
@@ -250,14 +254,12 @@ def brute_count_elliptic(b_const: int, p: int, n: int = 1, budget: int = DEFAULT
         raise ValueError(f"p must be a prime >= 5, got {p}")
     if p**n > budget:
         raise ValueError(f"q = {p}^{n} exceeds the budget {budget}")
+    import numpy as np
+
     F = make_field(p, n)
-    sq = _square_counts(F)
-    b = F.embed(b_const)
-    total = 1
-    for x in F.elements():
-        rhs = F.add(F.mul(F.mul(x, x), x), b)
-        total += sq.get(rhs, 0)
-    return total
+    xs = np.arange(F.q)
+    roots = np.bincount(F.pow(xs, 2), minlength=F.q)
+    return 1 + int(roots[F.add(F.pow(xs, 3), F.embed(b_const))].sum())
 
 
 def a_pn(p: int, n: int, convention: str) -> int:
@@ -287,8 +289,12 @@ def formula_count_surface(p: int, n: int, convention: str = FROBENIUS_POWER) -> 
     """p^2n + p^n + (-3/p)^n p^n + a_{p^n}."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
+    return _formula_with(p, n, a_pn(p, n, convention))
+
+
+def _formula_with(p: int, n: int, a_term: int) -> int:
     chi = legendre(-3, p) ** n
-    return p ** (2 * n) + p**n + chi * p**n + a_pn(p, n, convention)
+    return p ** (2 * n) + p**n + chi * p**n + a_term
 
 
 def trace_alg(p: int, n: int) -> int:
@@ -311,10 +317,14 @@ class CountReport:
     @classmethod
     def build(cls, p: int, n: int, convention: str = FROBENIUS_POWER,
               budget: int = DEFAULT_BUDGET) -> "CountReport":
-        brute = brute_count_surface(p, n, budget)
-        formula = formula_count_surface(p, n, convention)
-        return cls(p, n, brute, formula, a_pn(p, n, convention), convention,
-                   brute == formula)
+        return _report(p, n, brute_count_surface(p, n, budget), convention)
+
+
+def _report(p: int, n: int, brute: int, convention: str) -> CountReport:
+    """Compare a brute count with the formula; a_{p^n} is computed once."""
+    a_term = a_pn(p, n, convention)
+    formula = _formula_with(p, n, a_term)
+    return CountReport(p, n, brute, formula, a_term, convention, brute == formula)
 
 
 def adjudicate_conventions(pairs, budget: int = DEFAULT_BUDGET):
@@ -328,8 +338,7 @@ def adjudicate_conventions(pairs, budget: int = DEFAULT_BUDGET):
     for p, n in pairs:
         brute = brute_count_surface(p, n, budget)
         for conv in CONVENTIONS:
-            rep = CountReport(p, n, brute, formula_count_surface(p, n, conv),
-                              a_pn(p, n, conv), conv, brute == formula_count_surface(p, n, conv))
+            rep = _report(p, n, brute, conv)
             reports.append(rep)
             if not rep.match:
                 alive.discard(conv)

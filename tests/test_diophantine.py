@@ -6,6 +6,7 @@ from cubesum.diophantine import (
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
+    _pick_method,
     apply_symmetry,
     canonical_form,
     in_pagliani_family,
@@ -117,6 +118,26 @@ def test_search_parallel_matches_serial():
     serial = [s.as_tuple() for s in search(400)]
     parallel = [s.as_tuple() for s in search(400, jobs=2)]
     assert serial == parallel
+
+
+def test_auto_method_follows_the_bound():
+    assert _pick_method(499, "auto") == "pure"
+    assert _pick_method(500, "auto") == "numpy"
+    assert _pick_method(10**6, "pure") == "pure"
+
+
+@pytest.mark.parametrize("bound", [1000, 3000])
+def test_search_numpy_matches_pure(bound):
+    pure = [s.as_tuple() for s in search(bound, method="pure")]
+    assert pure == [s.as_tuple() for s in search(bound, method="numpy")]
+    assert pure  # (8, 3, 12) and more
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 400), st.booleans())
+def test_search_numpy_matches_pure_small(bound, include_trivial):
+    pure = search(bound, include_trivial=include_trivial, method="pure")
+    assert pure == search(bound, include_trivial=include_trivial, method="numpy")
 
 
 def test_pagliani_examples():

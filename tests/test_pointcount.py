@@ -1,16 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
+from cubesum import pointcount as pc
 from cubesum.arith import primes_up_to
-from cubesum.modular import ap_closed_form, normalize_pi
+from cubesum.modular import ap_closed_form, hecke_expand, normalize_pi
 from cubesum.pointcount import (
     CONVENTIONS,
     CountReport,
-    ExtField,
     FROBENIUS_POWER,
     MODULAR_COEFFICIENT,
-    PrimeField,
+    _check_hasse,
     a_pn,
     adjudicate_conventions,
     brute_count_elliptic,
@@ -20,14 +21,18 @@ from cubesum.pointcount import (
     make_field,
     trace_alg,
 )
+from reference_field import count_elliptic as reference_count_elliptic
+from reference_field import count_surface as reference_count_surface
+from reference_field import is_square as reference_is_square
+from reference_field import reference_field
 
 
 def test_is_square_examples():
-    F7 = PrimeField(7)
+    F7 = make_field(7, 1)
     assert is_square(F7, 2) == 1
     assert is_square(F7, 3) == -1
     assert is_square(F7, 0) == 0
-    F49 = ExtField(7, 2)
+    F49 = make_field(7, 2)
     squares = {F49.mul(y, y) for y in F49.elements()}
     for x in F49.elements():
         expected = 0 if x == F49.zero else (1 if x in squares else -1)
@@ -35,34 +40,102 @@ def test_is_square_examples():
 
 
 def test_ext_field_structure():
-    F = ExtField(7, 2)
+    F = make_field(7, 2)
     els = list(F.elements())
     assert len(els) == 49
     rng = random.Random(0)
     for _ in range(25):
         a, b = rng.choice(els), rng.choice(els)
-        assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-        assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+        # Frobenius a -> a^p is additive and multiplicative
+        assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
+        assert F.pow(F.mul(a, b), F.p) == F.mul(F.pow(a, F.p), F.pow(b, F.p))
     for a in els:
         assert F.pow(a, F.q) == a
 
 
 def test_ext_field_modulus_is_deterministic_and_irreducible():
-    F = ExtField(7, 2)
+    F = make_field(7, 2)
     assert F.modulus == (1, 0)  # T^2 + 1, the lexicographically first
-    F3 = ExtField(5, 3)
+    F3 = make_field(5, 3)
     # no roots in F_5
     c0, c1, c2 = F3.modulus
     assert all((r**3 + c2 * r * r + c1 * r + c0) % 5 for r in range(5))
+    for p, n in ((7, 1), (7, 2), (5, 3)):
+        F = make_field(p, n)
+        assert sorted(F.exp.tolist()) == list(range(1, F.q))
+        assert all(F.log[F.exp[i]] == i for i in range(F.q - 1))
+        # the generator is the smallest element of order q-1, by the reference
+        R = reference_field(p, n, F.modulus)
+        by_code = {R.code(a): a for a in R.elements()}
+        assert F.exp[1] == F.generator
+        for h in range(1, F.generator + 1):
+            x, order = by_code[h], 1
+            while x != R.one:
+                x, order = R.mul(x, by_code[h]), order + 1
+            assert (order == F.q - 1) == (h == F.generator), (p, n, h)
+    assert make_field(7, 1).generator == 3
 
 
 def test_field_constructor_validation():
     with pytest.raises(ValueError):
-        PrimeField(6)
+        make_field(6, 1)
     with pytest.raises(ValueError):
-        ExtField(4, 2)
-    assert isinstance(make_field(7, 1), PrimeField)
-    assert isinstance(make_field(7, 2), ExtField)
+        make_field(4, 2)
+    with pytest.raises(ValueError):
+        make_field(7, 0)
+    with pytest.raises(ValueError):
+        make_field(7, 2).pow(3, -1)
+    assert type(make_field(7, 1)) is type(make_field(7, 2))
+    assert make_field(7, 1).q == 7 and make_field(7, 2).q == 49
+
+
+# --- the integer-coded field and its counts against the tuple reference -------
+
+FIELD_CASES = [(7, 2), (5, 3), (5, 4), (31, 2), (11, 3)] + [
+    (p, 1) for p in primes_up_to(49)
+]
+COUNT_CASES = [(p, 1) for p in primes_up_to(199) if p >= 5] + [
+    (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3)
+]
+
+
+@pytest.mark.parametrize("p,n", FIELD_CASES)
+def test_field_matches_tuple_reference(p, n):
+    F = make_field(p, n)
+    R = reference_field(p, n, F.modulus)
+    els = list(R.elements())
+    assert [R.code(a) for a in els] == list(F.elements())
+    rng = random.Random(p**n)
+    for _ in range(300):
+        a, b = rng.choice(els), rng.choice(els)
+        ca, cb = R.code(a), R.code(b)
+        e = rng.randrange(3 * F.q)
+        assert F.add(ca, cb) == R.code(R.add(a, b))
+        assert F.sub(ca, cb) == R.code(R.sub(a, b))
+        assert F.mul(ca, cb) == R.code(R.mul(a, b))
+        assert F.pow(ca, e) == R.code(R.pow(a, e))
+        if p > 2:
+            assert is_square(F, ca) == reference_is_square(R, a)
+    assert F.pow(0, 0) == 1 and F.pow(0, 5) == 0
+    for k in (-1, 0, 1, p + 3):
+        assert F.embed(k) == R.code(R.embed(k))
+
+
+@pytest.mark.parametrize("p,n", COUNT_CASES)
+def test_brute_counts_match_tuple_reference(p, n):
+    R = reference_field(p, n, make_field(p, n).modulus)
+    assert brute_count_surface(p, n) == reference_count_surface(R)
+    for b in (-1, 0, 1, 2):
+        assert brute_count_elliptic(b, p, n) == reference_count_elliptic(b, R)
+
+
+def test_hasse_check_raises():
+    q, bound = 49, 16  # 2 * (isqrt(49) + 1)
+    _check_hasse(q, 0, np.array([q - bound, q, q + bound]))
+    with pytest.raises(ArithmeticError, match="t = 5"):
+        _check_hasse(q, 3, np.array([q, q, q + bound + 1]))
+    with pytest.raises(ArithmeticError):
+        _check_hasse(q, 0, np.array([q - bound - 1]))
 
 
 def test_brute_count_surface_examples():
@@ -132,6 +205,32 @@ def test_adjudication_at_n2():
             assert r.match, r
         else:
             assert not r.match, r
+
+
+def test_adjudication_expands_the_cusp_form_once_per_field(monkeypatch):
+    calls = []
+
+    def counting(N):
+        calls.append(N)
+        return hecke_expand(N)
+
+    monkeypatch.setattr(pc, "hecke_expand", counting)
+    winners, reports = adjudicate_conventions([(5, 2), (7, 2), (7, 1)])
+    assert calls == [25, 49, 7]
+    assert winners == {FROBENIUS_POWER}
+    assert [(r.p, r.n, r.convention, r.brute, r.formula, r.a_term_used, r.match)
+            for r in reports] == [
+        (5, 2, FROBENIUS_POWER, 725, 725, 50, True),
+        (5, 2, MODULAR_COEFFICIENT, 725, 700, 25, False),
+        (7, 2, FROBENIUS_POWER, 2405, 2405, -94, True),
+        (7, 2, MODULAR_COEFFICIENT, 2405, 2454, -45, False),
+        (7, 1, FROBENIUS_POWER, 61, 61, -2, True),
+        (7, 1, MODULAR_COEFFICIENT, 61, 61, -2, True),
+    ]
+    calls.clear()
+    r = CountReport.build(7, 2, MODULAR_COEFFICIENT)
+    assert calls == [49]
+    assert (r.brute, r.formula, r.a_term_used, r.match) == (2405, 2454, -45, False)
 
 
 def test_count_report_build():
