@@ -35,14 +35,19 @@ from .elliptic import (
 from .verifysuite import run_suite
 
 
-def _env_default(name: str, fallback, cast=str):
+def _env_default(name: str, fallback, cast=str, choices=None):
+    """The CUBESUM_<name> value, or fallback when unset; a value the matching
+    flag would reject raises ValueError, which main reports as a usage error."""
     raw = os.environ.get(f"CUBESUM_{name}")
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"CUBESUM_{name}={raw!r} is not a valid {cast.__name__}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"CUBESUM_{name}={raw!r} is not one of {', '.join(choices)}")
+    return value
 
 
 def _stringify(obj):
@@ -77,11 +82,14 @@ def _emit(payload: dict, rows, headers, fmt: str):
             print("\t".join(str(c) for c in row))
 
 
+_FORMATS = ("plain", "json", "csv")
+
+
 def _add_format(p: argparse.ArgumentParser):
     p.add_argument(
         "--format",
-        choices=("plain", "json", "csv"),
-        default=_env_default("FORMAT", "plain"),
+        choices=_FORMATS,
+        default=_env_default("FORMAT", "plain", choices=_FORMATS),
         help="output format (default plain; env CUBESUM_FORMAT)",
     )
 
@@ -495,9 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .arith import cube_sum_range, icbrt
 from .polynomials import Poly
@@ -151,10 +152,8 @@ def _cube_mask(mod: int) -> bytes:
 _MASKS = tuple(_cube_mask(m) for m in _FILTER_MODULI)
 
 
-def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool,
-                    method: str = "pure"):
-    if method == "numpy":
-        return _search_y_range_numpy(bound, y_lo, y_hi, include_trivial)
+def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
+    """The box scan: every (x, y) with y_lo <= y < y_hi and y <= x <= bound."""
     m1, m2 = _FILTER_MODULI[:2]
     k1, k2 = _MASKS[:2]
     out = []
@@ -174,50 +173,164 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool,
     return out
 
 
-def _search_y_range_numpy(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
-    """Same strategy, vectorized: residues are computed in int64-safe modular
-    arithmetic (the exact N would overflow int64 past bound ~ 2*10^4), and only
-    filter survivors get an exact big-int cube test. x-residue tables are
-    precomputed once per strip and sliced per y."""
+# --- the descent kernel ---------------------------------------------------
+#
+# Let p >= 5 be a prime with 3 not dividing v_p(x). Then v_p(N) is a multiple of
+# 3 only if p divides y or x^2 + y^2 - 1, that is, y = 0 or +-1 (mod p). Call
+# the product K(x) of these primes the cube-free kernel of x (p = 2, 3 carry no
+# information: every class is 0 or +-1). So the y <= x worth testing for one x
+# are the 3^k CRT classes modulo K(x) with y(y^2 - 1) = 0 (mod K(x)), and by the
+# symmetry of the equation K(y) must divide x(x^2 - 1) too.
+
+# pairs a numpy block holds: each temporary stays near 128 KB
+_BLOCK = 1 << 14
+# residue sets of kernels below this are kept for the rest of the strip: those
+# kernels recur at many x, larger ones at few
+_CACHED_KERNEL = 4096
+# rows of at most this many candidates are built in Python: below it numpy's
+# per-call overhead costs more than it saves
+_SHORT_ROW = 128
+
+
+class _Sieve:
+    """Per-call tables up to n, int32: smallest prime factors and kernels."""
+
+    def __init__(self, n: int):
+        import numpy as np
+
+        spf = np.zeros(n + 1, dtype=np.int32)
+        for p in range(2, isqrt(n) + 1):
+            if spf[p] == 0:
+                row = spf[p * p :: p]
+                row[row == 0] = p
+        primes = np.nonzero(spf == 0)[0][2:]
+        spf[primes] = primes
+        # K(m) = prod p^[3 does not divide v_p(m)]: multiply by p on the multiples
+        # of p^e with e = 1 (mod 3), divide on those with e = 0 (mod 3)
+        kern = np.ones(n + 1, dtype=np.int32)
+        for p in primes[primes >= 5].tolist():
+            kern[p::p] *= p
+            q, e = p * p * p, 3
+            while q <= n:
+                if e % 3 == 0:
+                    kern[q::q] //= p
+                elif e % 3 == 1:
+                    kern[q::q] *= p
+                q, e = q * p, e + 1
+        self.spf, self.kern = spf, kern
+
+    def residues(self, K: int) -> list[int]:
+        """The r in [0, K) with r(r^2 - 1) = 0 mod the squarefree K, ascending."""
+        out, m = [0], 1
+        while K > 1:
+            p = int(self.spf[K])
+            K //= p
+            inv = pow(m, -1, p)
+            out = [r + m * ((e - r) * inv % p) for e in (0, 1, p - 1) for r in out]
+            m *= p
+        out.sort()
+        return out
+
+
+def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
+                    sieve: _Sieve | None = None):
+    """The descent over x_lo <= x < x_hi: for each x only the y <= x in the CRT
+    classes of K(x), then K(y) | x(x^2 - 1), the cubic-residue masks, and an
+    exact cube test for every survivor. Finds what _search_y_range finds."""
     import numpy as np
 
+    sieve = sieve or _Sieve(bound)
+    kern = sieve.kern
     masks = [np.frombuffer(m, dtype=np.uint8) for m in _MASKS]
-    xs = np.arange(1, bound + 1, dtype=np.int64)
-    xm = [xs % m for m in _FILTER_MODULI]
-    xm2 = [(a * a) % m for a, m in zip(xm, _FILTER_MODULI)]
-    m0, mask0 = _FILTER_MODULI[0], masks[0]
-    out = []
-    for y in range(y_lo, y_hi):
-        if y == 1 and not include_trivial:
-            continue
-        yy = y * y - 1
-        base = y - 1  # xs[base] == y
-        n_mod = (xm[0][base:] * (y % m0) % m0) * ((xm2[0][base:] + yy % m0) % m0) % m0
-        keep = xs[np.nonzero(mask0[n_mod])[0] + base]
-        for m, mask in zip(_FILTER_MODULI[1:], masks[1:]):
-            if keep.size == 0:
-                break
-            km = keep % m
-            n_mod = (km * (y % m) % m) * ((km * km + yy % m) % m) % m
-            keep = keep[mask[n_mod] != 0]
-        for xv in keep.tolist():
-            n = xv * y * (xv * xv + yy)
-            r, exact = icbrt(n)
+    # every x's candidate row starts 0, 1 (R = [0] at K = 1, else R starts
+    # 0, 1), then values >= 2: dropping y_min entries drops y = 0 and, unless
+    # the trivial family is wanted, y = 1
+    y_min = 1 if include_trivial else 2
+    cache: dict = {}
+    out: list[tuple[int, int, int]] = []
+    # pending pairs: short rows as Python ints, long rows as (x, y array)
+    px: list[int] = []
+    py: list[int] = []
+    rows: list = []
+    pending = 0
+
+    def flush():
+        nonlocal pending
+        X = np.concatenate([np.array(px, dtype=np.int64)]
+                           + [np.full(Y.size, x, dtype=np.int64) for x, Y in rows])
+        Y = np.concatenate([np.array(py, dtype=np.int64)] + [Y for _, Y in rows])
+        px.clear()
+        py.clear()
+        rows.clear()
+        pending = 0
+        ky = kern[Y]
+        keep = (X % ky) * ((X * X - 1) % ky) % ky == 0
+        X, Y = X[keep], Y[keep]
+        for m, mask in zip(_FILTER_MODULI, masks):
+            xm, ym = X % m, Y % m
+            keep = mask[(xm * ym % m) * ((xm * xm + ym * ym - 1) % m) % m] != 0
+            X, Y = X[keep], Y[keep]
+        for x, y in zip(X.tolist(), Y.tolist()):
+            r, exact = icbrt(x * y * (x * x + y * y - 1))
             if exact:
                 if r == 0 and not include_trivial:
                     continue
-                out.append((xv, y, r))
+                out.append((x, y, r))
+
+    for x, K in zip(range(x_lo, x_hi), kern[x_lo:x_hi].tolist()):
+        R = cache.get(K)
+        if R is None:
+            R = sieve.residues(K)
+            if K < _CACHED_KERNEL:
+                cache[K] = R
+        last = x // K  # y = r + j*K for r in R, 0 <= j <= last
+        if (last + 1) * len(R) <= _SHORT_ROW:
+            ys = [r + j for j in range(0, last * K + 1, K) for r in R if r + j <= x]
+            px.extend([x] * (len(ys) - y_min))
+            py.extend(ys[y_min:])
+            pending += len(ys) - y_min
+        else:
+            Ra = np.array(R, dtype=np.int64)
+            step = max(1, _BLOCK // len(R))
+            for j in range(0, last + 1, step):
+                js = np.arange(j, min(j + step, last + 1), dtype=np.int64)
+                Y = (Ra + K * js[:, None]).ravel()
+                Y = Y[y_min if j == 0 else 0 : Y.searchsorted(x, "right")]
+                rows.append((x, Y))
+                pending += Y.size
+                if pending >= _BLOCK:
+                    flush()
+        if pending >= _BLOCK:
+            flush()
+    if pending:
+        flush()
     return out
 
 
+_KERNELS = {"pure": _search_y_range, "numpy": _search_x_range}
+# set only inside pool workers, by _init_worker: each worker builds the sieve
+# once for all the strips it pulls instead of receiving it with every strip
+_worker_sieve: _Sieve | None = None
+
+
+def _init_worker(bound: int, method: str):
+    global _worker_sieve
+    if method == "numpy":
+        _worker_sieve = _Sieve(bound)
+
+
 def _search_chunk(args):
-    return _search_y_range(*args)
+    method, *rest = args
+    if method == "numpy":
+        return _search_x_range(*rest, sieve=_worker_sieve)
+    return _search_y_range(*rest)
 
 
-# auto picks numpy from this bound on: below it the kernel's per-row overhead
-# outweighs its speed (search(300): 0.0095 s pure, 0.0106 s numpy; search(1000):
-# 0.117 s pure, 0.050 s numpy, on a 2-core x86-64 host)
-_NUMPY_FROM_BOUND = 500
+# auto picks numpy from this bound on: below it building the sieve and the
+# numpy blocks costs more than the pairs it skips (search(100): 0.0013 s pure,
+# 0.0016 s numpy; search(150): 0.0029 s, 0.0023 s; search(1000): 0.13 s,
+# 0.017 s; best of five, numpy already imported, on a 2-core x86-64 host)
+_NUMPY_FROM_BOUND = 150
 
 
 def _pick_method(bound: int, method: str) -> str:
@@ -238,26 +351,33 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
-    dropped. jobs > 1 partitions the y range across worker processes; results
-    are merged and sorted, so the output is deterministic either way. method
-    is "pure", "numpy", or "auto" (numpy from bound 500 on); both
-    paths run the identical y-then-x strategy and are cross-checked in tests.
+    dropped. method "pure" scans every box pair y by y (the oracle); "numpy"
+    is the descent over x that tests only the y allowed by the cube-free
+    kernels of x and y; "auto" takes numpy from bound 150 on. jobs > 1 splits
+    the scanned coordinate (y for pure, x for numpy) into strips that worker
+    processes pull as they finish; results are merged and sorted, so the
+    output is deterministic either way.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     method = _pick_method(bound, method)
+    if method not in _KERNELS:
+        raise ValueError(f"unknown search method {method!r}")
     triples: list[tuple[int, int, int]] = []
     if jobs <= 1:
-        triples = _search_y_range(bound, 1, bound + 1, include_trivial, method)
+        triples = _KERNELS[method](bound, 1, bound + 1, include_trivial)
     else:
         import multiprocessing as mp
 
-        # strips balance the load: small y rows are the longest, so workers
-        # pull strips dynamically
+        # strips balance the load: pure's small y rows and the descent's large
+        # x rows are the longest, so those strips go first and workers pull
+        # strips dynamically
         width = max(16, bound // (jobs * 32))
-        chunks = [(bound, lo, min(lo + width, bound + 1), include_trivial, method)
+        chunks = [(method, bound, lo, min(lo + width, bound + 1), include_trivial)
                   for lo in range(1, bound + 1, width)]
-        with mp.Pool(jobs) as pool:
+        if method == "numpy":
+            chunks.reverse()
+        with mp.Pool(jobs, initializer=_init_worker, initargs=(bound, method)) as pool:
             for i, part in enumerate(pool.imap_unordered(_search_chunk, chunks)):
                 triples.extend(part)
                 if progress is not None:

@@ -435,15 +435,17 @@ def component_of(P: RationalFunctionPoint, fiber: KodairaFiber, E: FunctionField
     if fiber.type == "IV*":
         val = (y / piRF**2).evaluate(root)
         ref = (B / piRF**4).evaluate(root)
-        assert val * val == ref, "IV* branch equation failed"
+        holds = val * val == ref
     elif fiber.type == "IV":
         val = (y / piRF).evaluate(root)
         ref = (B / piRF**2).evaluate(root)
-        assert val * val == ref, "IV branch equation failed"
+        holds = val * val == ref
     else:  # I0*
         val = (x / piRF).evaluate(root)
         ref = (B / piRF**3).evaluate(root)
-        assert val**3 + ref == val * 0, "I0* branch equation failed"
+        holds = val**3 + ref == val * 0
+    if not holds:
+        raise ArithmeticError(f"{fiber.type} branch equation failed at {fiber.place}")
     return ComponentId(False, val)
 
 

@@ -6,10 +6,12 @@ deselected by default; scripts/run_extended_census.py runs the same thing
 standalone with progress reporting.
 """
 
+import json
 import multiprocessing
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,16 +202,35 @@ def test_criterion_09_census_fast_tier():
             u += 1
 
 
+CENSUS_1E6 = Path(__file__).resolve().parent.parent / "docs" / "golden" / "census_1e6.json"
+
+
+def _family_in_box(bound: int) -> dict[tuple[int, int, int], int]:
+    """Canonical representatives of the family members inside the box, to u.
+    A member's canonical x is at least |u|^3, and u and -u share an orbit."""
+    out = {}
+    u = 2
+    while u**3 <= bound:
+        if u % 3:
+            member = dio.canonical_form(dio.mkl_to_xyz(dio.pagliani(u))).as_tuple()
+            if member[0] <= bound:
+                out[member] = u
+        u += 1
+    return out
+
+
 @pytest.mark.extended
 def test_criterion_10_census_extended():
     jobs = int(os.environ.get("CUBESUM_JOBS", multiprocessing.cpu_count()))
-    with Criterion("10 census extended (bound 10^6)", 24 * 3600.0):
+    with Criterion("10 census extended (bound 10^6)", 3600.0):
         bound = 10**6
         sols = dio.search(bound, include_trivial=False, jobs=jobs)
         in_family = [s for s in sols if dio.in_pagliani_family(s) is not None]
-        # the reproduction targets: 32 nontrivial solutions, 15 in the family;
-        # a different total is a finding about the uncounted trivial-family
-        # convention, so it is reported rather than asserted
+        # the reproduction targets are 32 nontrivial solutions, 15 in the family;
+        # the descent finds 51 and 27 in under half a minute on 2 cores (see
+        # docs/extended_census.md). A different total from the published one is
+        # a finding about the unstated trivial-family convention, so it is
+        # reported rather than asserted; the run must reproduce the recorded file
         print(
             f"extended census: {len(sols)} nontrivial solutions, "
             f"{len(in_family)} in the parametric family "
@@ -217,6 +238,34 @@ def test_criterion_10_census_extended():
         )
         for s in sols:
             assert s.x * s.y * (s.x**2 + s.y**2 - 1) == s.z**3
+        recorded = json.loads(CENSUS_1E6.read_text())["solutions"]
+        assert [s.as_tuple() for s in sols] == [
+            (int(r["x"]), int(r["y"]), int(r["z"])) for r in recorded]
+
+
+def test_criterion_10_recorded_census():
+    with Criterion("10 census extended, recorded result", 10.0):
+        doc = json.loads(CENSUS_1E6.read_text())
+        bound = doc["bound"]
+        assert bound == 10**6
+        sols = [dio.SolutionXYZ(int(r["x"]), int(r["y"]), int(r["z"]))  # checks the surface
+                for r in doc["solutions"]]
+        triples = [s.as_tuple() for s in sols]
+        assert triples == sorted(set(triples))
+        for s, rec in zip(sols, doc["solutions"]):
+            assert 1 < s.y <= s.x <= bound and s.z > 0
+            u = rec["pagliani_u"]
+            assert dio.in_pagliani_family(s) == (None if u is None else int(u))
+        family = _family_in_box(bound)
+        annotated = {t: int(r["pagliani_u"]) for t, r in zip(triples, doc["solutions"])
+                     if r["pagliani_u"] is not None}
+        assert annotated == family  # every member inside the box, each with its u
+        assert doc["nontrivial_count"] == len(sols)
+        assert doc["family_count"] == len(family)
+        assert doc["opposite_parity_count"] == sum((s.x + s.y) % 2 for s in sols)
+        # where the box scan is cheap, the recorded census is exactly the oracle's
+        small = [s.as_tuple() for s in dio.search(2000, method="pure")]
+        assert [t for t in triples if t[0] <= 2000] == small
 
 
 def test_criterion_11_symbolic_identities():

@@ -90,6 +90,28 @@ def test_domain_error_exit_code(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("name, value, argv", [
+    ("CUBESUM_JOBS", "abc", ["search", "--bound", "10"]),
+    ("CUBESUM_BUDGET", "1e5", ["count", "--p", "7"]),
+    ("CUBESUM_CENSUS_BOUND", "", ["verify", "--skip-census"]),
+    ("CUBESUM_FORMAT", "xml", ["heights"]),
+])
+def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, name, value, argv):
+    monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
+
+
+def test_good_environment_value_is_used(capsys, monkeypatch):
+    monkeypatch.setenv("CUBESUM_FORMAT", "json")
+    monkeypatch.setenv("CUBESUM_JOBS", "1")
+    status, out = run_cli(capsys, ["search", "--bound", "12"])
+    assert status == 0
+    assert json.loads(out)["count"] == "1"
+
+
 def test_eta_custom_spec(capsys):
     status, out = run_cli(capsys, ["eta", "--n", "5", "--spec", "1:24", "--format", "json"])
     assert status == 0

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
     _pick_method,
+    _Sieve,
     apply_symmetry,
     canonical_form,
     in_pagliani_family,
@@ -121,23 +123,95 @@ def test_search_parallel_matches_serial():
 
 
 def test_auto_method_follows_the_bound():
-    assert _pick_method(499, "auto") == "pure"
-    assert _pick_method(500, "auto") == "numpy"
+    assert _pick_method(149, "auto") == "pure"
+    assert _pick_method(150, "auto") == "numpy"
     assert _pick_method(10**6, "pure") == "pure"
+    assert _pick_method(10, "numpy") == "numpy"
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(ValueError):
+        search(10, method="box")
+
+
+# every solution with 0 < y <= x <= 10^4 and y > 1, from method="pure" (14 s)
+SOLUTIONS_1E4 = [
+    (8, 3, 12), (25, 4, 40), (25, 20, 80), (36, 6, 66), (36, 25, 120), (49, 20, 140),
+    (75, 64, 360), (120, 99, 660), (192, 125, 1080), (578, 153, 3162), (630, 49, 2310),
+    (768, 343, 5712), (833, 288, 5712), (1210, 99, 5610), (1323, 512, 11088),
+    (1444, 153, 7752), (3267, 1000, 33660), (4800, 1331, 54120), (7200, 6591, 165360),
+    (8464, 7200, 195960), (9408, 2197, 124488),
+]
+
+
+@pytest.fixture(scope="module")
+def pure_3000():
+    return {t: search(3000, include_trivial=t, method="pure") for t in (False, True)}
 
 
 @pytest.mark.parametrize("bound", [1000, 3000])
-def test_search_numpy_matches_pure(bound):
-    pure = [s.as_tuple() for s in search(bound, method="pure")]
-    assert pure == [s.as_tuple() for s in search(bound, method="numpy")]
-    assert pure  # (8, 3, 12) and more
+def test_search_numpy_matches_pure(bound, pure_3000):
+    for include_trivial in (False, True):
+        if bound == 3000:
+            pure = pure_3000[include_trivial]
+        else:
+            pure = search(bound, include_trivial=include_trivial, method="pure")
+        assert pure == search(bound, include_trivial=include_trivial, method="numpy")
+        assert len(pure) > (bound if include_trivial else 0)  # (8, 3, 12) and more
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 400), st.booleans())
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 1500), st.booleans())
 def test_search_numpy_matches_pure_small(bound, include_trivial):
     pure = search(bound, include_trivial=include_trivial, method="pure")
     assert pure == search(bound, include_trivial=include_trivial, method="numpy")
+
+
+def test_search_numpy_x_strips_match_serial():
+    serial = search(3000, method="numpy")
+    assert search(3000, method="numpy", jobs=2) == serial
+    assert search(3000, method="numpy", include_trivial=True, jobs=2) == search(
+        3000, method="numpy", include_trivial=True)
+
+
+def test_search_numpy_at_1e4_matches_the_pinned_census():
+    assert [s.as_tuple() for s in search(10**4, method="numpy")] == SOLUTIONS_1E4
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_cube_free_support_lemma_on_the_oracle(pure_3000):
+    # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and the
+    # same with x and y swapped: the descent tests only such pairs
+    primes = [p for p in primes_up_to(3000) if p >= 5]
+    sols = pure_3000[True]
+    assert len(sols) > 3000  # the trivial family is in
+    for s in sols:
+        for a, b in ((s.x, s.y), (s.y, s.x)):
+            for p in primes:
+                if a % p == 0 and _valuation(a, p) % 3:
+                    assert b % p in (0, 1, p - 1), (s, p)
+
+
+def test_sieve_tables_match_trial_division():
+    n = 3000
+    sieve = _Sieve(n)
+    primes = primes_up_to(n)
+    for m in range(2, n + 1):
+        assert sieve.spf[m] == min(p for p in primes if m % p == 0)
+        kernel = 1
+        for p in primes:
+            if p >= 5 and m % p == 0 and _valuation(m, p) % 3:
+                kernel *= p
+        assert sieve.kern[m] == kernel, m
+    for K in (1, 5, 7, 35, 385, 455, 1001, 2431):
+        assert sieve.residues(K) == [r for r in range(K) if r * (r * r - 1) % K == 0]
 
 
 def test_pagliani_examples():

@@ -116,6 +116,18 @@ def test_components_of_sigma1():
     assert cinf.identity
 
 
+@pytest.mark.parametrize("place, ftype", [(Fraction(0), "IV*"), (Fraction(1), "I0*")])
+def test_component_of_raises_when_the_branch_equation_fails(place, ftype):
+    # sigma1 lies on y^2 = x^3 + B, not on y^2 = x^3 + 2B; the doubled curve has
+    # the same fiber types, so only the branch equation can catch the mismatch
+    E = curve_main()
+    fiber = fiber_by_place(classify_fibers(E))[place]
+    assert fiber.type == ftype
+    doubled = FunctionFieldCurve(E.A, E.B * 2)
+    with pytest.raises(ArithmeticError, match="branch equation"):
+        component_of(section_sigma1(), fiber, doubled)
+
+
 def test_components_of_omega_twist():
     E, s1, ws1 = omega_setup()
     by = fiber_by_place(classify_fibers(E))
