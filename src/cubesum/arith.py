@@ -67,12 +67,6 @@ def icbrt(n: int) -> tuple[int, bool]:
     return x, x * x * x == n
 
 
-def is_perfect_cube(n: int) -> bool:
-    if n < 0:
-        n = -n
-    return icbrt(n)[1]
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
     if p <= 2 or not is_prime(p):
@@ -82,18 +76,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y == g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def cube_sum_range(m: int, k: int) -> int:

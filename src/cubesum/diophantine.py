@@ -336,14 +336,7 @@ _NUMPY_FROM_BOUND = 150
 def _pick_method(bound: int, method: str) -> str:
     if method != "auto":
         return method
-    if bound >= _NUMPY_FROM_BOUND:
-        try:
-            import numpy  # noqa: F401
-
-            return "numpy"
-        except ImportError:  # pragma: no cover
-            return "pure"
-    return "pure"
+    return "numpy" if bound >= _NUMPY_FROM_BOUND else "pure"
 
 
 def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=None,

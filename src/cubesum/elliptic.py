@@ -97,6 +97,12 @@ def add(P: RationalFunctionPoint, Q: RationalFunctionPoint, E: FunctionFieldCurv
     for pt in (P, Q):
         if not E.contains(pt):
             raise ValueError("point not on curve")
+    return _chord_tangent(P, Q, E)
+
+
+def _chord_tangent(P: RationalFunctionPoint, Q: RationalFunctionPoint,
+                   E: FunctionFieldCurve) -> RationalFunctionPoint:
+    """The group law on points already known to lie on E."""
     if P.is_infinity():
         return Q
     if Q.is_infinity():
@@ -118,14 +124,18 @@ def double(P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionP
 
 
 def multiply(n: int, P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionPoint:
+    """n*P by double-and-add. P is checked once; the group law keeps every
+    point it builds from P on E, so those are not checked again."""
+    if not E.contains(P):
+        raise ValueError("point not on curve")
     if n < 0:
-        return multiply(-n, negate(P), E)
+        n, P = -n, negate(P)
     R = E.infinity()
     base = P
     while n:
         if n & 1:
-            R = add(R, base, E)
-        base = add(base, base, E)
+            R = _chord_tangent(R, base, E)
+        base = _chord_tangent(base, base, E)
         n >>= 1
     return R
 

@@ -180,17 +180,6 @@ def _rational_roots(f: Poly) -> list[Fraction]:
     return sorted(set(roots))
 
 
-def _multiplicity(f: Poly, g: Poly) -> int:
-    """Largest k with g^k | f (g non-constant)."""
-    k = 0
-    while True:
-        q, r = f.divmod(g)
-        if not r.is_zero():
-            return k
-        f = q
-        k += 1
-
-
 def _refine_by(f: Poly, h: Poly) -> list[tuple[Poly, int]]:
     """Split squarefree h into buckets by multiplicity of its factors in f.
 

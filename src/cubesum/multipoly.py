@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import NumberFieldElement
+from .rings import NumberFieldElement, coerce_scalar, scalar_zero
 
 
 class MultiPoly:
@@ -21,33 +21,19 @@ class MultiPoly:
 
     def __init__(self, variables, terms=None, zero=None):
         self.vars = tuple(variables)
+        terms = terms or {}
         if zero is None:
-            zero = Fraction(0)
-            for c in (terms or {}).values():
-                if isinstance(c, NumberFieldElement):
-                    zero = c.field.zero()
-                    break
+            zero = scalar_zero(terms.values())
         self.zero = zero
         clean = {}
-        for exp, c in (terms or {}).items():
-            c = self._coerce(c)
+        for exp, c in terms.items():
+            c = coerce_scalar(c, zero)
             if c:
                 exp = tuple(exp)
                 if len(exp) != len(self.vars):
                     raise ValueError("exponent arity mismatch")
                 clean[exp] = clean.get(exp, zero) + c
         self.terms = {e: c for e, c in clean.items() if c}
-
-    def _coerce(self, c):
-        if isinstance(self.zero, NumberFieldElement):
-            if isinstance(c, NumberFieldElement):
-                if c.field is not self.zero.field:
-                    raise TypeError("mixed number fields")
-                return c
-            return self.zero.field(c)
-        if isinstance(c, NumberFieldElement):
-            raise TypeError("number field scalar in rational MultiPoly")
-        return Fraction(c)
 
     @classmethod
     def variable(cls, variables, name, zero=None):

@@ -5,7 +5,10 @@ base-p digits are its coefficients over the lexicographically smallest monic
 irreducible polynomial, so every count is reproducible bit for bit. Exp/log
 tables built once from the smallest primitive element make products and
 powers table lookups and the quadratic character the parity of a log; sums
-and differences work digit by digit.
+and differences work digit by digit. The modulus search, its irreducibility
+certificate and the tables multiply polynomials modulo the modulus with
+rings.polymulmod, the routine the number fields Q(w) and Q(zeta12) multiply
+with, reduced mod p.
 
 The surface count N(p, n) still visits every (t, x) pair. For a block of t
 rows it forms x^3 - c(t) for all x at once with numpy and gathers, from a
@@ -22,7 +25,7 @@ from math import isqrt
 
 from .arith import is_prime, legendre
 from .modular import closed_form_alpha, hecke_expand
-from .rings import EisensteinInt
+from .rings import polymulmod
 
 DEFAULT_BUDGET = 10**4
 
@@ -99,21 +102,11 @@ def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 def _polymulmod(a, b, tail, p):
-    """a*b mod the monic g = T^n + tail over F_p; coefficient lists, low to high."""
-    n = len(tail)
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k] % p
-        out[k] = 0
-        if c:
-            for i, t in enumerate(tail):
-                out[k - n + i] = (out[k - n + i] - c * t) % p
-    return [c % p for c in out[:n]]
+    """a*b mod the monic g = T^n + tail over F_p; coefficient lists, low to high.
+
+    The product is reduced over Z and then mod p, which gives the same
+    coefficients because reduction mod p is a ring map Z -> F_p."""
+    return [c % p for c in polymulmod(a, b, tail)]
 
 
 def _polypowmod(a, e: int, tail, p):

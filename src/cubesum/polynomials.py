@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import NumberFieldElement
+from .rings import NumberFieldElement, coerce_scalar, scalar_zero
 
 INFINITY = "inf"  # marker for the place at infinity on P^1
-
-
-def _scalar_zero(values):
-    for v in values:
-        if isinstance(v, NumberFieldElement):
-            return v.field.zero()
-    return Fraction(0)
 
 
 class Poly:
@@ -30,23 +23,12 @@ class Poly:
     def __init__(self, coeffs=(), zero=None):
         coeffs = list(coeffs)
         if zero is None:
-            zero = _scalar_zero(coeffs)
+            zero = scalar_zero(coeffs)
         self.zero = zero
-        out = [self._coerce_scalar(c) for c in coeffs]
+        out = [coerce_scalar(c, zero) for c in coeffs]
         while out and not out[-1]:
             out.pop()
         self.coeffs = tuple(out)
-
-    def _coerce_scalar(self, c):
-        if isinstance(self.zero, NumberFieldElement):
-            if isinstance(c, NumberFieldElement):
-                if c.field is not self.zero.field:
-                    raise TypeError("mixed number fields in Poly")
-                return c
-            return self.zero.field(c)
-        if isinstance(c, NumberFieldElement):
-            raise TypeError("number field scalar in rational Poly")
-        return Fraction(c)
 
     @classmethod
     def x(cls, zero=None):
@@ -350,7 +332,7 @@ class RationalFunction:
         d = self.den.evaluate(x)
         if not d:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) * _scalar_inv_any(d)
+        return self.num.evaluate(x) * _scalar_inv(d)
 
     def compose(self, other):
         num = self.num.compose(other)
@@ -369,10 +351,6 @@ class RationalFunction:
 
     def map_coeffs(self, fn, zero=None):
         return RationalFunction(self.num.map_coeffs(fn, zero=zero), self.den.map_coeffs(fn, zero=zero))
-
-
-def _scalar_inv_any(c):
-    return _scalar_inv(c)
 
 
 def valuation_at(f: RationalFunction, place) -> int:

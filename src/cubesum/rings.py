@@ -144,17 +144,6 @@ class NumberField:
         self.name = name
         self.defining = tuple(Fraction(c) for c in defining)
         self.degree = len(defining)
-        # reduction table: x^(d+k) as a coordinate vector, for k = 0..d-2
-        d = self.degree
-        rows = [[-c for c in self.defining]]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            row = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
-            if top:
-                row = [row[i] - top * self.defining[i] for i in range(d)]
-            rows.append(row)
-        self._high_powers = [tuple(r) for r in rows]
 
     def __repr__(self):
         return f"NumberField({self.name})"
@@ -233,21 +222,8 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        prod[i + j] += a * b
-        out = prod[:d]
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = self.field._high_powers[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return NumberFieldElement(self.field, tuple(out))
+        prod = polymulmod(self.coords, o.coords, self.field.defining, Fraction(0))
+        return NumberFieldElement(self.field, tuple(prod))
 
     __rmul__ = __mul__
 
@@ -255,20 +231,23 @@ class NumberFieldElement:
         """Multiplicative inverse by extended Euclid against the defining poly."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        d = self.field.degree
-        f = list(self.field.defining) + [Fraction(1)]
-        g = list(self.coords)
-        # extended euclid over Q[x]: s*f + t*g = gcd; gcd is a nonzero constant
-        r0, r1 = f, _trim(g)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _polydivmod(r0, r1)
+        if self.is_rational():
+            # most calls: Poly.divmod inverts monic leading coefficients
+            return self.field(1 / self.coords[0])
+        from .polynomials import Poly  # polynomials imports this module
+
+        # the remainders r and cofactors t keep t*g = r mod f; f is irreducible,
+        # so the last nonzero remainder is a constant c and g^-1 = t/c
+        r0, r1 = Poly(self.field.defining + (1,)), Poly(self.coords)
+        t0, t1 = Poly(), Poly([1])
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
             r0, r1 = r1, r
-            t0, t1 = t1, _polysub(t0, _polymul(q, t1))
-        c = r1[0]
-        inv = [a / c for a in t1]
-        inv += [Fraction(0)] * (d - len(inv))
-        return NumberFieldElement(self.field, tuple(inv[:d]))
+            t0, t1 = t1, t0 - q * t1
+        c = r1.coeffs[0]
+        inv = [a / c for a in t1.coeffs]
+        inv += [Fraction(0)] * (self.field.degree - len(inv))
+        return NumberFieldElement(self.field, tuple(inv))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -300,46 +279,49 @@ class NumberFieldElement:
         return self.coords[0]
 
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while len(c) > 1 and not c[-1]:
-        c.pop()
-    return c
+def polymulmod(a, b, tail, zero=0):
+    """a*b modulo the monic T^n + tail, over any exact ring.
 
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    a, b and tail are coefficient sequences, lowest degree first; zero is the
+    ring's zero. Returns the n coefficients of the remainder as a list.
+    """
+    n = len(tail)
+    out = [zero] * max(n, len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
+                if y:
+                    out[i + j] += x * y
+    # T^k = -T^(k-n) * tail, from the top down
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k]
+        if c:
+            for i, t in enumerate(tail):
+                if t:
+                    out[k - n + i] -= c * t
+    return out[:n]
 
 
-def _polydivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv
-        q[shift] = c
-        for i, x in enumerate(b):
-            a[shift + i] -= c * x
-        a.pop()
-    return _trim(q), _trim(a if a else [Fraction(0)])
+def scalar_zero(values):
+    """The zero of the exact scalars in values: the zero of the number field
+    of the first NumberFieldElement among them, else Fraction(0)."""
+    for v in values:
+        if isinstance(v, NumberFieldElement):
+            return v.field.zero()
+    return Fraction(0)
+
+
+def coerce_scalar(c, zero):
+    """c as a scalar of the ring whose zero is given: Q or one NumberField."""
+    if isinstance(zero, NumberFieldElement):
+        if isinstance(c, NumberFieldElement):
+            if c.field is not zero.field:
+                raise TypeError("mixed number fields")
+            return c
+        return zero.field(c)
+    if isinstance(c, NumberFieldElement):
+        raise TypeError("number field scalar over Q")
+    return c if type(c) is Fraction else Fraction(c)
 
 
 # The two fields the toolkit needs.

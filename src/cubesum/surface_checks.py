@@ -457,7 +457,8 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
         raise RuntimeError("symmetry image is not one of the listed lines")
 
     group = _projective_symmetries()
-    assert len(group) == 24
+    if len(group) != 24:
+        raise ArithmeticError(f"the projective symmetry group has {len(group)} elements, not 24")
     parent = list(range(len(lines)))
 
     def find(i):

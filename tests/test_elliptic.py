@@ -5,6 +5,7 @@ import pytest
 
 from cubesum.elliptic import (
     FunctionFieldCurve,
+    RationalFunctionPoint,
     add,
     base_change_t_u3,
     cm_omega,
@@ -197,3 +198,13 @@ def test_second_fibration_curve_well_formed():
     E2 = curve_second_fibration()
     assert E2.A.is_zero()
     assert not E2.discriminant().is_zero()
+
+
+def test_multiply_rejects_a_point_off_the_curve():
+    E, s1 = omega_setup()
+    off = RationalFunctionPoint(s1.x, s1.y + 1)
+    for n in (3, -2, 1, 0):
+        with pytest.raises(ValueError):
+            multiply(n, off, E)
+    assert multiply(0, s1, E).is_infinity()
+    assert multiply(-1, s1, E) == negate(s1)

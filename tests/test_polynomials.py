@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
 from cubesum.polynomials import INFINITY, Poly, RationalFunction, valuation_at
-from cubesum.rings import QOMEGA, W
+from cubesum.rings import QOMEGA, W, ZETA
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -146,3 +146,18 @@ def test_poly_reverse():
     assert f.reverse(5) == 2 * t**4 + t**2
     with pytest.raises(ValueError):
         f.reverse(2)
+
+
+def test_poly_and_multipoly_reject_mixed_scalars():
+    with pytest.raises(TypeError):
+        Poly([W, ZETA])
+    with pytest.raises(TypeError):
+        Poly([W], zero=Fraction(0))
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): W, (0,): ZETA})
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): W}, zero=Fraction(0))
+    assert Poly([1, W]).zero == QOMEGA.zero()
+    assert MultiPoly(("x",), {(1,): 2, (0,): W}).zero == QOMEGA.zero()
+    assert all(type(c) is Fraction for c in Poly([1, Fraction(1, 2)]).coeffs)
+    assert all(type(c) is Fraction for c in MultiPoly(("x",), {(1,): 2}).terms.values())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubesum.arith import primes_up_to
+from cubesum.pointcount import _polymulmod, make_field
+from cubesum.polynomials import Poly
 from cubesum.rings import (
     EISENSTEIN_UNITS,
     EisensteinInt,
@@ -20,6 +23,7 @@ from cubesum.rings import (
     ZETA,
     eisenstein_to_field,
     omega_to_zeta12,
+    polymulmod,
     represent_eisenstein,
 )
 
@@ -104,3 +108,55 @@ def test_embeddings():
     assert omega_to_zeta12(W) == W_Z12
     assert eisenstein_to_field(EisensteinInt(2, -3)) == QOMEGA(2, -3)
     assert eisenstein_to_field(SQRT_M3, QZETA12) == SQRTM3_Z12
+
+
+def _random_rationals(rng, k):
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("field", [QOMEGA, QZETA12], ids=lambda f: f.name)
+def test_polymulmod_matches_poly_remainder_over_q(field):
+    rng = random.Random(20261018)
+    tail = field.defining
+    modulus = Poly(tail + (1,))
+    for _ in range(60):
+        # up to degree 2n - 1 on each side, so the product needs more than one
+        # reduction pass below T^n
+        a = _random_rationals(rng, rng.randint(1, 2 * len(tail)))
+        b = _random_rationals(rng, rng.randint(1, 2 * len(tail)))
+        got = polymulmod(a, b, tail, Fraction(0))
+        want = list(((Poly(a) * Poly(b)) % modulus).coeffs)
+        want += [Fraction(0)] * (len(tail) - len(want))
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("p, n", [(7, 2), (5, 3), (5, 4), (11, 3)])
+def test_polymulmod_matches_poly_remainder_for_field_moduli(p, n):
+    tail = make_field(p, n).modulus
+    modulus = Poly(tail + (1,))
+    rng = random.Random(p * 100 + n)
+    for _ in range(60):
+        a = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        got = polymulmod(a, b, tail)
+        want = list(((Poly(a) * Poly(b)) % modulus).coeffs)
+        want += [0] * (n - len(want))
+        assert got == want  # exact over Z: the modulus is monic
+        assert _polymulmod(a, b, tail, p) == [int(c) % p for c in want]
+
+
+@pytest.mark.parametrize("field", [QOMEGA, QZETA12], ids=lambda f: f.name)
+def test_inverse_is_multiplicative(field):
+    rng = random.Random(len(field.name))
+    for _ in range(40):
+        x = field(*_random_rationals(rng, field.degree))
+        y = field(*_random_rationals(rng, field.degree))
+        if not x or not y:
+            continue
+        assert x * x.inverse() == field.one()
+        assert (x * y).inverse() == x.inverse() * y.inverse()
+    assert field(Fraction(-3, 4)).inverse() == field(Fraction(-4, 3))
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
+

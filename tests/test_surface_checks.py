@@ -1,3 +1,6 @@
+import pytest
+
+from cubesum import surface_checks
 from cubesum.surface_checks import (
     SINGULAR_POINTS,
     inose_substitution_residuals,
@@ -98,3 +101,10 @@ def test_quad_ext_field_arithmetic():
 
     with pytest.raises(ZeroDivisionError):
         (x - x).inverse()
+
+
+def test_short_symmetry_group_raises(monkeypatch):
+    full = surface_checks._projective_symmetries()
+    monkeypatch.setattr(surface_checks, "_projective_symmetries", lambda: full[:23])
+    with pytest.raises(ArithmeticError):
+        verify_lines_and_singular_points()
