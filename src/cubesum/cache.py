@@ -2,20 +2,22 @@
 
 Plain text for auditability: a versioned header line followed by `n a_n`
 pairs in decimal. A header mismatch (version or generating convention) forces
-regeneration rather than silently mixing coefficient sources. Writing takes an
-advisory lock so concurrent CLI invocations cannot interleave.
+regeneration rather than silently mixing coefficient sources. Each write goes
+to its own temporary file that then atomically replaces the cache, so
+concurrent CLI invocations never see or leave a partial file.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from .modular import hecke_expand
 
 CACHE_VERSION = "v1"
-DEFAULT_CONVENTION = "hecke"
+CONVENTION = "hecke"
 
 
 class CacheFormatError(ValueError):
@@ -25,10 +27,9 @@ class CacheFormatError(ValueError):
 @dataclass
 class CoefficientCache:
     path: Path
-    convention: str = DEFAULT_CONVENTION
 
     def header(self, max_n: int) -> str:
-        return f"cubesum-cache {CACHE_VERSION} convention={self.convention} max={max_n}"
+        return f"cubesum-cache {CACHE_VERSION} convention={CONVENTION} max={max_n}"
 
     def load(self) -> dict[int, int] | None:
         """Coefficients from disk, or None when absent/stale (never raises for those)."""
@@ -44,7 +45,7 @@ class CoefficientCache:
             len(head) != 4
             or head[0] != "cubesum-cache"
             or head[1] != CACHE_VERSION
-            or head[2] != f"convention={self.convention}"
+            or head[2] != f"convention={CONVENTION}"
             or not head[3].startswith("max=")
         ):
             return None
@@ -68,13 +69,17 @@ class CoefficientCache:
         lines += [f"{n} {coeffs[n]}" for n in range(1, max_n + 1)]
         payload = "\n".join(lines) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w") as fh:
-            _lock_exclusive(fh)
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def get(self, max_n: int) -> dict[int, int]:
         """Coefficients a_1..a_max_n, regenerating the file when needed."""
@@ -92,15 +97,6 @@ class CoefficientCache:
             return True
         except FileNotFoundError:
             return False
-
-
-def _lock_exclusive(fh) -> None:
-    try:
-        import fcntl
-
-        fcntl.lockf(fh, fcntl.LOCK_EX)
-    except (ImportError, OSError):  # pragma: no cover
-        pass  # locking is advisory; proceed unlocked on exotic filesystems
 
 
 def default_cache_path() -> Path:

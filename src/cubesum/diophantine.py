@@ -307,70 +307,52 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
     return out
 
 
-_KERNELS = {"pure": _search_y_range, "numpy": _search_x_range}
 # set only inside pool workers, by _init_worker: each worker builds the sieve
 # once for all the strips it pulls instead of receiving it with every strip
 _worker_sieve: _Sieve | None = None
 
 
-def _init_worker(bound: int, method: str):
+def _init_worker(bound: int):
     global _worker_sieve
-    if method == "numpy":
-        _worker_sieve = _Sieve(bound)
+    _worker_sieve = _Sieve(bound)
 
 
 def _search_chunk(args):
-    method, *rest = args
-    if method == "numpy":
-        return _search_x_range(*rest, sieve=_worker_sieve)
-    return _search_y_range(*rest)
-
-
-# auto picks numpy from this bound on: below it building the sieve and the
-# numpy blocks costs more than the pairs it skips (search(100): 0.0013 s pure,
-# 0.0016 s numpy; search(150): 0.0029 s, 0.0023 s; search(1000): 0.13 s,
-# 0.017 s; best of five, numpy already imported, on a 2-core x86-64 host)
-_NUMPY_FROM_BOUND = 150
-
-
-def _pick_method(bound: int, method: str) -> str:
-    if method != "auto":
-        return method
-    return "numpy" if bound >= _NUMPY_FROM_BOUND else "pure"
+    return _search_x_range(*args, sieve=_worker_sieve)
 
 
 def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=None,
-           method: str = "auto") -> list[SolutionXYZ]:
+           method: str = "numpy") -> list[SolutionXYZ]:
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
-    dropped. method "pure" scans every box pair y by y (the oracle); "numpy"
-    is the descent over x that tests only the y allowed by the cube-free
-    kernels of x and y; "auto" takes numpy from bound 150 on. jobs > 1 splits
-    the scanned coordinate (y for pure, x for numpy) into strips that worker
-    processes pull as they finish; results are merged and sorted, so the
-    output is deterministic either way.
+    dropped. method "numpy" is the descent over x that tests only the y
+    allowed by the cube-free kernels of x and y; "pure" scans every box pair
+    y by y in one process and is the oracle the descent is tested against.
+    jobs > 1 splits the x range into strips that worker processes pull as
+    they finish; results are merged and sorted, so the output is
+    deterministic either way.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    method = _pick_method(bound, method)
-    if method not in _KERNELS:
+    if method not in ("numpy", "pure"):
         raise ValueError(f"unknown search method {method!r}")
+    if method == "pure" and jobs > 1:
+        raise ValueError("method 'pure' runs in one process: use jobs=1")
     triples: list[tuple[int, int, int]] = []
-    if jobs <= 1:
-        triples = _KERNELS[method](bound, 1, bound + 1, include_trivial)
+    if method == "pure":
+        triples = _search_y_range(bound, 1, bound + 1, include_trivial)
+    elif jobs <= 1:
+        triples = _search_x_range(bound, 1, bound + 1, include_trivial)
     else:
         import multiprocessing as mp
 
-        # strips balance the load: pure's small y rows and the descent's large
-        # x rows are the longest, so those strips go first and workers pull
-        # strips dynamically
+        # strips balance the load: the large x rows are the longest, so those
+        # strips go first and workers pull strips dynamically
         width = max(16, bound // (jobs * 32))
-        chunks = [(method, bound, lo, min(lo + width, bound + 1), include_trivial)
-                  for lo in range(1, bound + 1, width)]
-        if method == "numpy":
-            chunks.reverse()
-        with mp.Pool(jobs, initializer=_init_worker, initargs=(bound, method)) as pool:
+        chunks = [(bound, lo, min(lo + width, bound + 1), include_trivial)
+                  for lo in reversed(range(1, bound + 1, width))]
+        with mp.Pool(jobs, initializer=_init_worker, initargs=(bound,)) as pool:
             for i, part in enumerate(pool.imap_unordered(_search_chunk, chunks)):
                 triples.extend(part)
                 if progress is not None:

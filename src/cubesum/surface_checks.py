@@ -9,13 +9,13 @@ lines and line orbits of the quartic itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from .elliptic import add, curve_over_omega, curve_sextic_twist, point_over_omega, section_tau
 from .multipoly import MultiPoly, normal_form
 from .polynomials import Poly, RationalFunction
 from .rings import (
-    NumberFieldElement,
     QOMEGA,
     QZETA12,
     I_Z12,
@@ -64,141 +64,39 @@ def verify_quotient_psi() -> bool:
 # --- the graph that recovers the parametric family ------------------------
 
 
-class QuadExtElem:
-    """Element a + b*s of K(u)[s]/(s^2 - D) for a fixed squarefree D."""
-
-    __slots__ = ("a", "b", "D")
-
-    def __init__(self, a: RationalFunction, b: RationalFunction, D: RationalFunction):
-        self.a = a
-        self.b = b
-        self.D = D
-
-    def __repr__(self):
-        return f"({self.a!r}) + ({self.b!r})*s"
-
-    def _wrap(self, other):
-        if isinstance(other, QuadExtElem):
-            return other
-        if isinstance(other, (int, Fraction, NumberFieldElement, Poly, RationalFunction)):
-            zero = self.a - self.a
-            if not isinstance(other, RationalFunction):
-                other = self.a * 0 + other
-            return QuadExtElem(other, zero, self.D)
-        return None
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        return QuadExtElem(self.a + o.a, self.b + o.b, self.D)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtElem(-self.a, -self.b, self.D)
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._wrap(other)
-        return QuadExtElem(
-            self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.D
-        if n.is_zero():
-            raise ZeroDivisionError("norm zero in quadratic extension")
-        return QuadExtElem(self.a / n, -self.b / n, self.D)
-
-    def __truediv__(self, other):
-        return self * self._wrap(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    def __pow__(self, n: int):
-        out = self._wrap(1)
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
-
-
-def _hyperelliptic_field():
-    """Q(w)(u)[s]/(s^2 - (u^6 - 1)): the function field of the genus-2 curve."""
-    z = QOMEGA.zero()
-    u = RationalFunction(Poly.x(zero=z))
-    D = u**6 - 1
-    zero = RationalFunction(Poly([], zero=z))
-    one = RationalFunction(Poly([z + 1], zero=z))
-
-    def elem(a, b=None):
-        return QuadExtElem(a if isinstance(a, RationalFunction) else one * a,
-                           zero if b is None else (b if isinstance(b, RationalFunction) else one * b),
-                           D)
-
-    s = QuadExtElem(zero, one, D)
-    return u, s, elem
-
-
-def _chord_tangent(P, Q, a_coef, b_coef):
-    """Formal chord-tangent sum on y^2 = x^3 + a x + b over any field elements."""
-    (x1, y1), (x2, y2) = P, Q
-    if x1 == x2 and (y1 + y2).is_zero():
-        raise ZeroDivisionError("sum is the point at infinity")
-    if x1 == x2 and y1 == y2:
-        lam = (x1 * x1 * 3 + a_coef) / (y1 * 2)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return (x3, y3)
-
-
 @dataclass(frozen=True)
 class PaglianiGraphResult:
     matches: bool
     matched_symmetry: str | None
-    image: tuple | None = None
 
 
 def pagliani_graph_image(sign: int = 1, use_pi1: bool = False):
     """psi applied to the graph of P -> [sign] * projection(P) + (1, 0).
 
-    projection is the degree-2 map (u, s) -> (u^2, s) onto y^2 = x^3 - 1 by
-    default; use_pi1 swaps in the other projection (u, s) -> (-1/u^2, s/u^3)
-    as a negative control (it lands on the wrong curve, so the image cannot
-    be a surface solution).
+    projection is the degree-2 map (u, s) -> (u^2, s) from s^2 = D = u^6 - 1
+    onto y^2 = x^3 - 1 by default; use_pi1 swaps in the other projection
+    (u, s) -> (-1/u^2, s/u^3) as a negative control: it lands off the curve,
+    so the image cannot be a surface solution and E.point raises ValueError.
+
+    Over Q(w)(u)(s) the map (x, y) -> (D x, s^3 y) is a Weierstrass
+    isomorphism from y^2 = x^3 - 1 onto the sextic twist y^2 = x^3 - D^3
+    (curve_sextic_twist). It sends (1, 0) to section_tau() = (D, 0) and
+    (u^2, +-s) to (u^2 D, +-D^2) = +-base_change_t_u3(section_sigma1()), so
+    the sum is taken there, over Q(w)(u), with no s left. psi,
+    (x, y, z) = (s/y0, u^3, u s x0/y0), reads (D^2/Y, u^3, u X D/Y) in the
+    twist coordinates (X, Y).
     """
-    u, s, elem = _hyperelliptic_field()
+    E = curve_over_omega(curve_sextic_twist())
+    u = RationalFunction(Poly.x(zero=QOMEGA.zero()))
+    D = u**6 - 1
     if use_pi1:
-        pt = (elem(-1 / (u * u)), s * elem(1 / u**3))
+        x, y = -D / (u * u), D * D / u**3
     else:
-        pt = (elem(u * u), s)
+        x, y = u * u * D, D * D
     if sign < 0:
-        pt = (pt[0], -pt[1])
-    torsion = (elem(u * 0 + 1), elem(u * 0))
-    x0, y0 = _chord_tangent(pt, torsion, elem(u * 0), elem(u * 0 - 1))
-    # psi: (x, y, z) = (s / y0, u^3, u s x0 / y0)
-    return (s / y0, elem(u**3), elem(u) * s * x0 / y0)
+        y = -y
+    S = add(E.point(x, y), point_over_omega(section_tau()), E)
+    return (D * D / S.y, u**3, u * S.x * D / S.y)
 
 
 def _compose_scaling(f, wk):
@@ -245,12 +143,13 @@ def verify_pagliani_graph(sign: int = 1, use_pi1: bool = False) -> PaglianiGraph
     to the 8 integer symmetries combined with the cube-root-of-unity rescaling
     of z, and which symmetry matched.
     """
-    img = pagliani_graph_image(sign=sign, use_pi1=use_pi1)
+    try:
+        img = pagliani_graph_image(sign=sign, use_pi1=use_pi1)
+    except ValueError:  # the projection missed y^2 = x^3 - 1
+        return PaglianiGraphResult(False, None)
     (xp, yp, zp), syms = _pagliani_candidates()
-    _, s, elem = _hyperelliptic_field()
     for name, f in syms:
-        cx, cy, cz = f(xp, yp, zp)
-        if img == (elem(cx), elem(cy), elem(cz)):
+        if img == f(xp, yp, zp):
             return PaglianiGraphResult(True, name)
     return PaglianiGraphResult(False, None)
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from cubesum.cache import CacheFormatError, CoefficientCache
@@ -32,8 +34,31 @@ def test_cache_version_mismatch_forces_regeneration(tmp_path):
 
 def test_cache_convention_mismatch(tmp_path):
     path = tmp_path / "c.txt"
-    CoefficientCache(path, convention="other").write({1: 1, 2: 0})
+    path.write_text("cubesum-cache v1 convention=other max=2\n1 1\n2 0\n")
     assert CoefficientCache(path).load() is None
+
+
+def _write_repeatedly(path, max_n, rounds):
+    cache = CoefficientCache(path)
+    for _ in range(rounds):
+        cache.write({n: max_n for n in range(1, max_n + 1)})
+        cache.load()
+
+
+def test_concurrent_writers_leave_a_whole_file(tmp_path):
+    # two writers of different lengths: a shared temporary file would let the
+    # shorter payload land on top of the longer one
+    path = tmp_path / "c.txt"
+    writers = [multiprocessing.Process(target=_write_repeatedly, args=(path, n, 200))
+               for n in (5, 60)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join()
+    assert [w.exitcode for w in writers] == [0, 0]
+    coeffs = CoefficientCache(path).load()
+    assert set(coeffs.values()) == {len(coeffs)}
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cache_corruption_detected(tmp_path):

@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from cubesum.cli import main
+from cubesum.cli import build_parser, main
 
-GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+GOLDEN = DOCS / "golden"
 
 
 def run_cli(capsys, argv):
@@ -161,6 +164,17 @@ def test_mw_section_arithmetic(capsys):
     doc = json.loads(out)
     assert doc["height_mw"] == "8/3"
     assert doc["height_canonical"] == "4/3"
+
+
+def test_cli_reference_names_every_subcommand_and_option():
+    headings = dict(re.findall(r"^### `([^`\s]+)([^`\n]*)`", (DOCS / "cli.md").read_text(), re.M))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        assert name in headings, f"docs/cli.md has no heading for {name}"
+        for action in parser._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt not in ("--format", "--help"):
+                    assert re.search(rf"{opt}(?![\w-])", headings[name]), f"{name} {opt}"
 
 
 # --- golden files ------------------------------------------------------------

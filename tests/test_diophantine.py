@@ -7,7 +7,6 @@ from cubesum.diophantine import (
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
-    _pick_method,
     _Sieve,
     apply_symmetry,
     canonical_form,
@@ -122,11 +121,9 @@ def test_search_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_auto_method_follows_the_bound():
-    assert _pick_method(149, "auto") == "pure"
-    assert _pick_method(150, "auto") == "numpy"
-    assert _pick_method(10**6, "pure") == "pure"
-    assert _pick_method(10, "numpy") == "numpy"
+def test_pure_method_rejects_worker_processes():
+    with pytest.raises(ValueError):
+        search(10, method="pure", jobs=2)
 
 
 def test_unknown_method_is_rejected():

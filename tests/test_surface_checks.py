@@ -1,6 +1,17 @@
 import pytest
 
 from cubesum import surface_checks
+from cubesum.elliptic import (
+    add,
+    base_change_t_u3,
+    curve_over_omega,
+    curve_sextic_twist,
+    negate,
+    point_over_omega,
+    section_sigma1,
+    section_tau,
+    sextic_section_to_xyz,
+)
 from cubesum.surface_checks import (
     SINGULAR_POINTS,
     inose_substitution_residuals,
@@ -40,6 +51,23 @@ def test_pagliani_graph_sign_flip():
 
 def test_pagliani_graph_wrong_projection_fails():
     assert not verify_pagliani_graph(use_pi1=True).matches
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_graph_image_is_the_sextic_section_image(sign):
+    # the graph check applies psi's own formula; sextic_section_to_xyz undoes
+    # the minimalizing twist instead, and the two must agree
+    E = curve_over_omega(curve_sextic_twist())
+    s1p = point_over_omega(base_change_t_u3(section_sigma1()))
+    if sign < 0:
+        s1p = negate(s1p)
+    expected = sextic_section_to_xyz(add(s1p, point_over_omega(section_tau()), E))
+    assert pagliani_graph_image(sign) == expected
+
+
+def test_graph_image_wrong_projection_is_off_the_curve():
+    with pytest.raises(ValueError):
+        pagliani_graph_image(use_pi1=True)
 
 
 def test_graph_image_is_a_surface_solution():
@@ -87,20 +115,6 @@ def test_quartic_form_shape():
     assert F.degree_in("Z") == 3
     assert F.degree_in("W") == 2
     assert all(sum(exp) == 4 for exp in F.terms)
-
-
-def test_quad_ext_field_arithmetic():
-    from cubesum.surface_checks import _hyperelliptic_field
-
-    u, s, elem = _hyperelliptic_field()
-    assert s * s == elem(u**6 - 1)
-    x = elem(u * u, 1 + 0 * u)  # u^2 + s
-    assert x * x.inverse() == elem(1 + 0 * u)
-    assert (x - x).is_zero()
-    import pytest
-
-    with pytest.raises(ZeroDivisionError):
-        (x - x).inverse()
 
 
 def test_short_symmetry_group_raises(monkeypatch):
