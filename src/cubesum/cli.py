@@ -289,7 +289,7 @@ def cmd_ap(args) -> int:
         return 0
     coeffs = cache.get(args.max)
     rows = [(n, a) for n, a in coeffs.items() if a or not args.nonzero]
-    payload = {"max": args.max, "coefficients": {str(n): a for n, a in coeffs.items()}}
+    payload = {"max": args.max, "coefficients": {str(n): a for n, a in rows}}
     _emit(payload, rows, ("n", "a_n"), args.format)
     return 0
 

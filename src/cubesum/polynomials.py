@@ -137,9 +137,13 @@ class Poly:
         if dq < 0:
             return Poly([], zero=z), self
         quot = [z] * (dq + 1)
-        inv_lead = _scalar_inv(other.leading())
+        # divisors are mostly monic (gcds, reduced denominators, t - a)
+        lead = other.leading()
+        inv_lead = None if lead == 1 else _scalar_inv(lead)
         for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree] * inv_lead
+            c = rem[shift + other.degree]
+            if inv_lead is not None:
+                c = c * inv_lead
             if c:
                 quot[shift] = c
                 for i, b in enumerate(other.coeffs):
@@ -153,7 +157,7 @@ class Poly:
         return self.divmod(self._wrap(other))[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.leading() == 1:
             return self
         inv = _scalar_inv(self.leading())
         return Poly([c * inv for c in self.coeffs], zero=self.zero)
@@ -240,8 +244,8 @@ class RationalFunction:
             den = den // g
         if num.is_zero():
             den = Poly([num.zero + 1], zero=num.zero)
-        lead_inv = _scalar_inv(den.leading())
-        if den.leading() != den.zero + 1:
+        if den.leading() != 1:
+            lead_inv = _scalar_inv(den.leading())
             num = num * lead_inv
             den = den * lead_inv
         self.num = num

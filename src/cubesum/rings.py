@@ -4,12 +4,19 @@ w is a primitive cube root of unity (w^2 + w + 1 = 0). Q(zeta12) is the degree-4
 cyclotomic field with defining polynomial x^4 - x^2 + 1; it contains i, w, sqrt(3)
 and sqrt(-3), which is everything the quartic surface's lines and the second
 fibration's coordinate changes need.
+
+A number field element is fraction-free: integer power-basis coordinates over
+one positive common denominator, kept with no common factor (Cohen, A Course
+in Computational Algebraic Number Theory, 4.2.1). Products go through
+polymulmod on the integer numerators, the same routine F_{p^n} multiplies with.
+The Fraction coordinates are derived on demand, for printing and sorting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from .arith import is_prime
 
@@ -139,19 +146,25 @@ class NumberField:
     """A fixed number field Q[x]/(f) given by its monic defining polynomial."""
 
     def __init__(self, name: str, defining: tuple[int, ...]):
-        # defining holds the non-leading coefficients of a monic polynomial,
-        # lowest degree first: x^d = -(defining[0] + defining[1] x + ...)
+        # defining holds the non-leading integer coefficients of a monic
+        # polynomial, lowest degree first: x^d = -(defining[0] + defining[1] x + ...)
         self.name = name
-        self.defining = tuple(Fraction(c) for c in defining)
+        self.defining = tuple(int(c) for c in defining)
         self.degree = len(defining)
 
     def __repr__(self):
         return f"NumberField({self.name})"
 
     def __call__(self, *coords) -> "NumberFieldElement":
-        v = [Fraction(c) for c in coords]
-        v += [Fraction(0)] * (self.degree - len(v))
-        return NumberFieldElement(self, tuple(v))
+        """The element with these power-basis coordinates (ints or Fractions),
+        padded with zeros up to the degree."""
+        if len(coords) > self.degree:
+            raise ValueError(f"{self.name} has degree {self.degree}, got {len(coords)} coordinates")
+        vals = [c if isinstance(c, int) else Fraction(c) for c in coords]
+        den = lcm(*[v.denominator for v in vals])
+        num = [v.numerator * (den // v.denominator) for v in vals]
+        num += [0] * (self.degree - len(num))
+        return NumberFieldElement(self, tuple(num), den)
 
     def zero(self) -> "NumberFieldElement":
         return self()
@@ -164,13 +177,32 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """Element of a NumberField in the power basis, coordinates over Q."""
+    """Element of a NumberField in the power basis: integer coordinates num over
+    one positive denominator den.
 
-    __slots__ = ("field", "coords")
+    The pair is kept normalised, gcd(den, *num) == 1, so zero is (0, ..., 0)/1
+    and two elements are equal exactly when their num and den are.
+    """
 
-    def __init__(self, field: NumberField, coords: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int = 1):
+        if den != 1:
+            if den <= 0:
+                if not den:
+                    raise ZeroDivisionError("number field element with zero denominator")
+                num, den = tuple(map(neg, num)), -den
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = tuple(a // g for a in num), den // g
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __repr__(self):
         return f"{self.field.name}{list(map(str, self.coords))}"
@@ -180,7 +212,9 @@ class NumberFieldElement:
             if other.field is not self.field:
                 raise TypeError("mixed number fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return NumberFieldElement(self.field, (other,) + (0,) * (self.field.degree - 1))
+        if isinstance(other, Fraction):
             return self.field(other)
         return None
 
@@ -188,32 +222,36 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.name, self.coords))
+        return hash((self.field.name, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
-    def __add__(self, other):
+    def _add_or_sub(self, other, op):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        d, e = self.den, o.den
+        if d == e:
+            num = tuple(map(op, self.num, o.num))
+        else:
+            num = tuple(op(a * e, b * d) for a, b in zip(self.num, o.num))
+            d *= e
+        return NumberFieldElement(self.field, num, d)
+
+    def __add__(self, other):
+        return self._add_or_sub(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coords))
+        return NumberFieldElement(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._add_or_sub(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -222,8 +260,8 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = polymulmod(self.coords, o.coords, self.field.defining, Fraction(0))
-        return NumberFieldElement(self.field, tuple(prod))
+        prod = polymulmod(self.num, o.num, self.field.defining)
+        return NumberFieldElement(self.field, tuple(prod), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -232,22 +270,21 @@ class NumberFieldElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         if self.is_rational():
-            # most calls: Poly.divmod inverts monic leading coefficients
-            return self.field(1 / self.coords[0])
+            # (a/d)^-1 = d/a; the constructor moves the sign of a
+            return NumberFieldElement(self.field, (self.den,) + self.num[1:], self.num[0])
         from .polynomials import Poly  # polynomials imports this module
 
-        # the remainders r and cofactors t keep t*g = r mod f; f is irreducible,
-        # so the last nonzero remainder is a constant c and g^-1 = t/c
-        r0, r1 = Poly(self.field.defining + (1,)), Poly(self.coords)
+        # the remainders r and cofactors t keep t*g = r mod f, with g the
+        # numerator polynomial; f is irreducible, so the last nonzero remainder
+        # is a constant c, and (g/den)^-1 = den*t/c
+        r0, r1 = Poly(self.field.defining + (1,)), Poly(self.num)
         t0, t1 = Poly(), Poly([1])
         while r1.degree > 0:
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
             t0, t1 = t1, t0 - q * t1
         c = r1.coeffs[0]
-        inv = [a / c for a in t1.coeffs]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return NumberFieldElement(self.field, tuple(inv))
+        return self.field(*(a * self.den / c for a in t1.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -271,12 +308,12 @@ class NumberFieldElement:
         return out
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
 
 def polymulmod(a, b, tail, zero=0):

@@ -261,17 +261,20 @@ def _lines():
     return data
 
 
+# Generators of the order-24 projective symmetry group, each a pair
+# (perm, scal) acting on (X:Y:Z:W) as X_i -> scal[i] * X_perm[i]: the three
+# sign/swap involutions and the cube-root rescaling of Z.
+_ONE = QZETA12.one()
+SYMMETRY_GENERATORS = (
+    ((0, 1, 2, 3), (-_ONE, _ONE, -_ONE, _ONE)),  # t1
+    ((0, 1, 2, 3), (_ONE, -_ONE, -_ONE, _ONE)),  # t2
+    ((1, 0, 2, 3), (_ONE, _ONE, _ONE, _ONE)),    # t3 (swap X, Y)
+    ((0, 1, 2, 3), (_ONE, _ONE, W_Z12, _ONE)),   # t4 (Z -> wZ)
+)
+
+
 def _projective_symmetries():
-    """The order-24 group generated by the three sign/swap involutions and the
-    cube-root rescaling of Z, acting on (X:Y:Z:W)."""
-    one = QZETA12.one()
-    w = W_Z12
-    gens = [
-        ((0, 1, 2, 3), (-one, one, -one, one)),  # t1
-        ((0, 1, 2, 3), (one, -one, -one, one)),  # t2
-        ((1, 0, 2, 3), (one, one, one, one)),    # t3 (swap X, Y)
-        ((0, 1, 2, 3), (one, one, w, one)),      # t4 (Z -> wZ)
-    ]
+    """The order-24 group generated by SYMMETRY_GENERATORS."""
 
     def compose(g, h):
         gp, gs = g
@@ -284,14 +287,14 @@ def _projective_symmetries():
         return (perm, tuple(c * inv for c in scal))
 
     group = {}
-    frontier = [((0, 1, 2, 3), (one, one, one, one))]
+    frontier = [((0, 1, 2, 3), (_ONE,) * 4)]
     while frontier:
         g = frontier.pop()
         key = normalize(g)
         if key in group:
             continue
         group[key] = key
-        for h in gens:
+        for h in SYMMETRY_GENERATORS:
             frontier.append(compose(h, g))
     return sorted(group, key=lambda g: (g[0], tuple(tuple(map(str, c.coords)) for c in g[1])))
 
@@ -344,7 +347,9 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
         val = F.substitute(coords)
         on_surface.append(val.is_zero())
 
-    # orbit partition under the order-24 projective symmetry group
+    # orbit partition under the order-24 projective symmetry group: its orbits
+    # are the connected components under its generators, and if every
+    # generator maps each line to a listed line, so does every group element
     def line_index_of(points) -> int:
         for j, (_pts, forms) in enumerate(lines):
             if all(
@@ -367,7 +372,7 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
         return i
 
     for idx, (pts, _forms) in enumerate(lines):
-        for g in group:
+        for g in SYMMETRY_GENERATORS:
             j = line_index_of(tuple(_apply_sym(g, p) for p in pts))
             ri, rj = find(idx), find(j)
             if ri != rj:

@@ -151,6 +151,18 @@ def test_ap_table_uses_cache(capsys, tmp_path):
     assert json.loads(first)["coefficients"]["13"] == "-22"
 
 
+def test_ap_table_nonzero_json_drops_zeros(capsys, tmp_path):
+    cache_file = str(tmp_path / "c.txt")
+    argv = ["ap", "--max", "30", "--cache-file", cache_file, "--format", "json"]
+    _, full = run_cli(capsys, argv)
+    _, nonzero = run_cli(capsys, argv + ["--nonzero"])
+    full_map = json.loads(full)["coefficients"]
+    nonzero_map = json.loads(nonzero)["coefficients"]
+    assert full_map["2"] == "0" and full_map["10"] == "0"
+    assert nonzero_map == {n: a for n, a in full_map.items() if a != "0"}
+    assert nonzero_map["13"] == "-22"
+
+
 def test_verify_skip_census(capsys):
     status, out = run_cli(capsys, ["verify", "--all", "--skip-census"])
     assert status == 0

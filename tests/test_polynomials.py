@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
 from cubesum.polynomials import INFINITY, Poly, RationalFunction, valuation_at
-from cubesum.rings import QOMEGA, W, ZETA
+from cubesum.rings import QOMEGA, W, ZETA, NumberFieldElement
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -75,6 +75,42 @@ def test_poly_over_number_field():
     t = Poly.x(zero=z)
     f = (t - W) * (t - W**2)
     assert f == t**2 + t + 1
+
+
+def test_monic_gcd_over_omega_inverts_nothing(monkeypatch):
+    z = QOMEGA.zero()
+    t = Poly.x(zero=z)
+    a = (t - W) * (t - 1) * (t + 2)
+    b = (t - W) * (t - 1)
+    calls = []
+    real = NumberFieldElement.inverse
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(NumberFieldElement, "inverse", counting)
+    # the only divisor is b, which is monic, and the gcd b is monic already
+    assert a.gcd(b) == b
+    assert (a // b) == t + 2
+    assert calls == []
+
+
+def test_divmod_by_non_monic_divisor_over_q_and_omega():
+    t = Poly.x()
+    a = 3 * t**4 - t**3 + Fraction(1, 2) * t + 7
+    b = Fraction(-2, 3) * t**2 + 5 * t - 1
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+    z = QOMEGA.zero()
+    tw = Poly.x(zero=z)
+    aw = (2 + W) * tw**5 - W * tw**2 + Fraction(3, 4)
+    bw = (3 - 2 * W) * tw**2 + QOMEGA(Fraction(1, 5), -1) * tw + W
+    qw, rw = aw.divmod(bw)
+    assert qw * bw + rw == aw
+    assert rw.degree < bw.degree
 
 
 def test_normal_form_examples():

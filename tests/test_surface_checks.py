@@ -122,3 +122,22 @@ def test_short_symmetry_group_raises(monkeypatch):
     monkeypatch.setattr(surface_checks, "_projective_symmetries", lambda: full[:23])
     with pytest.raises(ArithmeticError):
         verify_lines_and_singular_points()
+
+
+def test_line_orbits_are_the_known_partition():
+    rep = verify_lines_and_singular_points()
+    assert rep.orbits == ((0, 1), (2, 3), (4, 5), tuple(range(6, 18)))
+
+
+def test_generators_generate_the_symmetry_group():
+    group = surface_checks._projective_symmetries()
+    assert len(group) == 24
+    assert len(surface_checks.SYMMETRY_GENERATORS) == 4
+
+
+def test_missing_line_in_an_orbit_raises(monkeypatch):
+    full = surface_checks._lines()
+    # line 17 lies in the 12-orbit, so some generator maps a listed line onto it
+    monkeypatch.setattr(surface_checks, "_lines", lambda: full[:17])
+    with pytest.raises(RuntimeError):
+        verify_lines_and_singular_points()
