@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3,317,044,064,679,887,385,961,981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import Poly, RationalFunction
-from .rings import NumberFieldElement, QOMEGA, W
+from .rings import NumberFieldElement, QOMEGA, W, W_Z12
 
 
 def _rf(value, zero=None) -> RationalFunction:
@@ -24,19 +24,15 @@ def _rf(value, zero=None) -> RationalFunction:
 
 
 class FunctionFieldCurve:
-    """y^2 = x^3 + A(t) x + B(t) with nonzero discriminant."""
+    """y^2 = x^3 + A(t) x + B(t) with nonzero discriminant.
+
+    A and B have their coefficients in one scalar ring; mixing Q with a
+    number field raises TypeError.
+    """
 
     def __init__(self, A, B, name: str = ""):
         self.A = _rf(A)
         self.B = _rf(B)
-        zero_a = self.A.zero_scalar
-        zero_b = self.B.zero_scalar
-        if isinstance(zero_a, NumberFieldElement) != isinstance(zero_b, NumberFieldElement):
-            # promote the rational side into the number field
-            if isinstance(zero_b, NumberFieldElement):
-                self.A = self.A.map_coeffs(lambda c: zero_b.field(c), zero=zero_b)
-            else:
-                self.B = self.B.map_coeffs(lambda c: zero_a.field(c), zero=zero_a)
         self.name = name
         disc = self.A**3 * 4 + self.B**2 * 27
         if disc.is_zero():
@@ -150,34 +146,22 @@ def cm_omega(P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctio
     z = E.B.zero_scalar
     if not isinstance(z, NumberFieldElement):
         raise ValueError("coefficient field must contain w (use curve_over_omega)")
-    if z.field is QOMEGA:
-        w = W
-    else:
-        from .rings import W_Z12
-
-        w = W_Z12
     if P.is_infinity():
         return P
-    return RationalFunctionPoint(P.x * w, P.y)
+    return RationalFunctionPoint(P.x * (W if z.field is QOMEGA else W_Z12), P.y)
 
 
 def curve_over_omega(E: FunctionFieldCurve) -> FunctionFieldCurve:
     """Base-change a curve with rational coefficients to Q(w)(t)."""
-    conv = lambda c: QOMEGA(c) if not isinstance(c, NumberFieldElement) else c
     z = QOMEGA.zero()
-    return FunctionFieldCurve(
-        E.A.map_coeffs(conv, zero=z), E.B.map_coeffs(conv, zero=z), name=E.name + "_w"
-    )
+    return FunctionFieldCurve(E.A.over(z), E.B.over(z), name=E.name + "_w")
 
 
 def point_over_omega(P: RationalFunctionPoint) -> RationalFunctionPoint:
     if P.is_infinity():
         return P
-    conv = lambda c: QOMEGA(c) if not isinstance(c, NumberFieldElement) else c
     z = QOMEGA.zero()
-    return RationalFunctionPoint(
-        P.x.map_coeffs(conv, zero=z), P.y.map_coeffs(conv, zero=z)
-    )
+    return RationalFunctionPoint(P.x.over(z), P.y.over(z))
 
 
 # --- the two standard fibrations -----------------------------------------

@@ -5,15 +5,21 @@ v(Delta)) lookup replaces the full Tate loop. Places are found without general
 factorization: squarefree decomposition, rational-root extraction, and
 gcd-refinement against the coefficient valuation layers; residual non-linear
 factors are emitted as one fiber per conjugate root.
+
+The place t = infinity is read in the parameter s = 1/t. There A and B become
+A~ = s^(4k) A(1/s) and B~ = s^(6k) B(1/s) with the least k that makes both
+polynomials, and that model is already minimal. Sections reach it by the same
+f(1/s) s^n twist, with their scalars kept in their own ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .elliptic import FunctionFieldCurve, RationalFunctionPoint, add
-from .polynomials import INFINITY, Poly, RationalFunction
+from .polynomials import Poly, RationalFunction
 from .rings import NumberFieldElement
 
 # type -> (euler, m_t, m_simple, component group)
@@ -149,11 +155,7 @@ def _rational_roots(f: Poly) -> list[Fraction]:
     """Rational roots of a squarefree polynomial over Q."""
     if f.degree <= 0:
         return []
-    from math import gcd
-
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * den) for c in f.coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor t^k already split off by squarefree layers
@@ -181,7 +183,7 @@ def _rational_roots(f: Poly) -> list[Fraction]:
 
 
 def _refine_by(f: Poly, h: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree h into buckets by multiplicity of its factors in f.
+    """Split squarefree h into buckets by multiplicity of its factors in nonzero f.
 
     Returns [(h_i, m_i)] with h = prod h_i; every irreducible factor of h_i
     divides f exactly m_i times. Only gcds are used.
@@ -191,15 +193,11 @@ def _refine_by(f: Poly, h: Poly) -> list[tuple[Poly, int]]:
     cur = f
     m = 0
     while rem.degree > 0:
-        g = rem.gcd(cur) if not cur.is_zero() else rem
+        g = rem.gcd(cur)
         exact = rem // g  # factors with multiplicity exactly m
         if exact.degree > 0:
             buckets.append((exact.monic(), m))
-        if cur.is_zero():
-            buckets.append((rem.monic(), None))  # infinite multiplicity; unused
-            break
-        rem = g
-        cur = cur // g if g.degree > 0 else cur
+        rem, cur = g, cur // g
         m += 1
     return buckets
 
@@ -211,7 +209,7 @@ def _poly_of(rf: RationalFunction) -> Poly:
     if isinstance(p.zero, NumberFieldElement):
         # classification happens over Q; curves defined over Q but coerced into
         # a number field for section work descend coefficientwise
-        return p.map_coeffs(lambda c: c.rational_value(), zero=Fraction(0))
+        return Poly([c.rational_value() for c in p.coeffs])
     return p
 
 
@@ -222,28 +220,10 @@ def infinity_model(E: FunctionFieldCurve) -> tuple[Poly, Poly, int]:
     of valuation < 4 resp. < 6 at s = 0.
     """
     A, B = _poly_of(E.A), _poly_of(E.B)
-    k = 0
-    while (A.degree > 4 * k and not A.is_zero()) or (B.degree > 6 * k and not B.is_zero()):
-        k += 1
-    As = A.reverse(4 * k) if not A.is_zero() else A
-    Bs = B.reverse(6 * k) if not B.is_zero() else B
-    while k > 0:
-        vA = As.valuation(_zero_of(As)) if not As.is_zero() else None
-        vB = Bs.valuation(_zero_of(Bs)) if not Bs.is_zero() else None
-        if (vA is None or vA >= 4) and (vB is None or vB >= 6):
-            s4 = Poly([0, 0, 0, 0, 1], zero=As.zero) if not As.is_zero() else None
-            if s4 is not None:
-                As = As // s4
-            if not Bs.is_zero():
-                Bs = Bs // Poly([0, 0, 0, 0, 0, 0, 1], zero=Bs.zero)
-            k -= 1
-        else:
-            break
-    return As, Bs, k
-
-
-def _zero_of(p: Poly):
-    return p.zero
+    # k is the least integer with deg A <= 4k and deg B <= 6k, so at k - 1 one
+    # of the two fails: v(A~) < 4 or v(B~) < 6, and no smaller twist exists
+    k = max(0, -(-A.degree // 4), -(-B.degree // 6))
+    return A.reverse(4 * k), B.reverse(6 * k), k
 
 
 def _kodaira_from_valuations(vA, vB, vD: int) -> str:
@@ -269,8 +249,6 @@ def _kodaira_from_valuations(vA, vB, vD: int) -> str:
         return "II*"
     if vD > 6 and (vA == 2 or (vB is not None and vB == 3)):
         return f"I{vD - 6}*"
-    if vD == 8:
-        return "IV*"
     raise ValueError(f"unclassifiable valuations (vA={vA}, vB={vB}, vD={vD})")
 
 
@@ -299,28 +277,20 @@ def classify_fibers(E: FunctionFieldCurve) -> list[KodairaFiber]:
     fibers: list[KodairaFiber] = []
 
     for layer, vD in _squarefree_layers(disc):
-        exhausted = layer
-        pieces: list[tuple[Poly, int | None, int | None]] = []
-        # split by v(A) then v(B) so every bucket has uniform valuations
-        for pa, vA_ in _refine_by(A, exhausted) if not A.is_zero() else [(exhausted, None)]:
-            for pb, vB_ in _refine_by(B, pa) if not B.is_zero() else [(pa, None)]:
-                pieces.append((pb, vA_, vB_))
-        for piece, vA_, vB_ in pieces:
-            if piece.degree <= 0:
-                continue
-            roots = _rational_roots(piece)
-            rest = piece
-            for r in roots:
-                lin = Poly([-r, 1])
-                rest = rest // lin
-                place = PlaceOnBase(lin)
-                _check_minimal(vA_, vB_, place)
-                fibers.append(_fiber_record(place, _kodaira_from_valuations(vA_, vB_, vD)))
-            if rest.degree > 0:
-                _check_minimal(vA_, vB_, PlaceOnBase(rest.monic()))
-                ftype = _kodaira_from_valuations(vA_, vB_, vD)
-                for idx in range(rest.degree):
-                    fibers.append(_fiber_record(PlaceOnBase(rest.monic(), idx), ftype))
+        # split by v(A) then v(B) so every piece has uniform valuations; the
+        # pieces are monic of positive degree
+        for pa, vA in _refine_by(A, layer) if not A.is_zero() else [(layer, None)]:
+            for piece, vB in _refine_by(B, pa) if not B.is_zero() else [(pa, None)]:
+                for r in _rational_roots(piece):
+                    lin = Poly([-r, 1])
+                    piece = piece // lin
+                    place = PlaceOnBase(lin)
+                    _check_minimal(vA, vB, place)
+                    fibers.append(_fiber_record(place, _kodaira_from_valuations(vA, vB, vD)))
+                if piece.degree > 0:
+                    _check_minimal(vA, vB, PlaceOnBase(piece))
+                    ftype = _kodaira_from_valuations(vA, vB, vD)
+                    fibers += [_fiber_record(PlaceOnBase(piece, i), ftype) for i in range(piece.degree)]
 
     # the place at infinity
     As, Bs, _k = infinity_model(E)
@@ -359,37 +329,26 @@ class ComponentId:
 
 
 def _section_localized(P: RationalFunctionPoint, E: FunctionFieldCurve, place: PlaceOnBase):
-    """(x, y, B, root) in coordinates where the place sits at a finite root."""
-    if place.is_infinity:
-        As, Bs, k = infinity_model(E)
-        zc = P.x.zero_scalar
-        x = _reciprocal_twist(P.x, 2 * k, zc)
-        y = _reciprocal_twist(P.y, 3 * k, zc)
-        Bloc = RationalFunction(Bs).map_coeffs(lambda c: _into(c, zc), zero=zc) if isinstance(zc, NumberFieldElement) else RationalFunction(Bs)
-        return x, y, Bloc, zc * 0 if not isinstance(zc, NumberFieldElement) else zc.field.zero()
-    root = place.root()
+    """(x, y, B, root) over the section's scalars, with the place at a finite root.
+
+    At infinity x, y and B take the twist of infinity_model in s = 1/t, and
+    the root is s = 0.
+    """
     zc = P.x.zero_scalar
-    root = _into(root, zc)
-    Bloc = E.B if not isinstance(zc, NumberFieldElement) else E.B.map_coeffs(lambda c: _into(c, zc), zero=zc)
-    return P.x, P.y, Bloc, root
+    B = E.B.over(zc)
+    if place.is_infinity:
+        k = infinity_model(E)[2]
+        return (_reciprocal_twist(P.x, 2 * k), _reciprocal_twist(P.y, 3 * k),
+                _reciprocal_twist(B, 6 * k), zc)
+    return P.x, P.y, B, zc + place.root()
 
 
-def _into(c, zero_scalar):
-    if isinstance(zero_scalar, NumberFieldElement):
-        if isinstance(c, NumberFieldElement):
-            return c
-        return zero_scalar.field(c)
-    return Fraction(c) if not isinstance(c, Fraction) else c
-
-
-def _reciprocal_twist(f: RationalFunction, power: int, zc) -> RationalFunction:
+def _reciprocal_twist(f: RationalFunction, power: int) -> RationalFunction:
     """f(1/s) * s^power as a rational function of s."""
     num, den = f.num, f.den
     s = Poly.x(zero=num.zero)
-    rnum = num.reverse()
-    rden = den.reverse()
     shift = power + den.degree - num.degree
-    out = RationalFunction(rnum, rden)
+    out = RationalFunction(num.reverse(), den.reverse())
     if shift >= 0:
         return out * RationalFunction(s**shift)
     return out / RationalFunction(s**(-shift))
@@ -409,30 +368,18 @@ def component_of(P: RationalFunctionPoint, fiber: KodairaFiber, E: FunctionField
     if not fiber.place.is_infinity and fiber.place.degree != 1:
         raise ValueError("components at non-rational places not supported")
     x, y, B, root = _section_localized(P, E, fiber.place)
-    if y.is_zero():
-        vy = None
-    else:
-        vy = y.valuation(root)
     vx = x.valuation(root) if not x.is_zero() else None
-    if (vx is not None and vx < 0) or (vy is not None and vy < 0):
-        return ComponentId(True)
-    through_singular = (vx is None or vx >= 1) and (vy is None or vy >= 1)
-    if not through_singular:
-        return ComponentId(True)
-    pi = Poly([-root, root * 0 + 1], zero=x.zero_scalar)
-    piRF = RationalFunction(pi)
-    if fiber.type == "IV*":
-        val = (y / piRF**2).evaluate(root)
-        ref = (B / piRF**4).evaluate(root)
-        holds = val * val == ref
-    elif fiber.type == "IV":
-        val = (y / piRF).evaluate(root)
-        ref = (B / piRF**2).evaluate(root)
-        holds = val * val == ref
-    else:  # I0*
-        val = (x / piRF).evaluate(root)
-        ref = (B / piRF**3).evaluate(root)
-        holds = val**3 + ref == val * 0
+    vy = y.valuation(root) if not y.is_zero() else None
+    if (vx is not None and vx < 1) or (vy is not None and vy < 1):
+        return ComponentId(True)  # misses the singular point x = y = 0
+    pi = RationalFunction(Poly([-root, 1], zero=x.zero_scalar))
+    if fiber.type == "I0*":  # x/pi is a cube root of -B/pi^3
+        val = (x / pi).evaluate(root)
+        holds = val**3 == -(B / pi**3).evaluate(root)
+    else:  # y/pi^e is a square root of B/pi^(2e): e = 2 for IV*, 1 for IV
+        e = 2 if fiber.type == "IV*" else 1
+        val = (y / pi**e).evaluate(root)
+        holds = val * val == (B / pi**(2 * e)).evaluate(root)
     if not holds:
         raise ArithmeticError(f"{fiber.type} branch equation failed at {fiber.place}")
     return ComponentId(False, val)
@@ -503,41 +450,36 @@ def height_self(P: RationalFunctionPoint, E: FunctionFieldCurve,
 
 
 def height_pairing(P: RationalFunctionPoint, Q: RationalFunctionPoint,
-                   E: FunctionFieldCurve, fibers: list[KodairaFiber] | None = None,
-                   convention: str = "mw-lattice") -> Fraction:
-    """Shioda height pairing of two non-torsion sections.
+                   E: FunctionFieldCurve, fibers: list[KodairaFiber] | None = None) -> Fraction:
+    """Shioda height pairing of two non-torsion sections, in the mw-lattice
+    convention: twice the canonical value.
 
     Self-pairings use 2*chi + 2(P.O) - sum contr directly; cross pairings
     polarize the quadratic form, <P,Q> = (q(P+Q) - q(P) - q(Q))/2, which
-    avoids needing section-section intersection numbers. The mw-lattice
-    value is twice the canonical one.
+    avoids needing section-section intersection numbers. For canonical values
+    convert a Gram matrix with HeightMatrix.to_convention.
     """
     if P.is_infinity() or Q.is_infinity():
         raise ValueError("height pairing needs non-torsion sections")
     if fibers is None:
         fibers = classify_fibers(E)
     if P == Q:
-        val = height_self(P, E, fibers)
-    else:
-        S = add(P, Q, E)
-        qS = Fraction(0) if S.is_infinity() else height_self(S, E, fibers)
-        val = (qS - height_self(P, E, fibers) - height_self(Q, E, fibers)) / 2
-    if convention == "canonical":
-        return val / 2
-    if convention != "mw-lattice":
-        raise ValueError(f"unknown convention {convention}")
-    return val
+        return height_self(P, E, fibers)
+    S = add(P, Q, E)
+    qS = Fraction(0) if S.is_infinity() else height_self(S, E, fibers)
+    return (qS - height_self(P, E, fibers) - height_self(Q, E, fibers)) / 2
 
 
-def height_gram(sections, E: FunctionFieldCurve, convention: str = "mw-lattice") -> HeightMatrix:
+def height_gram(sections, E: FunctionFieldCurve) -> HeightMatrix:
+    """Gram matrix of height_pairing on the sections, in the mw-lattice
+    convention; HeightMatrix.to_convention("canonical") halves it."""
     fibers = classify_fibers(E)
     n = len(sections)
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = height_pairing(sections[i], sections[j], E, fibers, convention)
-            entries[i][j] = entries[j][i] = v
-    return HeightMatrix(tuple(tuple(r) for r in entries), convention)
+            entries[i][j] = entries[j][i] = height_pairing(sections[i], sections[j], E, fibers)
+    return HeightMatrix(tuple(tuple(r) for r in entries), "mw-lattice")
 
 
 def shioda_tate_rank(fibers: list[KodairaFiber], mw_rank: int) -> int:

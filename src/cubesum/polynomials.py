@@ -35,10 +35,6 @@ class Poly:
         z = Fraction(0) if zero is None else zero
         return cls([z + 0, z + 1], zero=z)
 
-    @classmethod
-    def const(cls, c, zero=None):
-        return cls([c], zero=zero)
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -179,16 +175,11 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, other):
-        """Substitute `other` (Poly or RationalFunction) for the variable."""
-        if isinstance(other, RationalFunction):
-            acc = RationalFunction(Poly([self.zero], zero=self.zero), Poly([self.zero + 1], zero=self.zero))
-            for c in reversed(self.coeffs):
-                acc = acc * other + c
-            return acc
-        acc = Poly([], zero=self.zero)
+    def compose(self, other: "RationalFunction") -> "RationalFunction":
+        """Substitute the rational function `other` for the variable."""
+        acc = RationalFunction(Poly([], zero=self.zero))
         for c in reversed(self.coeffs):
-            acc = acc * other + Poly([c], zero=self.zero)
+            acc = acc * other + c
         return acc
 
     def valuation(self, place) -> int:
@@ -205,9 +196,6 @@ class Poly:
                 return v
             v += 1
             rem = q
-
-    def map_coeffs(self, fn, zero=None):
-        return Poly([fn(c) for c in self.coeffs], zero=zero)
 
     def reverse(self, degree: int | None = None) -> "Poly":
         """Coefficient reversal t -> 1/t, padded to the given degree."""
@@ -238,10 +226,13 @@ class RationalFunction:
             den = Poly([num.zero + 1], zero=num.zero)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_one() and not num.is_zero():
-            num = num // g
-            den = den // g
+        # a constant denominator is coprime to anything; the leading
+        # coefficient step below normalises it
+        if den.degree > 0 and not num.is_zero():
+            g = num.gcd(den)
+            if not g.is_one():
+                num = num // g
+                den = den // g
         if num.is_zero():
             den = Poly([num.zero + 1], zero=num.zero)
         if den.leading() != 1:
@@ -250,10 +241,6 @@ class RationalFunction:
             den = den * lead_inv
         self.num = num
         self.den = den
-
-    @classmethod
-    def t(cls, zero=None):
-        return cls(Poly.x(zero=zero))
 
     def __repr__(self):
         if self.den.is_one():
@@ -338,12 +325,8 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.evaluate(x) * _scalar_inv(d)
 
-    def compose(self, other):
-        num = self.num.compose(other)
-        den = self.den.compose(other)
-        num = num if isinstance(num, RationalFunction) else RationalFunction(num)
-        den = den if isinstance(den, RationalFunction) else RationalFunction(den)
-        return num / den
+    def compose(self, other: "RationalFunction") -> "RationalFunction":
+        return self.num.compose(other) / self.den.compose(other)
 
     def valuation(self, place) -> int:
         """Order of vanishing at the place; at INFINITY in the parameter 1/t."""
@@ -353,8 +336,14 @@ class RationalFunction:
             return self.den.degree - self.num.degree
         return self.num.valuation(place) - self.den.valuation(place)
 
-    def map_coeffs(self, fn, zero=None):
-        return RationalFunction(self.num.map_coeffs(fn, zero=zero), self.den.map_coeffs(fn, zero=zero))
+    def over(self, zero) -> "RationalFunction":
+        """The same function with its coefficients in the scalar ring of `zero`.
+
+        Coefficients go through coerce_scalar: rationals lift into a number
+        field; a number field scalar sent to Q or to another field raises
+        TypeError.
+        """
+        return RationalFunction(Poly(self.num.coeffs, zero=zero), Poly(self.den.coeffs, zero=zero))
 
 
 def valuation_at(f: RationalFunction, place) -> int:

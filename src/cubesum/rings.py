@@ -219,12 +219,19 @@ class NumberFieldElement:
         return None
 
     def __eq__(self, other):
+        # elements of two different fields are unequal, even where their
+        # values agree; only arithmetic across fields raises
+        if isinstance(other, NumberFieldElement) and other.field is not self.field:
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a rational element equals its Fraction (and int), so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.field.name, self.num, self.den))
 
     def __bool__(self):

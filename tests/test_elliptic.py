@@ -208,3 +208,12 @@ def test_multiply_rejects_a_point_off_the_curve():
             multiply(n, off, E)
     assert multiply(0, s1, E).is_infinity()
     assert multiply(-1, s1, E) == negate(s1)
+
+
+def test_curve_with_mixed_scalars_raises():
+    t = Poly.x()
+    tw = Poly.x(zero=QOMEGA.zero())
+    with pytest.raises(TypeError):
+        FunctionFieldCurve(W * tw, t**2 + 1)
+    with pytest.raises(TypeError):
+        FunctionFieldCurve(t, W * tw**2 + 1)

@@ -12,11 +12,14 @@ from cubesum.elliptic import (
     curve_sextic_twist,
     double,
     multiply,
+    negate,
     point_over_omega,
+    RationalFunctionPoint,
     section_sigma1,
     section_tau,
 )
 from cubesum.fibration import (
+    ComponentId,
     HeightMatrix,
     KodairaFiber,
     classify_fibers,
@@ -30,9 +33,10 @@ from cubesum.fibration import (
     intersection_with_zero,
     local_contribution,
     shioda_tate_rank,
+    _kodaira_from_valuations,
 )
-from cubesum.polynomials import Poly
-from cubesum.rings import QOMEGA, W
+from cubesum.polynomials import Poly, RationalFunction
+from cubesum.rings import QOMEGA, W, NumberFieldElement
 
 
 def fiber_by_place(fibers):
@@ -250,3 +254,106 @@ def test_height_matrix_validation():
         HeightMatrix(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))), "mw-lattice")
     with pytest.raises(ValueError):
         HeightMatrix(((Fraction(1),),), "bogus")
+
+
+# --- one scalar ring per curve, one local model per place -------------------
+
+
+def _infinity_model_by_reduction(A, B):
+    """Oracle for infinity_model by search: raise k until both twists are
+    polynomials, then lower it while A~ and B~ stay divisible by s^4 and s^6."""
+    k = 0
+    while (A.degree > 4 * k and not A.is_zero()) or (B.degree > 6 * k and not B.is_zero()):
+        k += 1
+    As = A.reverse(4 * k) if not A.is_zero() else A
+    Bs = B.reverse(6 * k) if not B.is_zero() else B
+    while k > 0:
+        vA = As.valuation(Fraction(0)) if not As.is_zero() else None
+        vB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else None
+        if (vA is None or vA >= 4) and (vB is None or vB >= 6):
+            if not As.is_zero():
+                As = As // Poly([0, 0, 0, 0, 1])
+            if not Bs.is_zero():
+                Bs = Bs // Poly([0, 0, 0, 0, 0, 0, 1])
+            k -= 1
+        else:
+            break
+    return As, Bs, k
+
+
+def _over_q(f):
+    """A polynomial coefficient of a curve, as a Poly over Q."""
+    return Poly([c if isinstance(c, Fraction) else c.rational_value() for c in f.num.coeffs])
+
+
+def _infinity_model_curves():
+    t = Poly.x()
+    return [
+        curve_main(),
+        curve_sextic_twist(),
+        curve_second_fibration(),
+        curve_over_omega(curve_main()),
+        # degrees that are not multiples of 4 and 6
+        FunctionFieldCurve(t**5, t**7 + 1, name="A=t^5"),
+        FunctionFieldCurve(Poly([]), t**13 - t, name="B=t^13-t"),
+        FunctionFieldCurve(t**3 - 2, Poly([5]), name="A=t^3-2"),
+    ]
+
+
+@pytest.mark.parametrize("E", _infinity_model_curves(), ids=lambda E: E.name)
+def test_infinity_model_matches_the_reduction_loop(E):
+    As, Bs, k = infinity_model(E)
+    assert (As, Bs, k) == _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))
+    vA = As.valuation(Fraction(0)) if not As.is_zero() else None
+    vB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else None
+    assert (vA is not None and vA < 4) or (vB is not None and vB < 6)
+
+
+def _lift(c):
+    return c if c.identity else ComponentId(False, QOMEGA(c.branch))
+
+
+def _reflected(P):
+    """The section of y^2 = x^3 + t^2 (t^2 - 1)^3 that P on the main curve
+    becomes under t -> 1/t, (x, y) -> (t^4 x, t^6 y)."""
+    t = RationalFunction(Poly.x())
+    return RationalFunctionPoint(P.x.compose(1 / t) * t**4, P.y.compose(1 / t) * t**6)
+
+
+def _sigma1_multiples():
+    E = curve_main()
+    s1 = section_sigma1()
+    return {"sigma1": s1, "2sigma1": multiply(2, s1, E), "-sigma1": negate(s1)}
+
+
+@pytest.mark.parametrize("name", ["sigma1", "2sigma1", "-sigma1"])
+def test_components_over_omega_equal_the_lifted_rational_ones(name):
+    t = Poly.x()
+    P = _sigma1_multiples()[name]
+    # the main curve has its IV fiber at infinity; the reflected one moves the
+    # IV* fiber of t = 0 there, so the twisted B at infinity is exercised too
+    E_ref = FunctionFieldCurve(Poly([]), t**2 * (t**2 - 1) ** 3, name="E_1/t")
+    for E, Q in ((curve_main(), P), (E_ref, _reflected(P))):
+        assert E.contains(Q)
+        Ew, Qw = curve_over_omega(E), point_over_omega(Q)
+        fibers = classify_fibers(E)
+        assert fibers == classify_fibers(Ew)
+        assert any(f.place.is_infinity for f in fibers)
+        for f in fibers:
+            cq, cw = component_of(Q, f, E), component_of(Qw, f, Ew)
+            assert cw == _lift(cq)
+            assert cw.identity or isinstance(cw.branch, NumberFieldElement)
+    # at infinity the reflected section meets the component sigma1 meets at t = 0
+    E = curve_main()
+    at_zero = fiber_by_place(classify_fibers(E))[Fraction(0)]
+    at_inf = fiber_by_place(classify_fibers(E_ref))["inf"]
+    assert at_inf.type == at_zero.type == "IV*"
+    assert component_of(_reflected(P), at_inf, E_ref) == component_of(P, at_zero, E)
+
+
+def test_kodaira_lookup_rejects_inconsistent_valuations():
+    # in characteristic 0, vA = 3 and vB = 5 force vD = min(3 vA, 2 vB) = 9
+    with pytest.raises(ValueError, match="unclassifiable"):
+        _kodaira_from_valuations(3, 5, 8)
+    assert _kodaira_from_valuations(3, 5, 9) == "III*"
+    assert _kodaira_from_valuations(None, 4, 8) == "IV*"

@@ -123,3 +123,21 @@ def test_too_many_coordinates_raise():
     # the full degree and fewer coordinates are fine
     assert QOMEGA(1, 2) + QOMEGA(1) == QOMEGA(2, 2)
     assert QZETA12(1, 0, 0, 1).num == (1, 0, 0, 1)
+
+
+def test_rational_elements_hash_as_their_fraction():
+    assert 1 in {QOMEGA(1)}
+    assert QOMEGA(1) in {1}
+    assert Fraction(1, 2) in {QOMEGA(Fraction(1, 2))}
+    assert QZETA12(Fraction(-3, 7)) in {Fraction(-3, 7)}
+    # irrational elements keep a hash of their own
+    assert QOMEGA(0, 1) not in {0, 1}
+
+
+def test_elements_of_two_fields_are_unequal_but_do_not_mix():
+    assert QOMEGA(1) != QZETA12(1)
+    assert not QOMEGA(1) == QZETA12(1)
+    assert len({QOMEGA(1), QZETA12(1)}) == 2
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(QOMEGA(1), QZETA12(1))

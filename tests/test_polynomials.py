@@ -197,3 +197,30 @@ def test_poly_and_multipoly_reject_mixed_scalars():
     assert MultiPoly(("x",), {(1,): 2, (0,): W}).zero == QOMEGA.zero()
     assert all(type(c) is Fraction for c in Poly([1, Fraction(1, 2)]).coeffs)
     assert all(type(c) is Fraction for c in MultiPoly(("x",), {(1,): 2}).terms.values())
+
+
+def test_constant_denominator_skips_the_gcd(monkeypatch):
+    t = Poly.x()
+    z = QOMEGA.zero()
+    tw = Poly.x(zero=z)
+    calls = []
+    real = Poly.gcd
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", counting)
+    f = RationalFunction(2 * t + 4, Poly([Fraction(2, 3)]))
+    fw = RationalFunction(W * tw**2 - 1, Poly([2 * W], zero=z))
+    zero = RationalFunction(Poly([]), Poly([Fraction(5)]))
+    assert calls == []
+    # the leading-coefficient step alone gives the reduced, monic-denominator form
+    assert f.num == 3 * t + 6 and f.den.is_one()
+    # (w t^2 - 1) / (2w) = t^2/2 - w^2/2, and -w^2 = 1 + w
+    half = Fraction(1, 2)
+    assert fw.num == Poly([QOMEGA(half, half), 0, QOMEGA(half)], zero=z) and fw.den.is_one()
+    assert zero.num.is_zero() and zero.den.is_one()
+    # a non-constant denominator still goes through the gcd
+    g = RationalFunction(t**2 - 1, 2 * t - 2)
+    assert calls and g.num == Fraction(1, 2) * (t + 1) and g.den.is_one()
