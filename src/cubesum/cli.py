@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(fn=cmd_ap)
 
-    p = sub.add_parser("count", help="point counts over F_{p^n}: brute force vs formula")
+    p = sub.add_parser("count", help="point counts over F_{p^n}: exact count vs formula")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--p", type=int)
     g.add_argument("--sweep", type=int, metavar="MAX_P",

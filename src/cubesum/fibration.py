@@ -209,6 +209,9 @@ def _poly_of(rf: RationalFunction) -> Poly:
     if isinstance(p.zero, NumberFieldElement):
         # classification happens over Q; curves defined over Q but coerced into
         # a number field for section work descend coefficientwise
+        if not all(c.is_rational() for c in p.coeffs):
+            raise ValueError("fiber classification is supported only for curves "
+                             f"with rational coefficients, not {rf!r}")
         return Poly([c.rational_value() for c in p.coeffs])
     return p
 

@@ -298,12 +298,27 @@ def surface_ap_via_characters(p: int) -> int:
     return (pi_plus.pi * pi_minus).trace()
 
 
+def prime_power_coefficients(p: int, ap: int, N: int) -> list[int]:
+    """[a_1, a_p, a_{p^2}, ..., a_{p^k}] for the largest p^k <= N, from a_p.
+
+    a_{p^(k+1)} = a_p a_{p^k} - eps(p) p^2 a_{p^(k-1)}, with eps = (-3/p) for
+    p >= 5 and eps = 0 at the ramified primes 2 and 3.
+    """
+    eps = 0 if p in (2, 3) else legendre(-3, p)
+    powers = [1, ap]
+    pk = p
+    while pk * p <= N:
+        powers.append(ap * powers[-1] - eps * p * p * powers[-2])
+        pk *= p
+    return powers
+
+
 def hecke_expand(N: int) -> QSeries:
     """All coefficients a_n, n <= N, by multiplicativity and the p-power recurrence.
 
     a_2 and a_3 are seeded from the eta expansion (the ramified unit characters
-    do not pin their signs); for p >= 5 the closed form gives a_p and
-    a_{p^(k+1)} = a_p a_{p^k} - eps(p) p^2 a_{p^(k-1)} with eps = (-3/p).
+    do not pin their signs); for p >= 5 the closed form gives a_p, and
+    prime_power_coefficients gives the a_{p^k}.
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
@@ -312,12 +327,7 @@ def hecke_expand(N: int) -> QSeries:
     a[1] = 1
     for p in primes_up_to(N):
         ap = seed[p] if p in (2, 3) else ap_closed_form(p)
-        eps = 0 if p in (2, 3) else legendre(-3, p)
-        powers = [1, ap]
-        pk = p
-        while pk * p <= N:
-            powers.append(ap * powers[-1] - eps * p * p * powers[-2])
-            pk *= p
+        powers = prime_power_coefficients(p, ap, N)
         pk = p
         for k in range(1, len(powers)):
             a[pk] = powers[k]

@@ -1,30 +1,38 @@
-"""Brute-force point counts over F_q and the closed-form count they certify.
+"""Exact point counts over F_q, their brute-force oracle, and the closed-form
+count they certify.
 
 F_{p^n} has one integer-coded model: an element is an integer 0..q-1 whose
 base-p digits are its coefficients over the lexicographically smallest monic
 irreducible polynomial, so every count is reproducible bit for bit. Exp/log
 tables built once from the smallest primitive element make products and
 powers table lookups and the quadratic character the parity of a log; sums
-and differences work digit by digit. The modulus search, its irreducibility
-certificate and the tables multiply polynomials modulo the modulus with
+and differences work digit by digit. The modulus search and its
+irreducibility certificate multiply polynomials modulo the modulus with
 rings.polymulmod, the routine the number fields Q(w) and Q(zeta12) multiply
-with, reduced mod p.
+with, reduced mod p; for n >= 2 a tail with a root in F_p is rejected before
+the certificate runs. The exp table is built by doubling: g^B .. g^(2B-1) is
+g^0 .. g^(B-1) times g^B, and multiplying by g^B is an F_p-linear map on
+digit vectors, so each block is one n x n matrix product mod p in numpy.
 
-The surface count N(p, n) still visits every (t, x) pair. For a block of t
-rows it forms x^3 - c(t) for all x at once with numpy and gathers, from a
-table of square roots counted over every y, how many y solve each fiber, so
-the work is q^2 array gathers rather than q^3 curve tests, with temporaries
-bounded by one block whatever q is.
+The surface count N(p, n) = #{(t, x, y) : y^2 = x^3 - c(t)}, with
+c(t) = t^4 (t^2-1)^3, takes O(q) work in count_surface. (x, y) -> (u^2 x, u^3 y)
+maps y^2 = x^3 - c onto y^2 = x^3 - u^6 c, so a fiber's count depends only on
+the class of c(t) in F_q^* / (F_q^*)^6, which is log c(t) mod gcd(6, q-1): one
+fiber per class is counted, and a fiber with c(t) = 0 has q points.
+brute_count_surface is its oracle: it visits every (t, x) pair, forming
+x^3 - c(t) for a block of t rows and all x at once with numpy and gathering,
+from a table of square roots counted over every y, how many y solve each
+fiber, with temporaries bounded by one block whatever q is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 from .arith import is_prime, legendre
-from .modular import closed_form_alpha, hecke_expand
+from .modular import ap_closed_form, closed_form_alpha, prime_power_coefficients
 from .rings import polymulmod
 
 DEFAULT_BUDGET = 10**4
@@ -94,11 +102,28 @@ class FiniteField:
 
 def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree n over F_p, lexicographic in
-    (c_0, ..., c_{n-1}); certified by checking gcd(T^(p^d) - T, g) for d | n."""
+    (c_0, ..., c_{n-1}); certified by checking gcd(T^(p^d) - T, g) for d | n.
+
+    For n >= 2 a tail with a root in F_p has a linear factor, so it is
+    rejected before the certificate runs."""
     for tail in product(range(p), repeat=n):
+        if n >= 2 and _has_root_mod_p(tail, p):
+            continue
         if _poly_is_irreducible_mod_p(tail, p):
             return tail
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+
+
+def _has_root_mod_p(tail: tuple[int, ...], p: int) -> bool:
+    """Whether T^n + tail vanishes at some r in F_p, by Horner from r = 0 up,
+    so a tail with c_0 = 0 is rejected at the first value."""
+    for r in range(p):
+        v = 1
+        for c in reversed(tail):
+            v = (v * r + c) % p
+        if v == 0:
+            return True
+    return False
 
 
 def _polymulmod(a, b, tail, p):
@@ -122,7 +147,8 @@ def _polypowmod(a, e: int, tail, p):
 
 
 def _poly_is_irreducible_mod_p(tail: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of monic g = T^n + tail over F_p via x^(p^d) = x tests."""
+    """Irreducibility of monic g = T^n + tail over F_p by Rabin's test:
+    g divides T^(p^n) - T and is coprime to T^(p^(n/r)) - T for each prime r | n."""
     n = len(tail)
     ident = [0, 1] + [0] * (n - 2) if n > 1 else [0]  # T mod g
 
@@ -135,8 +161,37 @@ def _poly_is_irreducible_mod_p(tail: tuple[int, ...], p: int) -> bool:
 
     if xq_pow(n) != ident:
         return False
-    # no root in any proper subfield: T^(p^d) != T for maximal d | n, d < n
-    return all(xq_pow(n // r) != ident for r in _prime_factors(n))
+    # no factor of degree dividing a maximal proper divisor n/r of n. Inequality
+    # T^(p^(n/r)) != T is not enough: over F_2, T (T^2+T+1) (T^3+T+1) passes it
+    g = list(tail) + [1]
+    for r in _prime_factors(n):
+        h = xq_pow(n // r)
+        h[1] = (h[1] - 1) % p
+        if not _coprime_mod_p(g, h, p):
+            return False
+    return True
+
+
+def _coprime_mod_p(a: list[int], b: list[int], p: int) -> bool:
+    """Whether a and b (coefficient lists, low to high, a != 0) have no common
+    factor over F_p, by Euclid's algorithm."""
+
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            a = trim(a)
+        a, b = b, a
+    return len(a) == 1
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -166,20 +221,35 @@ def _exp_log_tables(p: int, tail: tuple[int, ...]):
     weights = [p**i for i in range(n)]
     one = [1] + [0] * (n - 1)
     cofactors = [order // r for r in _prime_factors(order)]
-    for g in range(1, q):
+    # the codes below p are F_p, whose orders divide p - 1 < q - 1 when n >= 2
+    for g in range(1 if n == 1 else p, q):
         g_poly = [g // w % p for w in weights]
         # g generates F_q^* iff g^((q-1)/r) != 1 for every prime r | q-1
         if all(_polypowmod(g_poly, e, tail, p) != one for e in cofactors):
             break
+    # doubling: exp[B:2B] = exp[:B] * g^B. Row i of the matrix is T^i g^B, so a
+    # row of digit vectors times it is the digit vector of the product
+    digit_weights = np.array(weights, dtype=np.int64)
+    shift = [0, 1] + [0] * (n - 2)  # T mod g, for n >= 2
     exp = np.empty(order, dtype=np.int64)
-    cur = one
-    for i in range(order):
-        exp[i] = sum(c * w for c, w in zip(cur, weights))
-        cur = _polymulmod(cur, g_poly, tail, p)
-    if cur != one:
+    exp[0] = 1
+    size, step = 1, g_poly  # step = g^size
+    while size < order:
+        m = min(size, order - size)
+        rows = [step]
+        for _ in range(n - 1):
+            rows.append(_polymulmod(rows[-1], shift, tail, p))
+        digits = exp[:m, None] // digit_weights % p
+        exp[size:size + m] = digits @ np.array(rows, dtype=np.int64) % p @ digit_weights
+        step = _polymulmod(step, step, tail, p)
+        size += m
+    last = [int(exp[-1]) // w % p for w in weights]
+    if _polymulmod(last, g_poly, tail, p) != one or _polypowmod(g_poly, order, tail, p) != one:
         raise ArithmeticError(f"{g} has no order {order} modulo T^{n} + {tail}")
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(order)
+    if not np.array_equal(log[exp], np.arange(order)):
+        raise ArithmeticError(f"the powers of {g} modulo T^{n} + {tail} repeat")
     return g, exp, log
 
 
@@ -204,34 +274,71 @@ def is_square(field: FiniteField, x) -> int:
     return -1 if field.log[x] % 2 else 1
 
 
-def _check_hasse(q: int, t0: int, fibers) -> None:
-    """Raise unless each affine fiber count (the fibers over t0, t0+1, ...)
-    lies within the Hasse bound around q, as every fiber's count must."""
+def _check_hasse(q: int, t0: int, fibers, over: str = "over t =") -> None:
+    """Raise unless each affine fiber count (the fibers over t0, t0+1, ..., or
+    of the classes t0, t0+1, ... with over="of class") lies within the Hasse
+    bound around q, as every fiber's count must."""
     bound = 2 * (isqrt(q) + 1)
     bad = (abs(fibers - q) > bound).nonzero()[0]
     if bad.size:
         i = int(bad[0])
-        raise ArithmeticError(f"the fiber over t = {t0 + i} has {int(fibers[i])} affine "
+        raise ArithmeticError(f"the fiber {over} {t0 + i} has {int(fibers[i])} affine "
                               f"points, outside the Hasse bound {q} +- {bound}")
+
+
+def _check_field_size(p: int, n: int, budget: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"p must be a prime >= 5, got {p}")
+    if p**n > budget:
+        raise ValueError(f"q = {p}^{n} exceeds the budget {budget}")
+
+
+def _root_counts(F: FiniteField):
+    """roots[v] = #{y in F_q : y^2 = v}."""
+    import numpy as np
+
+    return np.bincount(F.pow(np.arange(F.q), 2), minlength=F.q)
+
+
+def _surface_tables(p: int, n: int, budget: int):
+    """(F, roots, cubes, c): F_{p^n}, its square-root counts, x^3 for every x
+    and c(t) = t^4 (t^2-1)^3 for every t."""
+    _check_field_size(p, n, budget)
+    import numpy as np
+
+    F = make_field(p, n)
+    xs = np.arange(F.q)
+    cubes = F.pow(xs, 3)
+    c = F.mul(F.pow(xs, 4), cubes[F.sub(F.pow(xs, 2), F.one)])
+    return F, _root_counts(F), cubes, c
+
+
+def count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
+    """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} in O(q), by sextic twist class.
+
+    The fiber over t has q points if c(t) = 0 and otherwise as many as the
+    fiber y^2 = x^3 - exp[j], j = log c(t) mod gcd(6, q-1), since c(t) is
+    exp[j] times a sixth power. One fiber per class is counted, each checked
+    against the Hasse bound.
+    """
+    import numpy as np
+
+    F, roots, cubes, c = _surface_tables(p, n, budget)
+    k = gcd(6, F.q - 1)
+    nonzero = c[c != 0]
+    sizes = np.bincount(F.log[nonzero] % k, minlength=k)  # t per class
+    fibers = np.array([roots[F.sub(cubes, F.exp[j])].sum() for j in range(k)])
+    _check_hasse(F.q, 0, fibers, over="of class")
+    return F.q * (F.q - nonzero.size) + int(sizes @ fibers)
 
 
 def brute_count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} by exhaustive enumeration.
 
     Every (t, x) pair is visited: a block of t rows forms x^3 - c(t) for every
-    x and gathers how many y square to it.
+    x and gathers how many y square to it. This is the oracle for count_surface.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    if p**n > budget:
-        raise ValueError(f"q = {p}^{n} exceeds the budget {budget}")
-    import numpy as np
-
-    F = make_field(p, n)
-    xs = np.arange(F.q)
-    roots = np.bincount(F.pow(xs, 2), minlength=F.q)  # roots[v] = #{y : y^2 = v}
-    cubes = F.pow(xs, 3)
-    c = F.mul(F.pow(xs, 4), cubes[F.sub(F.pow(xs, 2), F.one)])  # c(t) for every t
+    F, roots, cubes, c = _surface_tables(p, n, budget)
     rows = max(1, _BLOCK_ELEMENTS // F.q)
     total = 0
     for t0 in range(0, F.q, rows):
@@ -243,16 +350,12 @@ def brute_count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int
 
 def brute_count_elliptic(b_const: int, p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Projective point count of y^2 = x^3 + b over F_q (affine count plus one)."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    if p**n > budget:
-        raise ValueError(f"q = {p}^{n} exceeds the budget {budget}")
+    _check_field_size(p, n, budget)
     import numpy as np
 
     F = make_field(p, n)
-    xs = np.arange(F.q)
-    roots = np.bincount(F.pow(xs, 2), minlength=F.q)
-    return 1 + int(roots[F.add(F.pow(xs, 3), F.embed(b_const))].sum())
+    roots = _root_counts(F)
+    return 1 + int(roots[F.add(F.pow(np.arange(F.q), 3), F.embed(b_const))].sum())
 
 
 def a_pn(p: int, n: int, convention: str) -> int:
@@ -262,7 +365,8 @@ def a_pn(p: int, n: int, convention: str) -> int:
     Frobenius eigenvalue pair {p, -p} gives 0 for odd n and 2*p^n for even n.
     (The source's printed inert value p^n fails the brute count; see the
     verification report.)  modular-coefficient: the literal coefficient of
-    q^(p^n) in the cusp form. The two agree at n = 1 and diverge for n >= 2.
+    q^(p^n) in the cusp form, from a_p by the p-power recurrence that
+    hecke_expand uses. The two agree at n = 1 and diverge for n >= 2.
     """
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
@@ -274,7 +378,7 @@ def a_pn(p: int, n: int, convention: str) -> int:
         alpha = closed_form_alpha(p)
         return (alpha**n).trace()
     if convention == MODULAR_COEFFICIENT:
-        return hecke_expand(p**n)[p**n]
+        return prime_power_coefficients(p, ap_closed_form(p), p**n)[n]
     raise ValueError(f"unknown convention {convention}")
 
 
@@ -299,6 +403,9 @@ def trace_alg(p: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class CountReport:
+    """One (p, n, convention) comparison. `brute` is the exact surface count
+    from count_surface; the name is kept for the JSON output's `brute` key."""
+
     p: int
     n: int
     brute: int
@@ -310,18 +417,18 @@ class CountReport:
     @classmethod
     def build(cls, p: int, n: int, convention: str = FROBENIUS_POWER,
               budget: int = DEFAULT_BUDGET) -> "CountReport":
-        return _report(p, n, brute_count_surface(p, n, budget), convention)
+        return _report(p, n, count_surface(p, n, budget), convention)
 
 
 def _report(p: int, n: int, brute: int, convention: str) -> CountReport:
-    """Compare a brute count with the formula; a_{p^n} is computed once."""
+    """Compare an exact count with the formula; a_{p^n} is computed once."""
     a_term = a_pn(p, n, convention)
     formula = _formula_with(p, n, a_term)
     return CountReport(p, n, brute, formula, a_term, convention, brute == formula)
 
 
 def adjudicate_conventions(pairs, budget: int = DEFAULT_BUDGET):
-    """Which a_{p^n} convention matches brute force across the given (p, n) pairs.
+    """Which a_{p^n} convention matches the exact count across the given (p, n) pairs.
 
     Returns (winners, reports): the set of conventions consistent with every
     pair, and one CountReport per (pair, convention).
@@ -329,7 +436,7 @@ def adjudicate_conventions(pairs, budget: int = DEFAULT_BUDGET):
     reports = []
     alive = set(CONVENTIONS)
     for p, n in pairs:
-        brute = brute_count_surface(p, n, budget)
+        brute = count_surface(p, n, budget)
         for conv in CONVENTIONS:
             rep = _report(p, n, brute, conv)
             reports.append(rep)

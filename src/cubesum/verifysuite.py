@@ -122,10 +122,11 @@ def check_pointcount_n1(limit: int = 199):
 
 
 def check_pointcount_n2():
-    winners, reports = pc.adjudicate_conventions(
-        [(p, 2) for p in (5, 7, 11, 13)], budget=30000
-    )
-    ok = winners == {pc.FROBENIUS_POWER}
+    primes = (5, 7, 11, 13)
+    winners, reports = pc.adjudicate_conventions([(p, 2) for p in primes], budget=30000)
+    # the reports carry the twist-class count; "brute=" must still be enumeration's
+    brute = {p: pc.brute_count_surface(p, 2) for p in primes}
+    ok = winners == {pc.FROBENIUS_POWER} and all(r.brute == brute[r.p] for r in reports)
     details = "; ".join(
         f"p={r.p}: brute={r.brute} {r.convention}={r.formula}" for r in reports
     )

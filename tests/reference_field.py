@@ -2,8 +2,10 @@
 
 Elements of F_{p^n} here are coefficient tuples (lowest degree first) and a
 product is schoolbook multiplication reduced by the modulus, with no tables.
-The counts loop over every (t, x) pair one at a time. Tests check the
-integer-coded field and its numpy fiber sums against this code.
+The counts loop over every (t, x) pair one at a time, and exp_table takes the
+powers of a generator one multiplication at a time. Tests check the
+integer-coded field, its doubled exp table and its numpy fiber sums against
+this code.
 """
 
 from __future__ import annotations
@@ -109,6 +111,16 @@ class ExtField:
 
 def reference_field(p: int, n: int, modulus: tuple[int, ...]):
     return PrimeField(p) if n == 1 else ExtField(p, n, modulus)
+
+
+def exp_table(field, generator_code: int) -> list[int]:
+    """The codes of g^0, g^1, ..., g^(q-2), one multiplication at a time."""
+    g = next(a for a in field.elements() if field.code(a) == generator_code)
+    out, cur = [], field.one
+    for _ in range(field.q - 1):
+        out.append(field.code(cur))
+        cur = field.mul(cur, g)
+    return out
 
 
 def is_square(field, x) -> int:

@@ -97,6 +97,15 @@ def test_minimality_violation_detected():
         classify_fibers(FunctionFieldCurve(Poly([]), t**6 * (t - 1)))
 
 
+def test_classification_rejects_a_curve_genuinely_over_q_omega():
+    t = Poly([QOMEGA(0), QOMEGA(1)])
+    E = FunctionFieldCurve(t * 0, W * t**2 * (t - 1) ** 2)
+    with pytest.raises(ValueError, match="only for curves with rational coefficients"):
+        classify_fibers(E)
+    with pytest.raises(ValueError, match="only for curves with rational coefficients"):
+        infinity_model(E)
+
+
 def test_infinity_model_of_main_curve():
     As, Bs, k = infinity_model(curve_main())
     s = Poly.x()

@@ -1,21 +1,29 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubesum import modular as mod
 from cubesum import pointcount as pc
+from cubesum import verifysuite as vs
 from cubesum.arith import primes_up_to
-from cubesum.modular import ap_closed_form, hecke_expand, normalize_pi
+from cubesum.modular import CUSP_FORM_ETA, eta_quotient, normalize_pi
 from cubesum.pointcount import (
     CONVENTIONS,
     CountReport,
     FROBENIUS_POWER,
     MODULAR_COEFFICIENT,
     _check_hasse,
+    _find_irreducible,
+    _poly_is_irreducible_mod_p,
     a_pn,
     adjudicate_conventions,
     brute_count_elliptic,
     brute_count_surface,
+    count_surface,
     formula_count_surface,
     is_square,
     make_field,
@@ -23,6 +31,7 @@ from cubesum.pointcount import (
 )
 from reference_field import count_elliptic as reference_count_elliptic
 from reference_field import count_surface as reference_count_surface
+from reference_field import exp_table as reference_exp_table
 from reference_field import is_square as reference_is_square
 from reference_field import reference_field
 
@@ -105,6 +114,7 @@ def test_field_matches_tuple_reference(p, n):
     R = reference_field(p, n, F.modulus)
     els = list(R.elements())
     assert [R.code(a) for a in els] == list(F.elements())
+    assert F.exp.tolist() == reference_exp_table(R, F.generator)
     rng = random.Random(p**n)
     for _ in range(300):
         a, b = rng.choice(els), rng.choice(els)
@@ -121,12 +131,59 @@ def test_field_matches_tuple_reference(p, n):
         assert F.embed(k) == R.code(R.embed(k))
 
 
+def test_find_irreducible_matches_the_plain_scan():
+    # the root prefilter only skips reducible tails, so the first tail that
+    # passes the certificate alone is still the one returned
+    for p in primes_up_to(2000):
+        n = 1
+        while p**n <= 2000:
+            plain = next(t for t in product(range(p), repeat=n)
+                         if _poly_is_irreducible_mod_p(t, p))
+            assert _find_irreducible(p, n) == plain, (p, n)
+            n += 1
+
+
+def test_irreducibility_certificate_rejects_factors_of_every_dividing_degree():
+    # T (T^2+T+1) (T^3+T+1) over F_2 has T^(2^6) = T while T^(2^3) and T^(2^2)
+    # differ from T, so an inequality test accepts it and the ring built on it
+    # has no generator; the gcds of Rabin's test see its factors
+    assert not _poly_is_irreducible_mod_p((0, 1, 0, 0, 0, 1), 2)
+    for p, n in ((2, 6), (3, 6), (2, 10), (5, 6)):
+        F = make_field(p, n)
+        assert sorted(F.exp.tolist()) == list(range(1, F.q)), (p, n)
+
+
 @pytest.mark.parametrize("p,n", COUNT_CASES)
 def test_brute_counts_match_tuple_reference(p, n):
     R = reference_field(p, n, make_field(p, n).modulus)
     assert brute_count_surface(p, n) == reference_count_surface(R)
     for b in (-1, 0, 1, 2):
         assert brute_count_elliptic(b, p, n) == reference_count_elliptic(b, R)
+
+
+@pytest.mark.parametrize("p,n", sorted({(p, n) for p, n in COUNT_CASES + FIELD_CASES if p >= 5}))
+def test_count_surface_matches_brute_force(p, n):
+    assert count_surface(p, n) == brute_count_surface(p, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([p for p in primes_up_to(40) if p >= 5]), st.integers(1, 4))
+def test_count_surface_matches_brute_force_on_small_fields(p, n):
+    budget = 1500
+    if p**n > budget:
+        with pytest.raises(ValueError, match="budget"):
+            count_surface(p, n, budget)
+        return
+    assert count_surface(p, n, budget) == brute_count_surface(p, n, budget)
+
+
+def test_count_surface_checks_each_class_fiber(monkeypatch):
+    # doubled square-root counts put every class fiber near 2q, far outside
+    # the Hasse bound, so the count raises instead of returning a wrong total
+    real = pc._root_counts
+    monkeypatch.setattr(pc, "_root_counts", lambda F: 2 * real(F))
+    with pytest.raises(ArithmeticError, match="fiber of class 0 has"):
+        count_surface(7, 2)
 
 
 def test_hasse_check_raises():
@@ -144,10 +201,11 @@ def test_brute_count_surface_examples():
 
 
 def test_brute_count_surface_budget():
-    with pytest.raises(ValueError):
-        brute_count_surface(101, 2)
-    with pytest.raises(ValueError):
-        brute_count_surface(4, 1)
+    for count in (brute_count_surface, count_surface):
+        with pytest.raises(ValueError):
+            count(101, 2)
+        with pytest.raises(ValueError):
+            count(4, 1)
 
 
 def test_brute_count_elliptic_examples():
@@ -173,6 +231,12 @@ def test_a_pn_examples():
     assert a_pn(5, 3, FROBENIUS_POWER) == 0
     with pytest.raises(ValueError):
         a_pn(7, 1, "bogus")
+
+
+def test_modular_coefficient_is_the_eta_coefficient():
+    eta = eta_quotient(CUSP_FORM_ETA, 343)
+    for p, n in ((5, 2), (7, 2), (11, 2), (5, 3), (13, 2), (7, 3)):
+        assert a_pn(p, n, MODULAR_COEFFICIENT) == eta[p**n], (p, n)
 
 
 def test_formula_count_examples():
@@ -207,16 +271,17 @@ def test_adjudication_at_n2():
             assert not r.match, r
 
 
-def test_adjudication_expands_the_cusp_form_once_per_field(monkeypatch):
+def test_adjudication_never_expands_the_cusp_form(monkeypatch):
     calls = []
+    real = mod.hecke_expand
 
     def counting(N):
         calls.append(N)
-        return hecke_expand(N)
+        return real(N)
 
-    monkeypatch.setattr(pc, "hecke_expand", counting)
+    monkeypatch.setattr(mod, "hecke_expand", counting)
     winners, reports = adjudicate_conventions([(5, 2), (7, 2), (7, 1)])
-    assert calls == [25, 49, 7]
+    assert calls == []
     assert winners == {FROBENIUS_POWER}
     assert [(r.p, r.n, r.convention, r.brute, r.formula, r.a_term_used, r.match)
             for r in reports] == [
@@ -229,7 +294,7 @@ def test_adjudication_expands_the_cusp_form_once_per_field(monkeypatch):
     ]
     calls.clear()
     r = CountReport.build(7, 2, MODULAR_COEFFICIENT)
-    assert calls == [49]
+    assert calls == []
     assert (r.brute, r.formula, r.a_term_used, r.match) == (2405, 2454, -45, False)
 
 
@@ -238,6 +303,27 @@ def test_count_report_build():
     assert r.match and r.brute == r.formula == 61
     assert r.a_term_used == -2
     assert r.convention in CONVENTIONS
+
+
+def test_verify_n2_check_compares_the_counts_with_enumeration(monkeypatch):
+    assert vs.check_pointcount_n2()[0]
+    real = pc.brute_count_surface
+    monkeypatch.setattr(pc, "brute_count_surface", lambda p, n: real(p, n) + 1)
+    assert not vs.check_pointcount_n2()[0]
+
+
+def test_count_report_holds_the_exact_count(monkeypatch):
+    monkeypatch.setattr(pc, "brute_count_surface", None)  # the oracle is not called
+    assert CountReport.build(31, 2).brute == brute_count_surface(31, 2)
+
+
+@pytest.mark.extended
+def test_adjudication_sweep_matches_the_frobenius_formula():
+    fields = ([(p, 2) for p in primes_up_to(999) if p >= 5]
+              + [(p, 3) for p in primes_up_to(101) if p >= 5]
+              + [(p, 4) for p in primes_up_to(31) if p >= 5])
+    for p, n in fields:
+        assert count_surface(p, n, budget=p**n) == formula_count_surface(p, n, FROBENIUS_POWER), (p, n)
 
 
 def test_trace_alg_examples():
