@@ -27,7 +27,9 @@ class FunctionFieldCurve:
     """y^2 = x^3 + A(t) x + B(t) with nonzero discriminant.
 
     A and B have their coefficients in one scalar ring; mixing Q with a
-    number field raises TypeError.
+    number field raises TypeError. A curve is not changed after __init__, so
+    it keeps the points it has checked or built with the group law, and
+    fibration.classify_fibers keeps its fibers on it.
     """
 
     def __init__(self, A, B, name: str = ""):
@@ -37,6 +39,8 @@ class FunctionFieldCurve:
         disc = self.A**3 * 4 + self.B**2 * 27
         if disc.is_zero():
             raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
+        self._on_curve: set[RationalFunctionPoint] = set()
+        self._fibers = None  # filled by fibration.classify_fibers
 
     def discriminant(self) -> RationalFunction:
         return (self.A**3 * 4 + self.B**2 * 27) * (-16)
@@ -51,10 +55,13 @@ class FunctionFieldCurve:
         return self.A == other.A and self.B == other.B
 
     def contains(self, point: "RationalFunctionPoint") -> bool:
-        if point.is_infinity():
+        if point.is_infinity() or point in self._on_curve:
             return True
         x, y = point.x, point.y
-        return (y * y - (x * x * x + self.A * x + self.B)).is_zero()
+        if not (y * y - (x * x * x + self.A * x + self.B)).is_zero():
+            return False
+        self._on_curve.add(point)
+        return True
 
     def point(self, x, y) -> "RationalFunctionPoint":
         p = RationalFunctionPoint(_rf(x), _rf(y))
@@ -89,7 +96,8 @@ def negate(P: RationalFunctionPoint) -> RationalFunctionPoint:
 
 
 def add(P: RationalFunctionPoint, Q: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionPoint:
-    """Chord-tangent addition; infinity is the identity."""
+    """Chord-tangent addition; infinity is the identity. Each point is checked
+    on E once per curve instance (see FunctionFieldCurve.contains)."""
     for pt in (P, Q):
         if not E.contains(pt):
             raise ValueError("point not on curve")
@@ -98,7 +106,8 @@ def add(P: RationalFunctionPoint, Q: RationalFunctionPoint, E: FunctionFieldCurv
 
 def _chord_tangent(P: RationalFunctionPoint, Q: RationalFunctionPoint,
                    E: FunctionFieldCurve) -> RationalFunctionPoint:
-    """The group law on points already known to lie on E."""
+    """The group law on points already known to lie on E; E remembers the
+    result as on the curve."""
     if P.is_infinity():
         return Q
     if Q.is_infinity():
@@ -112,7 +121,9 @@ def _chord_tangent(P: RationalFunctionPoint, Q: RationalFunctionPoint,
         lam = (Q.y - P.y) / (Q.x - P.x)
     x3 = lam * lam - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
-    return RationalFunctionPoint(x3, y3)
+    R = RationalFunctionPoint(x3, y3)
+    E._on_curve.add(R)
+    return R
 
 
 def double(P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionPoint:
@@ -120,8 +131,8 @@ def double(P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionP
 
 
 def multiply(n: int, P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionPoint:
-    """n*P by double-and-add. P is checked once; the group law keeps every
-    point it builds from P on E, so those are not checked again."""
+    """n*P by double-and-add. P is checked on E; the points the group law
+    builds from it are on E by construction and are remembered as such."""
     if not E.contains(P):
         raise ValueError("point not on curve")
     if n < 0:

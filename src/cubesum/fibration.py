@@ -271,8 +271,15 @@ def classify_fibers(E: FunctionFieldCurve) -> list[KodairaFiber]:
     """Kodaira classification at every bad place of the fibration.
 
     Requires a globally minimal model (v(A) < 4 or v(B) < 6 everywhere, which
-    the toolkit's curves satisfy); raises otherwise.
+    the toolkit's curves satisfy); raises otherwise. The classification runs
+    once per curve instance; each call returns a fresh list.
     """
+    if E._fibers is None:
+        E._fibers = tuple(_classify(E))
+    return list(E._fibers)
+
+
+def _classify(E: FunctionFieldCurve) -> list[KodairaFiber]:
     A, B = _poly_of(E.A), _poly_of(E.B)
     disc = (A**3 * 4 + B**2 * 27) * Fraction(-16)
     if disc.is_zero():

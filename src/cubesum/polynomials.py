@@ -1,9 +1,19 @@
 """Dense univariate polynomials and reduced rational functions.
 
 Coefficients are exact scalars: Fraction or NumberFieldElement. A Poly remembers
-its scalar zero so empty/constant cases stay well-typed; rational functions are
-kept with coprime numerator/denominator and monic denominator so that equality
-is plain syntactic comparison.
+its scalar zero so empty/constant cases stay well-typed. Arithmetic between two
+Polys or rational functions over different scalar rings raises TypeError.
+
+A RationalFunction keeps num and den coprime with den monic, so equality is
+plain syntactic comparison. The constructor normalises any pair with one gcd
+of num and den. The operators build their results already reduced by
+Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1), taking gcds of the operands' own
+parts only:
+- (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b);
+  division multiplies by the reciprocal, d/c with c made monic;
+- a/b + c/d: with g = gcd(b, d) and t = a(d/g) + c(b/g), the sum is
+  (t/g2) / ((b/g)(d/g2)) with g2 = gcd(t, g); when g = 1 no other gcd is taken;
+- negation and powers of a reduced pair are reduced already.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ class Poly:
 
     def _wrap(self, other) -> "Poly":
         if isinstance(other, Poly):
+            _check_ring(self.zero, other.zero)
             return other
         return Poly([other], zero=self.zero)
 
@@ -208,6 +219,27 @@ class Poly:
         return Poly(out, zero=self.zero)
 
 
+def _ring(zero):
+    """The number field of a scalar zero, or None for Q."""
+    return zero.field if isinstance(zero, NumberFieldElement) else None
+
+
+def _check_ring(zero, other_zero):
+    if _ring(zero) is not _ring(other_zero):
+        raise TypeError("mixed scalar rings: Q and a number field, or two number fields")
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(a/g, b/g) with g = gcd(a, b), which is monic. A constant operand
+    shares no factor with the other, so no gcd is taken for it."""
+    if a.degree <= 0 or b.degree <= 0:
+        return a, b
+    g = a.gcd(b)
+    if g.is_one():
+        return a, b
+    return a // g, b // g
+
+
 def _scalar_inv(c):
     if isinstance(c, NumberFieldElement):
         return c.inverse()
@@ -242,6 +274,14 @@ class RationalFunction:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """num/den already coprime with den monic: no gcd, no scaling."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den if not num.is_zero() else Poly([num.zero + 1], zero=num.zero)
+        return out
+
     def __repr__(self):
         if self.den.is_one():
             return f"RF({self.num!r})"
@@ -258,33 +298,51 @@ class RationalFunction:
         return self.num.zero
 
     def __eq__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (Poly, int, Fraction, NumberFieldElement)):
+            return self.den.is_one() and self.num == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def _wrap(self, other):
+        """other as a rational function over this one's scalars, or None.
+
+        Polys and rational functions over another scalar ring raise TypeError
+        here, so every operator rejects them in either operand order.
+        """
         if isinstance(other, RationalFunction):
+            _check_ring(self.num.zero, other.num.zero)
             return other
         if isinstance(other, Poly):
-            return RationalFunction(other)
+            _check_ring(self.num.zero, other.zero)
+            return RationalFunction._reduced(other, Poly([other.zero + 1], zero=other.zero))
         if isinstance(other, (int, Fraction, NumberFieldElement)):
-            return RationalFunction(Poly([other], zero=self.num.zero))
+            z = self.num.zero
+            return RationalFunction._reduced(Poly([other], zero=z), Poly([z + 1], zero=z))
         return None
 
     def __add__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if b.is_one() and d.is_one():
+            return RationalFunction._reduced(a + c, b)
+        if b.degree > 0 and d.degree > 0:
+            g = b.gcd(d)
+            if not g.is_one():
+                b, d = b // g, d // g
+                t, g = _cancel(a * d + c * b, g)
+                return RationalFunction._reduced(t, b * d * g)
+        return RationalFunction._reduced(a * d + c * b, b * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._wrap(other)
@@ -299,7 +357,9 @@ class RationalFunction:
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        a, b = _cancel(self.num, o.den)
+        c, d = _cancel(o.num, self.den)
+        return RationalFunction._reduced(a * c, d * b)
 
     __rmul__ = __mul__
 
@@ -307,17 +367,20 @@ class RationalFunction:
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self * o._reciprocal()
 
     def __rtruediv__(self, other):
-        return self._wrap(other) / self
+        o = self._wrap(other)
+        return NotImplemented if o is None else o / self
+
+    def _reciprocal(self) -> "RationalFunction":
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction._reduced(self.den * _scalar_inv(self.num.leading()), self.num.monic())
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (RationalFunction(self.den, self.num)) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+        base = self._reciprocal() if n < 0 else self
+        return RationalFunction._reduced(base.num ** abs(n), base.den ** abs(n))
 
     def evaluate(self, x):
         d = self.den.evaluate(x)

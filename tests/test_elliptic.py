@@ -217,3 +217,56 @@ def test_curve_with_mixed_scalars_raises():
         FunctionFieldCurve(W * tw, t**2 + 1)
     with pytest.raises(TypeError):
         FunctionFieldCurve(t, W * tw**2 + 1)
+
+
+def test_add_rejects_a_point_off_the_curve():
+    E, s1 = omega_setup()
+    off = RationalFunctionPoint(s1.x, s1.y + 1)
+    O = E.infinity()
+    for P, Q in ((off, s1), (s1, off), (off, off), (off, O), (O, off), (off, negate(off))):
+        with pytest.raises(ValueError):
+            add(P, Q, E)
+    with pytest.raises(ValueError):
+        E.point(off.x, off.y)
+    # a point the curve has accepted does not vouch for another one
+    assert add(s1, O, E) == s1
+    with pytest.raises(ValueError):
+        add(s1, off, E)
+
+
+def test_each_point_is_checked_once_per_curve(monkeypatch):
+    E, s1 = omega_setup()
+    ws1 = cm_omega(s1, E)
+    P = multiply(3, add(s1, ws1, E), E)
+    products = []
+    real = RationalFunction.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+    # s1 and ws1 were checked by add; P and its partial sums were built by the
+    # group law: none of them is checked symbolically again
+    assert E.contains(s1) and E.contains(ws1) and E.contains(P)
+    assert products == []
+    # another instance of the same curve checks again
+    assert curve_over_omega(curve_main()).contains(P)
+    assert products
+
+
+@pytest.mark.parametrize("over_omega", [False, True], ids=["sigma1", "w-sigma1"])
+def test_multiples_lie_on_the_curve_and_equal_repeated_add(over_omega):
+    if over_omega:
+        E, s1 = omega_setup()
+        P = cm_omega(s1, E)
+        fresh = curve_over_omega(curve_main())
+    else:
+        E, P, fresh = curve_main(), section_sigma1(), curve_main()
+    R = E.infinity()
+    for n in range(7):
+        nP = multiply(n, P, E)
+        assert nP == R
+        assert fresh.contains(nP)  # a new instance remembers nothing
+        assert multiply(-n, P, E) == negate(nP)
+        R = add(R, P, E)

@@ -18,6 +18,7 @@ from cubesum.elliptic import (
     section_sigma1,
     section_tau,
 )
+from cubesum import fibration
 from cubesum.fibration import (
     ComponentId,
     HeightMatrix,
@@ -37,6 +38,7 @@ from cubesum.fibration import (
 )
 from cubesum.polynomials import Poly, RationalFunction
 from cubesum.rings import QOMEGA, W, NumberFieldElement
+import reference_height
 
 
 def fiber_by_place(fibers):
@@ -366,3 +368,44 @@ def test_kodaira_lookup_rejects_inconsistent_valuations():
         _kodaira_from_valuations(3, 5, 8)
     assert _kodaira_from_valuations(3, 5, 9) == "III*"
     assert _kodaira_from_valuations(None, 4, 8) == "IV*"
+
+
+def test_reference_heights_equal_height_gram_and_det_ns():
+    # n^2 <P,P> = 2 chi + 2 (nP . O) with n = 6, no component or contribution code
+    E, s1, ws1 = omega_setup()
+    fibers = classify_fibers(E)
+    assert reference_height.group_exponent(fibers) == 6
+    assert [reference_height.meets_zero(multiply(6, P, E), E)
+            for P in (s1, ws1, add(s1, ws1, E))] == [10, 10, 10]
+    g = reference_height.gram([s1, ws1], E)
+    assert g == height_gram([s1, ws1], E).entries
+    assert g == ((Fraction(2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(2, 3)))
+    assert reference_height.det_ns_2x2(g, fibers) == -48
+
+
+def test_fibers_classified_once_per_curve(monkeypatch):
+    runs = []
+    real = fibration._classify
+
+    def counting(E):
+        runs.append(E)
+        return real(E)
+
+    monkeypatch.setattr(fibration, "_classify", counting)
+    E, s1, ws1 = omega_setup()
+    grid = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    assert len(grid) == 24
+    for a, b in grid:
+        P = add(multiply(a, s1, E), multiply(b, ws1, E), E)
+        assert height_pairing(P, P, E) == Fraction(2, 3) * (a * a - a * b + b * b)
+    assert len(runs) == 1 and runs[0] is E
+    # a returned list is the caller's own
+    first = classify_fibers(E)
+    first.pop()
+    first.append(None)
+    assert classify_fibers(E) == real(E)
+    assert len(runs) == 1
+    # a new instance of the same curve classifies again
+    E2 = curve_over_omega(curve_main())
+    assert classify_fibers(E2) == classify_fibers(E)
+    assert len(runs) == 2 and runs[1] is E2

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
@@ -224,3 +224,101 @@ def test_constant_denominator_skips_the_gcd(monkeypatch):
     # a non-constant denominator still goes through the gcd
     g = RationalFunction(t**2 - 1, 2 * t - 2)
     assert calls and g.num == Fraction(1, 2) * (t + 1) and g.den.is_one()
+
+
+# --- the operators against the constructor's full normalisation ---------------
+
+q_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+small_q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+w_coeffs = st.builds(lambda a, b: QOMEGA(a, b), small_q, small_q)
+
+
+@st.composite
+def operand_pairs(draw, coeffs, zero):
+    """Two reduced rational functions: independent, with denominators sharing a
+    factor, with one's numerator sharing a factor with the other's
+    denominator, with equal denominators, equal, or with a sum whose
+    numerator shares a factor with both denominators. Zero and constants
+    occur."""
+    poly = st.lists(coeffs, max_size=4).map(lambda cs: Poly(cs, zero=zero))
+    nonzero = poly.filter(lambda p: not p.is_zero())
+    a, c = draw(poly), draw(poly)
+    b, d, s = draw(nonzero), draw(nonzero), draw(nonzero)
+    shape = draw(st.sampled_from(["free", "dens", "cross", "same-den", "equal", "sum"]))
+    f = RationalFunction(a * s if shape == "cross" else a, b * s if shape in ("dens", "sum") else b)
+    if shape == "equal":
+        return f, f
+    if shape == "same-den":
+        return f, RationalFunction(c, f.den)
+    if shape == "sum":  # f + g = c s / den(f)
+        return f, RationalFunction(c * s - f.num, f.den)
+    return f, RationalFunction(c, d * s if shape in ("dens", "cross") else d)
+
+
+def assert_reduced(f):
+    assert f.den.leading() == f.den.zero + 1
+    if f.num.is_zero():
+        assert f.den.is_one()
+    else:
+        assert f.num.gcd(f.den).is_one()
+
+
+def check_operators(f, g):
+    a, b, c, d = f.num, f.den, g.num, g.den
+    expected = [
+        (f + g, RationalFunction(a * d + c * b, b * d)),
+        (f - g, RationalFunction(a * d - c * b, b * d)),
+        (f * g, RationalFunction(a * c, b * d)),
+        (-f, RationalFunction(-a, b)),
+        (f + c, RationalFunction(a + c * b, b)),
+        (f - c, RationalFunction(a - c * b, b)),
+        (1 - f, RationalFunction(b - a, b)),
+        (f * c, RationalFunction(a * c, b)),
+        (f * 3, RationalFunction(a * 3, b)),
+        (f**2, RationalFunction(a * a, b * b)),
+        (f**0, RationalFunction(Poly([1], zero=a.zero))),
+    ]
+    if not g.is_zero():
+        expected.append((f / g, RationalFunction(a * d, b * c)))
+        expected.append((f / c, RationalFunction(a, b * c)))
+        expected.append((g**-3, RationalFunction(d**3, c**3)))
+        expected.append((Fraction(2, 3) / g, RationalFunction(d * Fraction(2, 3), c)))
+    for got, want in expected:
+        assert got.num.coeffs == want.num.coeffs and got.den.coeffs == want.den.coeffs
+        assert_reduced(got)
+
+
+# the reference constructor runs Euclid on the full products, which is slow
+# over Q(w) for some draws; no deadline, so those draws do not fail the test
+@settings(deadline=None)
+@given(operand_pairs(q_coeffs, Fraction(0)))
+def test_operators_equal_the_normalised_constructor_over_q(fg):
+    check_operators(*fg)
+
+
+@settings(deadline=None)
+@given(operand_pairs(w_coeffs, QOMEGA.zero()))
+def test_operators_equal_the_normalised_constructor_over_omega(fg):
+    check_operators(*fg)
+
+
+def test_operators_reject_mixed_scalar_rings():
+    t = Poly.x()
+    tw = Poly.x(zero=QOMEGA.zero())
+    tz = Poly.x(zero=ZETA.field.zero())
+    f, fw, fz = (RationalFunction(s + 1, s * s + 2) for s in (t, tw, tz))
+    pairs = [(f, fw), (fw, f), (fw, fz), (fz, fw), (f, tw), (tw, f), (fw, t), (t, fw),
+             (t, tw), (tw, t), (tw, tz)]
+    for x, y in pairs:
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+            with pytest.raises(TypeError):
+                op(x, y)
+        with pytest.raises(TypeError):
+            x / y if isinstance(x, RationalFunction) or isinstance(y, RationalFunction) else x // y
+    with pytest.raises(TypeError):
+        f * W
+    with pytest.raises(TypeError):
+        W / f
+    # rational scalars enter a number field's functions in either order
+    assert (fw * Fraction(1, 2)) * 2 == fw == 2 * (Fraction(1, 2) * fw)
+    assert 1 - (1 - fw) == fw
