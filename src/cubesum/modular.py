@@ -154,7 +154,6 @@ _ZETA6_VALUES = {
     4: EisensteinInt(-1, -1),  # w^2
     5: EisensteinInt(0, -1),  # -w
 }
-_ZETA6_EXPONENT = {v: k for k, v in _ZETA6_VALUES.items()}
 
 
 @dataclass(frozen=True)

@@ -176,9 +176,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def map_coeffs(self, fn, zero=None):
-        return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()}, zero=zero)
-
 
 def normal_form(expr: MultiPoly, relations: dict[str, MultiPoly]) -> MultiPoly:
     """Reduce expr by the rewrite rules var^2 -> relations[var].

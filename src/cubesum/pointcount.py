@@ -3,16 +3,17 @@ count they certify.
 
 F_{p^n} has one integer-coded model: an element is an integer 0..q-1 whose
 base-p digits are its coefficients over the lexicographically smallest monic
-irreducible polynomial, so every count is reproducible bit for bit. Exp/log
-tables built once from the smallest primitive element make products and
-powers table lookups and the quadratic character the parity of a log; sums
-and differences work digit by digit. The modulus search and its
-irreducibility certificate multiply polynomials modulo the modulus with
-rings.polymulmod, the routine the number fields Q(w) and Q(zeta12) multiply
-with, reduced mod p; for n >= 2 a tail with a root in F_p is rejected before
-the certificate runs. The exp table is built by doubling: g^B .. g^(2B-1) is
-g^0 .. g^(B-1) times g^B, and multiplying by g^B is an F_p-linear map on
-digit vectors, so each block is one n x n matrix product mod p in numpy.
+primitive polynomial g, so every count is reproducible bit for bit. Primitive
+means the class of T generates F_q^*; T is the generator, and exp/log tables
+of its powers, built once, make products and powers table lookups and the
+quadratic character the parity of a log. Sums and differences work digit by
+digit. One certificate proves the field: T has order q-1 modulo g, which only
+a field with q-1 units allows, so it also proves g irreducible. The modulus
+search and the tables multiply polynomials modulo g with rings.polymulmod, the
+routine the number fields Q(w) and Q(zeta12) multiply with, reduced mod p. The
+exp table is built by doubling: T^B .. T^(2B-1) is T^0 .. T^(B-1) times T^B,
+and multiplying by T^B is an F_p-linear map on digit vectors, so each block is
+one n x n matrix product mod p in numpy.
 
 The surface count N(p, n) = #{(t, x, y) : y^2 = x^3 - c(t)}, with
 c(t) = t^4 (t^2-1)^3, takes O(q) work in count_surface. (x, y) -> (u^2 x, u^3 y)
@@ -43,13 +44,14 @@ CONVENTIONS = (FROBENIUS_POWER, MODULAR_COEFFICIENT)
 
 
 class FiniteField:
-    """F_{p^n} as F_p[T]/(g), g the smallest-coefficient monic irreducible.
+    """F_{p^n} as F_p[T]/(g), g the smallest-coefficient monic primitive.
 
     An element is the integer sum(c_i p^i) of its coefficients c_i over g,
     lowest degree first, so the elements of F_p are its residues 0..p-1.
-    exp[i] = generator^i for 0 <= i < q-1 and log inverts it (log[0] is a
-    placeholder: zero has no log). Every operation takes an element or a numpy
-    array of elements and works elementwise.
+    The generator is the class of T: the code p when n >= 2 and -c_0 mod p
+    when n = 1. exp[i] = generator^i for 0 <= i < q-1 and log inverts it
+    (log[0] is a placeholder: zero has no log). Every operation takes an
+    element or a numpy array of elements and works elementwise.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -60,10 +62,11 @@ class FiniteField:
         self.p = p
         self.n = n
         self.q = p**n
-        self.modulus = _find_irreducible(p, n)
+        self.modulus = _find_primitive(p, n)
         self.zero = 0
         self.one = 1
-        self.generator, self.exp, self.log = _exp_log_tables(p, self.modulus)
+        self.generator = p if n >= 2 else -self.modulus[0] % p  # the class of T
+        self.exp, self.log = _exp_log_tables(p, self.modulus)
         self._weights = [p**i for i in range(1, n)]
 
     def elements(self):
@@ -100,30 +103,29 @@ class FiniteField:
         return self.exp[self.log[a] * (e % order) % order] * ((a != 0) | (e == 0))
 
 
-def _find_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree n over F_p, lexicographic in
-    (c_0, ..., c_{n-1}); certified by checking gcd(T^(p^d) - T, g) for d | n.
+def _find_primitive(p: int, n: int) -> tuple[int, ...]:
+    """Smallest primitive g = T^n + tail over F_p, lexicographic in
+    (c_0, ..., c_{n-1}): the class of T has order q-1 modulo g.
 
-    For n >= 2 a tail with a root in F_p has a linear factor, so it is
-    rejected before the certificate runs."""
-    for tail in product(range(p), repeat=n):
-        if n >= 2 and _has_root_mod_p(tail, p):
+    F_p[T]/(g) has q-1 units only when it is a field, so T of order q-1 also
+    certifies that g is irreducible. T's norm (-1)^n c_0 is T^((q-1)/(p-1)),
+    which generates F_p^* if T generates F_q^*, so only the tails with such a
+    c_0 are powered."""
+    order = p**n - 1
+    cofactors = [order // r for r in _prime_factors(order)]
+    one = [1] + [0] * (n - 1)
+    norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
+    for c0 in range(1, p):
+        if any(pow((-1) ** n * c0, e, p) == 1 for e in norm_cofactors):
             continue
-        if _poly_is_irreducible_mod_p(tail, p):
-            return tail
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-
-def _has_root_mod_p(tail: tuple[int, ...], p: int) -> bool:
-    """Whether T^n + tail vanishes at some r in F_p, by Horner from r = 0 up,
-    so a tail with c_0 = 0 is rejected at the first value."""
-    for r in range(p):
-        v = 1
-        for c in reversed(tail):
-            v = (v * r + c) % p
-        if v == 0:
-            return True
-    return False
+        for rest in product(range(p), repeat=n - 1):
+            tail = (c0,) + rest
+            t = _polymulmod([0, 1], [1], tail, p)  # T mod g
+            # T has order q-1 iff T^(q-1) = 1 and T^((q-1)/r) != 1 for every prime r | q-1
+            if (_polypowmod(t, order, tail, p) == one
+                    and all(_polypowmod(t, e, tail, p) != one for e in cofactors)):
+                return tail
+    raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
 
 def _polymulmod(a, b, tail, p):
@@ -146,54 +148,6 @@ def _polypowmod(a, e: int, tail, p):
     return acc
 
 
-def _poly_is_irreducible_mod_p(tail: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of monic g = T^n + tail over F_p by Rabin's test:
-    g divides T^(p^n) - T and is coprime to T^(p^(n/r)) - T for each prime r | n."""
-    n = len(tail)
-    ident = [0, 1] + [0] * (n - 2) if n > 1 else [0]  # T mod g
-
-    def xq_pow(d):
-        # T^(p^d) mod g by repeated Frobenius
-        cur = ident
-        for _ in range(d):
-            cur = _polypowmod(cur, p, tail, p)
-        return cur
-
-    if xq_pow(n) != ident:
-        return False
-    # no factor of degree dividing a maximal proper divisor n/r of n. Inequality
-    # T^(p^(n/r)) != T is not enough: over F_2, T (T^2+T+1) (T^3+T+1) passes it
-    g = list(tail) + [1]
-    for r in _prime_factors(n):
-        h = xq_pow(n // r)
-        h[1] = (h[1] - 1) % p
-        if not _coprime_mod_p(g, h, p):
-            return False
-    return True
-
-
-def _coprime_mod_p(a: list[int], b: list[int], p: int) -> bool:
-    """Whether a and b (coefficient lists, low to high, a != 0) have no common
-    factor over F_p, by Euclid's algorithm."""
-
-    def trim(c):
-        c = [x % p for x in c]
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            f, shift = a[-1] * inv, len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= f * c
-            a = trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
 def _prime_factors(m: int) -> list[int]:
     """The distinct primes dividing m, ascending."""
     primes = []
@@ -210,8 +164,12 @@ def _prime_factors(m: int) -> list[int]:
 
 
 def _exp_log_tables(p: int, tail: tuple[int, ...]):
-    """(g, exp, log) for F_p[T]/(T^n + tail): g the smallest primitive element,
-    exp[i] = g^i for 0 <= i < q-1, log[exp[i]] = i and log[0] = 0."""
+    """(exp, log) for F_p[T]/(T^n + tail) with T as the generator: exp[i] = T^i
+    for 0 <= i < q-1, log[exp[i]] = i and log[0] = 0.
+
+    The tables close with a certificate: exp[q-2]·T = 1, T^(q-1) = 1 and log
+    inverts exp, so T has order q-1 and the ring is the field F_q. A modulus
+    that is reducible, or irreducible but not primitive, raises ArithmeticError."""
     # numpy loads on first use, so commands that count no points start without it
     import numpy as np
 
@@ -220,37 +178,30 @@ def _exp_log_tables(p: int, tail: tuple[int, ...]):
     order = q - 1
     weights = [p**i for i in range(n)]
     one = [1] + [0] * (n - 1)
-    cofactors = [order // r for r in _prime_factors(order)]
-    # the codes below p are F_p, whose orders divide p - 1 < q - 1 when n >= 2
-    for g in range(1 if n == 1 else p, q):
-        g_poly = [g // w % p for w in weights]
-        # g generates F_q^* iff g^((q-1)/r) != 1 for every prime r | q-1
-        if all(_polypowmod(g_poly, e, tail, p) != one for e in cofactors):
-            break
-    # doubling: exp[B:2B] = exp[:B] * g^B. Row i of the matrix is T^i g^B, so a
+    t = _polymulmod([0, 1], [1], tail, p)  # T mod g
+    # doubling: exp[B:2B] = exp[:B] * T^B. Row i of the matrix is T^i T^B, so a
     # row of digit vectors times it is the digit vector of the product
     digit_weights = np.array(weights, dtype=np.int64)
-    shift = [0, 1] + [0] * (n - 2)  # T mod g, for n >= 2
     exp = np.empty(order, dtype=np.int64)
     exp[0] = 1
-    size, step = 1, g_poly  # step = g^size
+    size, step = 1, t  # step = T^size
     while size < order:
         m = min(size, order - size)
         rows = [step]
         for _ in range(n - 1):
-            rows.append(_polymulmod(rows[-1], shift, tail, p))
+            rows.append(_polymulmod(rows[-1], t, tail, p))
         digits = exp[:m, None] // digit_weights % p
         exp[size:size + m] = digits @ np.array(rows, dtype=np.int64) % p @ digit_weights
         step = _polymulmod(step, step, tail, p)
         size += m
     last = [int(exp[-1]) // w % p for w in weights]
-    if _polymulmod(last, g_poly, tail, p) != one or _polypowmod(g_poly, order, tail, p) != one:
-        raise ArithmeticError(f"{g} has no order {order} modulo T^{n} + {tail}")
+    if _polymulmod(last, t, tail, p) != one or _polypowmod(t, order, tail, p) != one:
+        raise ArithmeticError(f"T has no order {order} modulo T^{n} + {tail}")
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(order)
     if not np.array_equal(log[exp], np.arange(order)):
-        raise ArithmeticError(f"the powers of {g} modulo T^{n} + {tail} repeat")
-    return g, exp, log
+        raise ArithmeticError(f"the powers of T modulo T^{n} + {tail} repeat")
+    return exp, log
 
 
 def make_field(p: int, n: int) -> FiniteField:

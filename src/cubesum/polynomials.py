@@ -80,14 +80,24 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _wrap(self, other) -> "Poly":
+    def _wrap(self, other):
+        """other as a Poly over this one's scalars, or None.
+
+        A Poly over another scalar ring raises TypeError. Anything that is
+        neither a Poly nor an exact scalar gives None, so the operators return
+        NotImplemented and a RationalFunction operand answers for them.
+        """
         if isinstance(other, Poly):
             _check_ring(self.zero, other.zero)
             return other
-        return Poly([other], zero=self.zero)
+        if isinstance(other, (int, Fraction, NumberFieldElement)):
+            return Poly([other], zero=self.zero)
+        return None
 
     def __add__(self, other):
         o = self._wrap(other)
+        if o is None:
+            return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
         z = self.zero
         out = [z] * n
@@ -103,13 +113,17 @@ class Poly:
         return Poly([-c for c in self.coeffs], zero=self.zero)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        o = self._wrap(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._wrap(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._wrap(other)
+        if o is None:
+            return NotImplemented
         if not self.coeffs or not o.coeffs:
             return Poly([], zero=self.zero)
         z = self.zero
@@ -158,10 +172,12 @@ class Poly:
         return Poly(quot, zero=z), Poly(rem[: other.degree], zero=z)
 
     def __floordiv__(self, other):
-        return self.divmod(self._wrap(other))[0]
+        o = self._wrap(other)
+        return NotImplemented if o is None else self.divmod(o)[0]
 
     def __mod__(self, other):
-        return self.divmod(self._wrap(other))[1]
+        o = self._wrap(other)
+        return NotImplemented if o is None else self.divmod(o)[1]
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.leading() == 1:
@@ -407,8 +423,3 @@ class RationalFunction:
         TypeError.
         """
         return RationalFunction(Poly(self.num.coeffs, zero=zero), Poly(self.den.coeffs, zero=zero))
-
-
-def valuation_at(f: RationalFunction, place) -> int:
-    """Order of vanishing of a nonzero rational function at a place of P^1."""
-    return f.valuation(place)

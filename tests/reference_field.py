@@ -2,8 +2,8 @@
 
 Elements of F_{p^n} here are coefficient tuples (lowest degree first) and a
 product is schoolbook multiplication reduced by the modulus, with no tables.
-The counts loop over every (t, x) pair one at a time, and exp_table takes the
-powers of a generator one multiplication at a time. Tests check the
+The counts loop over every (t, x) pair one at a time, and exp_table and
+order_of_t take powers one multiplication at a time. Tests check the
 integer-coded field, its doubled exp table and its numpy fiber sums against
 this code.
 """
@@ -121,6 +121,21 @@ def exp_table(field, generator_code: int) -> list[int]:
         out.append(field.code(cur))
         cur = field.mul(cur, g)
     return out
+
+
+def order_of_t(p: int, tail: tuple[int, ...]):
+    """The least k with 1 <= k < p^n and T^k = 1 in F_p[T]/(T^n + tail),
+    counted one multiplication at a time, or None if there is none. The ring
+    need not be a field."""
+    n = len(tail)
+    R = ExtField(p, n, tail) if n >= 2 else PrimeField(p)
+    t = (0, 1) + (0,) * (n - 2) if n >= 2 else -tail[0] % p
+    x = t
+    for k in range(1, p**n):
+        if x == R.one:
+            return k
+        x = R.mul(x, t)
+    return None
 
 
 def is_square(field, x) -> int:

@@ -1,5 +1,6 @@
-"""Every name the package imports is used: an import that nothing references is
-dead code that still costs a load and misleads the reader about dependencies."""
+"""Every name the package imports is used, and every module-level private name
+it defines is read: an import or a helper that nothing references is dead code
+that still costs a load and misleads the reader about what the code depends on."""
 
 import ast
 from pathlib import Path
@@ -22,13 +23,49 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in imported.items() if name not in used)
 
 
-def test_package_has_no_unused_imports():
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level private names a module binds: functions, classes and
+    assigned names that start with one underscore and are not dunders."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads, bare or as an attribute of another object."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*map(_reads, trees.values()))
+    return sorted(f"{name}:{line} {private}"
+                  for name, tree in trees.items()
+                  for private, line in _private_definitions(tree)
+                  if private not in read)
+
+
+def _package_trees() -> dict[str, ast.Module]:
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+
+
+def test_package_has_no_unused_imports():
     found = [
-        f"{path.name}:{line} {name}"
-        for path in sources
-        for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{line} {imported}"
+        for name, tree in _package_trees().items()
+        for imported, line in _unused_imports(tree)
     ]
     assert not found, f"unused imports in src/cubesum: {found}"
 
@@ -36,3 +73,17 @@ def test_package_has_no_unused_imports():
 def test_detector_flags_an_unused_name():
     tree = ast.parse("from math import gcd, isqrt\nimport os.path\nprint(isqrt(4))\n")
     assert _unused_imports(tree) == [("gcd", 1), ("os", 2)]
+
+
+def test_package_reads_every_private_name():
+    found = _unread_private_names(_package_trees())
+    assert not found, f"module-level private names nothing reads in src/cubesum: {found}"
+
+
+def test_detector_flags_an_unread_private_name():
+    trees = {
+        "a.py": ast.parse("_TABLE = {1: 2}\n_INVERSE = {2: 1}\ndef _helper():\n    return _TABLE\n"
+                          "class _Gone:\n    pass\n__version__ = '1'\n_kept: int = 0\n"),
+        "b.py": ast.parse("from a import _helper\nimport a\nprint(a._kept, _helper())\n"),
+    }
+    assert _unread_private_names(trees) == ["a.py:2 _INVERSE", "a.py:5 _Gone"]

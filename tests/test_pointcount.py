@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from cubesum.arith import primes_up_to
 from cubesum.modular import CUSP_FORM_ETA, eta_quotient, normalize_pi
 from cubesum.pointcount import (
     CONVENTIONS,
+    DEFAULT_BUDGET,
     CountReport,
     FROBENIUS_POWER,
     MODULAR_COEFFICIENT,
     _check_hasse,
-    _find_irreducible,
-    _poly_is_irreducible_mod_p,
+    _exp_log_tables,
+    _find_primitive,
     a_pn,
     adjudicate_conventions,
     brute_count_elliptic,
@@ -33,6 +36,7 @@ from reference_field import count_elliptic as reference_count_elliptic
 from reference_field import count_surface as reference_count_surface
 from reference_field import exp_table as reference_exp_table
 from reference_field import is_square as reference_is_square
+from reference_field import order_of_t
 from reference_field import reference_field
 
 
@@ -64,7 +68,7 @@ def test_ext_field_structure():
 
 def test_ext_field_modulus_is_deterministic_and_irreducible():
     F = make_field(7, 2)
-    assert F.modulus == (1, 0)  # T^2 + 1, the lexicographically first
+    assert F.modulus == (3, 1)  # T^2 + T + 3, the lexicographically first primitive
     F3 = make_field(5, 3)
     # no roots in F_5
     c0, c1, c2 = F3.modulus
@@ -73,16 +77,10 @@ def test_ext_field_modulus_is_deterministic_and_irreducible():
         F = make_field(p, n)
         assert sorted(F.exp.tolist()) == list(range(1, F.q))
         assert all(F.log[F.exp[i]] == i for i in range(F.q - 1))
-        # the generator is the smallest element of order q-1, by the reference
-        R = reference_field(p, n, F.modulus)
-        by_code = {R.code(a): a for a in R.elements()}
-        assert F.exp[1] == F.generator
-        for h in range(1, F.generator + 1):
-            x, order = by_code[h], 1
-            while x != R.one:
-                x, order = R.mul(x, by_code[h]), order + 1
-            assert (order == F.q - 1) == (h == F.generator), (p, n, h)
-    assert make_field(7, 1).generator == 3
+        # the generator is the class of T, of order q-1 by the reference
+        assert F.exp[1] == F.generator == (p if n >= 2 else -F.modulus[0] % p)
+        assert order_of_t(p, F.modulus) == F.q - 1, (p, n)
+    assert make_field(7, 1).modulus == (2,) and make_field(7, 1).generator == 5
 
 
 def test_field_constructor_validation():
@@ -131,23 +129,26 @@ def test_field_matches_tuple_reference(p, n):
         assert F.embed(k) == R.code(R.embed(k))
 
 
-def test_find_irreducible_matches_the_plain_scan():
-    # the root prefilter only skips reducible tails, so the first tail that
-    # passes the certificate alone is still the one returned
+def test_find_primitive_matches_the_order_scan():
+    # the norm prefilter only skips tails whose T cannot have order q-1, so the
+    # first tail whose T has order q-1, counted by the reference, is returned
     for p in primes_up_to(2000):
         n = 1
         while p**n <= 2000:
             plain = next(t for t in product(range(p), repeat=n)
-                         if _poly_is_irreducible_mod_p(t, p))
-            assert _find_irreducible(p, n) == plain, (p, n)
+                         if order_of_t(p, t) == p**n - 1)
+            assert _find_primitive(p, n) == plain, (p, n)
             n += 1
 
 
-def test_irreducibility_certificate_rejects_factors_of_every_dividing_degree():
-    # T (T^2+T+1) (T^3+T+1) over F_2 has T^(2^6) = T while T^(2^3) and T^(2^2)
-    # differ from T, so an inequality test accepts it and the ring built on it
-    # has no generator; the gcds of Rabin's test see its factors
-    assert not _poly_is_irreducible_mod_p((0, 1, 0, 0, 0, 1), 2)
+def test_field_certificate_rejects_bad_moduli():
+    # the closing certificate of the tables alone rejects a modulus that is
+    # reducible (T^2 + 1 over F_5), irreducible but not primitive (T^2 + 1 over
+    # F_7, where T has order 4), or T (T^2+T+1) (T^3+T+1) over F_2, which an
+    # inequality form of Rabin's test once accepted
+    for p, tail in ((5, (1, 0)), (7, (1, 0)), (2, (0, 1, 0, 0, 0, 1))):
+        with pytest.raises(ArithmeticError):
+            _exp_log_tables(p, tail)
     for p, n in ((2, 6), (3, 6), (2, 10), (5, 6)):
         F = make_field(p, n)
         assert sorted(F.exp.tolist()) == list(range(1, F.q)), (p, n)
@@ -317,13 +318,34 @@ def test_count_report_holds_the_exact_count(monkeypatch):
     assert CountReport.build(31, 2).brute == brute_count_surface(31, 2)
 
 
+SWEEP_GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden" / "adjudication_sweep.json"
+SWEEP_FIELDS = ([(p, 2) for p in primes_up_to(999) if p >= 5]
+                + [(p, 3) for p in primes_up_to(101) if p >= 5]
+                + [(p, 4) for p in primes_up_to(31) if p >= 5])
+
+
+def _recorded_sweep():
+    return [(int(r["p"]), int(r["n"]), int(r["count"]))
+            for r in json.loads(SWEEP_GOLDEN.read_text())["fields"]]
+
+
+def test_recorded_sweep_matches_the_formula_and_the_small_counts():
+    recorded = _recorded_sweep()
+    assert [(p, n) for p, n, _ in recorded] == SWEEP_FIELDS
+    for p, n, count in recorded:
+        assert count == formula_count_surface(p, n, FROBENIUS_POWER), (p, n)
+        if p**n <= DEFAULT_BUDGET:
+            assert count == count_surface(p, n), (p, n)
+
+
 @pytest.mark.extended
 def test_adjudication_sweep_matches_the_frobenius_formula():
-    fields = ([(p, 2) for p in primes_up_to(999) if p >= 5]
-              + [(p, 3) for p in primes_up_to(101) if p >= 5]
-              + [(p, 4) for p in primes_up_to(31) if p >= 5])
-    for p, n in fields:
-        assert count_surface(p, n, budget=p**n) == formula_count_surface(p, n, FROBENIUS_POWER), (p, n)
+    counts = []
+    for p, n in SWEEP_FIELDS:
+        count = count_surface(p, n, budget=p**n)
+        assert count == formula_count_surface(p, n, FROBENIUS_POWER), (p, n)
+        counts.append((p, n, count))
+    assert counts == _recorded_sweep()
 
 
 def test_trace_alg_examples():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
-from cubesum.polynomials import INFINITY, Poly, RationalFunction, valuation_at
+from cubesum.polynomials import INFINITY, Poly, RationalFunction
 from cubesum.rings import QOMEGA, W, ZETA, NumberFieldElement
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -36,12 +36,12 @@ def test_poly_gcd_divides(a, b):
 def test_valuation_examples():
     t = Poly.x()
     f = RationalFunction(t**4 * (t**2 - 1) ** 3)
-    assert valuation_at(f, Fraction(0)) == 4
-    assert valuation_at(f, Fraction(1)) == 3
-    assert valuation_at(RationalFunction(t**2 - 1), INFINITY) == -2
-    assert valuation_at(RationalFunction(Poly([1]), t**3), Fraction(0)) == -3
+    assert f.valuation(Fraction(0)) == 4
+    assert f.valuation(Fraction(1)) == 3
+    assert RationalFunction(t**2 - 1).valuation(INFINITY) == -2
+    assert RationalFunction(Poly([1]), t**3).valuation(Fraction(0)) == -3
     with pytest.raises(ValueError):
-        valuation_at(RationalFunction(Poly([])), Fraction(0))
+        RationalFunction(Poly([])).valuation(Fraction(0))
 
 
 def test_rational_function_reduction():
@@ -322,3 +322,24 @@ def test_operators_reject_mixed_scalar_rings():
     # rational scalars enter a number field's functions in either order
     assert (fw * Fraction(1, 2)) * 2 == fw == 2 * (Fraction(1, 2) * fw)
     assert 1 - (1 - fw) == fw
+
+
+@pytest.mark.parametrize("zero, const", [(Fraction(0), 2), (QOMEGA.zero(), W)], ids=["q", "omega"])
+def test_poly_and_rational_function_mix_in_either_order(zero, const):
+    t = Poly.x(zero=zero)
+    c = t * t - 3 * t + const
+    f = RationalFunction(t + 1, t * t + 2)
+    for p in (t, c):
+        assert p + f == f + p == RationalFunction(p) + f
+        assert p - f == -(f - p) == RationalFunction(p) - f
+        assert p * f == f * p == RationalFunction(p) * f
+        assert isinstance(p + f, RationalFunction)
+    for other in ("t", None, object(), 1.5):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: a // b, lambda a, b: a % b):
+            with pytest.raises(TypeError):
+                op(t, other)
+            with pytest.raises(TypeError):
+                op(other, t)
+    with pytest.raises(TypeError):
+        t // f
