@@ -1,4 +1,5 @@
-"""Integer utilities: exact cube roots, Legendre symbols, primality, small sieves."""
+"""Integer utilities: exact cube roots, Legendre symbols, primality, and the
+package's one sieve, smallest_prime_factors."""
 
 from __future__ import annotations
 
@@ -32,16 +33,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def smallest_prime_factors(n: int):
+    """spf[m] is the smallest prime factor of m <= n, and spf[0] = spf[1] = 0.
+
+    An int32 numpy array; numpy is imported here, so importing cubesum does not load it.
+    """
+    import numpy as np
+
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            row = spf[p * p :: p]
+            row[row == 0] = p
+    primes = np.nonzero(spf == 0)[0][2:]
+    spf[primes] = primes
+    return spf
+
+
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
+    """All primes <= n: the m >= 2 with spf[m] == m."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(n + 1) if sieve[i]]
+    spf = smallest_prime_factors(n).tolist()
+    return [m for m in range(2, n + 1) if spf[m] == m]
 
 
 def icbrt(n: int) -> tuple[int, bool]:

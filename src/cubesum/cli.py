@@ -485,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--all", action="store_true", help="accepted for compatibility; the suite always runs fully")
     p.add_argument("--census-bound", type=int, default=_env_default("CENSUS_BOUND", 2000, int))
     p.add_argument("--skip-census", action="store_true")
     p.add_argument("--jobs", type=int, default=default_jobs)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .arith import cube_sum_range, icbrt
+from .arith import cube_sum_range, icbrt, smallest_prime_factors
 from .polynomials import Poly
 
 
@@ -193,22 +192,17 @@ _SHORT_ROW = 128
 
 
 class _Sieve:
-    """Per-call tables up to n, int32: smallest prime factors and kernels."""
+    """Per-call tables up to n, int32: arith's smallest prime factors and kernels."""
 
     def __init__(self, n: int):
         import numpy as np
 
-        spf = np.zeros(n + 1, dtype=np.int32)
-        for p in range(2, isqrt(n) + 1):
-            if spf[p] == 0:
-                row = spf[p * p :: p]
-                row[row == 0] = p
-        primes = np.nonzero(spf == 0)[0][2:]
-        spf[primes] = primes
+        spf = smallest_prime_factors(n)
+        m = np.arange(n + 1)
         # K(m) = prod p^[3 does not divide v_p(m)]: multiply by p on the multiples
         # of p^e with e = 1 (mod 3), divide on those with e = 0 (mod 3)
         kern = np.ones(n + 1, dtype=np.int32)
-        for p in primes[primes >= 5].tolist():
+        for p in m[(spf == m) & (m >= 5)].tolist():
             kern[p::p] *= p
             q, e = p * p * p, 3
             while q <= n:

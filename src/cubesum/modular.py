@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_prime, legendre, primes_up_to
+from .arith import is_prime, legendre, smallest_prime_factors
 from .rings import EisensteinInt, SQRT_M3, represent_eisenstein
 
 # --- integer q-series -------------------------------------------------------
@@ -322,34 +322,26 @@ def hecke_expand(N: int) -> QSeries:
     if N < 1:
         raise ValueError("precision must be >= 1")
     seed = eta_quotient(CUSP_FORM_ETA, 3)
+    spf = smallest_prime_factors(N).tolist()
     a = [0] * (N + 1)
     a[1] = 1
-    for p in primes_up_to(N):
-        ap = seed[p] if p in (2, 3) else ap_closed_form(p)
-        powers = prime_power_coefficients(p, ap, N)
-        pk = p
-        for k in range(1, len(powers)):
-            a[pk] = powers[k]
-            pk *= p
-    # multiplicativity on coprime parts
     for n in range(2, N + 1):
-        m = _smallest_prime_power_part(n)
-        if m != n:
-            a[n] = a[m] * a[n // m]
+        p = spf[n]
+        if p == n:
+            ap = seed[p] if p in (2, 3) else ap_closed_form(p)
+            powers = prime_power_coefficients(p, ap, N)
+            pk = p
+            for k in range(1, len(powers)):
+                a[pk] = powers[k]
+                pk *= p
+            continue
+        # n = m * r with m the power of p in n, read off the table
+        m, r = p, n // p
+        while spf[r] == p:
+            m, r = m * p, r // p
+        if r > 1:  # multiplicativity on coprime parts; prime powers are set above
+            a[n] = a[m] * a[r]
     return QSeries(N, tuple(a[1:]))
-
-
-def _smallest_prime_power_part(n: int) -> int:
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m = 1
-            while n % p == 0:
-                m *= p
-                n //= p
-            return m
-        p += 1
-    return n  # n itself prime
 
 
 # --- the lattice sum ---------------------------------------------------------

@@ -367,7 +367,8 @@ class RationalFunction:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._wrap(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._wrap(other)

@@ -38,20 +38,23 @@ class EisensteinInt:
             return str(self.a)
         return f"{self.a}{self.b:+d}w"
 
-    def __eq__(self, other):
+    @staticmethod
+    def _wrap(other):
+        """other as an EisensteinInt, or None if it is neither that nor an int."""
         if isinstance(other, int):
-            other = EisensteinInt(other)
-        if not isinstance(other, EisensteinInt):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+            return EisensteinInt(other)
+        return other if isinstance(other, EisensteinInt) else None
+
+    def __eq__(self, other):
+        o = self._wrap(other)
+        return NotImplemented if o is None else self.a == o.a and self.b == o.b
 
     def __hash__(self):
         return hash((self.a, self.b))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = EisensteinInt(other)
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+        o = self._wrap(other)
+        return NotImplemented if o is None else EisensteinInt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -59,12 +62,12 @@ class EisensteinInt:
         return EisensteinInt(-self.a, -self.b)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = EisensteinInt(other)
-        return EisensteinInt(self.a - other.a, self.b - other.b)
+        o = self._wrap(other)
+        return NotImplemented if o is None else EisensteinInt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._wrap(other)
+        return NotImplemented if o is None else EisensteinInt(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -261,7 +264,8 @@ class NumberFieldElement:
         return self._add_or_sub(other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -378,18 +382,3 @@ I_Z12 = ZETA**3  # i
 W_Z12 = ZETA**2 - 1  # w = zeta^4 = zeta^2 - 1
 SQRT3_Z12 = 2 * ZETA - ZETA**3  # zeta + zeta^-1
 SQRTM3_Z12 = 2 * ZETA**2 - 1  # i*sqrt(3) = 1 + 2w
-
-
-def omega_to_zeta12(x: NumberFieldElement) -> NumberFieldElement:
-    """Embed Q(w) into Q(zeta12) via w -> zeta^2 - 1."""
-    if x.field is not QOMEGA:
-        raise TypeError("expected a Q(w) element")
-    return QZETA12(x.coords[0]) + QZETA12(x.coords[1]) * W_Z12
-
-
-def eisenstein_to_field(z: EisensteinInt, field: NumberField = QOMEGA) -> NumberFieldElement:
-    if field is QOMEGA:
-        return QOMEGA(z.a, z.b)
-    if field is QZETA12:
-        return QZETA12(z.a) + QZETA12(z.b) * W_Z12
-    raise TypeError("unsupported field")

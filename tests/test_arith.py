@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesum.arith import cube_sum_range, icbrt, is_prime, legendre, primes_up_to
+from cubesum.arith import (
+    cube_sum_range,
+    icbrt,
+    is_prime,
+    legendre,
+    primes_up_to,
+    smallest_prime_factors,
+)
 
 
 def test_icbrt_examples():
@@ -57,6 +64,24 @@ def test_is_prime_small():
     ps = set(primes_up_to(2000))
     for n in range(2000):
         assert is_prime(n) == (n in ps)
+
+
+def test_smallest_prime_factors_match_trial_division():
+    n = 3000
+    spf = smallest_prime_factors(n)
+    assert spf.dtype.name == "int32" and len(spf) == n + 1
+    assert spf[0] == spf[1] == 0
+    for m in range(2, n + 1):
+        assert spf[m] == next(d for d in range(2, m + 1) if m % d == 0), m
+
+
+def test_primes_up_to_at_the_smallest_bounds():
+    # indices 0 and 1 of the sieve hold 0, so neither may be read as a prime
+    assert primes_up_to(-1) == primes_up_to(0) == primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
+    assert primes_up_to(3) == [2, 3]
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert all(type(p) is int for p in primes_up_to(30))
 
 
 def test_is_prime_large():

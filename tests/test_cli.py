@@ -1,10 +1,14 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cubesum
 from cubesum.cli import build_parser, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -15,6 +19,16 @@ def run_cli(capsys, argv):
     status = main(argv)
     out = capsys.readouterr().out
     return status, out
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # every command imports the whole package, so numpy stays inside the
+    # functions that use it (the sieve, the search kernel, the field tables)
+    env = dict(os.environ, PYTHONPATH=str(Path(cubesum.__file__).resolve().parent.parent))
+    code = "import sys, cubesum.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_map_roundtrip_plain(capsys):
@@ -164,7 +178,7 @@ def test_ap_table_nonzero_json_drops_zeros(capsys, tmp_path):
 
 
 def test_verify_skip_census(capsys):
-    status, out = run_cli(capsys, ["verify", "--all", "--skip-census"])
+    status, out = run_cli(capsys, ["verify", "--skip-census"])
     assert status == 0
     assert "result: PASS" in out
     assert "[SKIP] census-fast" in out
@@ -212,9 +226,7 @@ def test_golden_outputs(capsys, name):
 
 
 def test_golden_verify(capsys):
-    status, out = run_cli(
-        capsys, ["verify", "--all", "--census-bound", "100", "--format", "json"]
-    )
+    status, out = run_cli(capsys, ["verify", "--census-bound", "100", "--format", "json"])
     assert status == 0
     got = json.loads(out)
     for check in got["checks"]:

@@ -197,15 +197,18 @@ def test_cube_free_support_lemma_on_the_oracle(pure_3000):
 
 
 def test_sieve_tables_match_trial_division():
+    # the kernel oracle factors m by trial division, reading no sieve
     n = 3000
     sieve = _Sieve(n)
-    primes = primes_up_to(n)
     for m in range(2, n + 1):
-        assert sieve.spf[m] == min(p for p in primes if m % p == 0)
-        kernel = 1
-        for p in primes:
-            if p >= 5 and m % p == 0 and _valuation(m, p) % 3:
-                kernel *= p
+        kernel, rest, d = 1, m, 2
+        while rest > 1:
+            if rest % d == 0:
+                v = _valuation(rest, d)
+                if d >= 5 and v % 3:
+                    kernel *= d
+                rest //= d**v
+            d += 1
         assert sieve.kern[m] == kernel, m
     for K in (1, 5, 7, 35, 385, 455, 1001, 2431):
         assert sieve.residues(K) == [r for r in range(K) if r * (r * r - 1) % K == 0]

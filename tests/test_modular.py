@@ -105,6 +105,13 @@ def test_hecke_expand_recurrence_examples():
     assert h[2] == 0 and h[4] == 0 and h[8] == 0
 
 
+def test_hecke_expand_equals_the_eta_product_to_2000():
+    # reaches prime powers up to 2^10 = 1024 and composites such as 2 * 3^6 and
+    # 3 * 5^4 with a large prime-power part, which the multiplicativity pass
+    # splits off by sieve lookup
+    assert hecke_expand(2000) == eta_quotient(CUSP_FORM_ETA, 2000)
+
+
 def test_triple_agreement():
     n = 200
     eta = eta_quotient(CUSP_FORM_ETA, n)

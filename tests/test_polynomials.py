@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
 from cubesum.polynomials import INFINITY, Poly, RationalFunction
-from cubesum.rings import QOMEGA, W, ZETA, NumberFieldElement
+from cubesum.rings import QOMEGA, W, ZETA, EisensteinInt, NumberFieldElement
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -343,3 +344,24 @@ def test_poly_and_rational_function_mix_in_either_order(zero, const):
                 op(other, t)
     with pytest.raises(TypeError):
         t // f
+
+
+_T = Poly.x()
+_OPERATORS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+@pytest.mark.parametrize("value, foreign", [
+    (_T, (None, 1.5, object())),
+    (RationalFunction(_T + 1, _T * _T + 2), (None, 1.5, object())),
+    (W, (None, 1.5, object())),
+    (MultiPoly.variable(("x", "y"), "x"), (None, 1.5, object())),
+    (EisensteinInt(1, 2), (None, 1.5, object(), Fraction(1, 2))),
+], ids=["Poly", "RationalFunction", "NumberFieldElement", "MultiPoly", "EisensteinInt"])
+def test_unsupported_operand_error_names_the_operator(value, foreign):
+    # each operator returns NotImplemented for an operand it cannot take, so
+    # Python's TypeError names the operator that was used, in either order
+    for other in foreign:
+        for symbol, op in _OPERATORS.items():
+            for a, b in ((value, other), (other, value)):
+                with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+                    op(a, b)

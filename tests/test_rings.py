@@ -21,8 +21,6 @@ from cubesum.rings import (
     W,
     W_Z12,
     ZETA,
-    eisenstein_to_field,
-    omega_to_zeta12,
     polymulmod,
     represent_eisenstein,
 )
@@ -102,12 +100,6 @@ def test_omega_field():
     assert W**2 + W + QOMEGA.one() == QOMEGA.zero()
     x = QOMEGA(Fraction(2, 3), Fraction(-1, 5))
     assert x * x.inverse() == QOMEGA.one()
-
-
-def test_embeddings():
-    assert omega_to_zeta12(W) == W_Z12
-    assert eisenstein_to_field(EisensteinInt(2, -3)) == QOMEGA(2, -3)
-    assert eisenstein_to_field(SQRT_M3, QZETA12) == SQRTM3_Z12
 
 
 def _random_rationals(rng, k):
