@@ -174,12 +174,33 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 
 # --- the descent kernel ---------------------------------------------------
 #
-# Let p >= 5 be a prime with 3 not dividing v_p(x). Then v_p(N) is a multiple of
-# 3 only if p divides y or x^2 + y^2 - 1, that is, y = 0 or +-1 (mod p). Call
-# the product K(x) of these primes the cube-free kernel of x (p = 2, 3 carry no
-# information: every class is 0 or +-1). So the y <= x worth testing for one x
-# are the 3^k CRT classes modulo K(x) with y(y^2 - 1) = 0 (mod K(x)), and by the
-# symmetry of the equation K(y) must divide x(x^2 - 1) too.
+# Write N = x y (x^2 + y^2 - 1) and let p >= 5 be a prime with e = v_p(x) not a
+# multiple of 3. N is a cube only if 3 divides v_p(N) = e + v_p(y) +
+# v_p(x^2 + y^2 - 1), so p divides y or x^2 + y^2 - 1: y = 0 or +-1 (mod p).
+# When e = 1 (mod 3) the condition lifts to p^2:
+# - if p | y, then x^2 + y^2 - 1 = -1 (mod p) is a unit, so v_p(N) = e + v_p(y),
+#   and 3 | v_p(N) needs v_p(y) = 2 (mod 3): p^2 | y;
+# - otherwise p^2 | x^2 gives x^2 + y^2 - 1 = y^2 - 1 (mod p^2), so
+#   v_p(N) = e + v_p(y^2 - 1), and 3 | v_p(N) needs v_p(y^2 - 1) >= 2; the odd p
+#   divides only one of y - 1 and y + 1, so y = +-1 (mod p^2).
+# When e = 2 (mod 3), v_p(y) = 1 or v_p(y^2 - 1) = 1 is enough and the modulus
+# stays p. Call K2(x), the product of p^2 over the p >= 5 with e = 1 (mod 3) and
+# of p over those with e = 2 (mod 3), the lifted kernel of x (p = 2, 3 carry no
+# information at modulus p: every class is 0 or +-1). For p >= 5 the roots of
+# y(y^2 - 1) modulo p and p^2 are exactly 0 and +-1, so the y <= x worth testing
+# for one x are the 3^k CRT classes modulo K2(x) with y(y^2 - 1) = 0. By the
+# symmetry of the equation the cube-free kernel K(y), the product of the
+# p >= 5 with 3 not dividing v_p(y), must divide x(x^2 - 1) too.
+#
+# Rows fall in two cases by M(x), the largest prime power p^2 or p in K2(x):
+# - M(x) > x: the y <= x with y = 0, +-1 (mod M(x)) are 0 and 1, so the row holds
+#   no y >= 2 and is skipped; these are the x whose largest prime p >= 5 has
+#   p^2 > x, about 73% of rows at 2*10^4;
+# - otherwise the row walks the classes modulo K2(x) up to x. When K2(x) > x
+#   (about 19% of rows) they are built one prime power at a time, largest
+#   first, and cut at x; when K2(x) <= x (about 8%) they repeat every K2(x),
+#   walked in numpy blocks for long rows.
+# y = 1 makes N = x^3, the trivial family (x, 1, x), and is never walked.
 
 # pairs a numpy block holds: each temporary stays near 128 KB
 _BLOCK = 1 << 14
@@ -192,56 +213,113 @@ _SHORT_ROW = 128
 
 
 class _Sieve:
-    """Per-call tables up to n, int32: arith's smallest prime factors and kernels."""
+    """Per-call int32 tables up to n: arith's smallest prime factors, the
+    cube-free kernel K, the lift L, the product of the p >= 5 with v_p = 1
+    (mod 3), so that K2 = K*L, and M, capped at n + 1."""
 
     def __init__(self, n: int):
         import numpy as np
 
         spf = smallest_prime_factors(n)
-        m = np.arange(n + 1)
-        # K(m) = prod p^[3 does not divide v_p(m)]: multiply by p on the multiples
-        # of p^e with e = 1 (mod 3), divide on those with e = 0 (mod 3)
-        kern = np.ones(n + 1, dtype=np.int32)
-        for p in m[(spf == m) & (m >= 5)].tolist():
-            kern[p::p] *= p
-            q, e = p * p * p, 3
-            while q <= n:
-                if e % 3 == 0:
-                    kern[q::q] //= p
-                elif e % 3 == 1:
-                    kern[q::q] *= p
-                q, e = q * p, e + 1
-        self.spf, self.kern = spf, kern
+        kern, lift, top = (np.ones(n + 1, dtype=np.int32) for _ in range(3))
+        primes = np.flatnonzero(spf == np.arange(n + 1, dtype=np.int32))
+        primes = primes[primes >= 5]
+        small = primes[primes * primes <= n]
+        for p in small.tolist():
+            # e[i] = v_p(m) mod 3 for the multiple m = (i + 1)p: the multiples of
+            # p^v are e[p^(v-1) - 1 :: p^(v-1)]
+            e = np.ones(n // p, dtype=np.int8)
+            r, v = p, 2
+            while r * p <= n:
+                e[r - 1 :: r] = v % 3
+                r, v = r * p, v + 1
+            kern[p::p] *= np.array((1, p, p), dtype=np.int32)[e]
+            lift[p::p] *= np.array((1, p, 1), dtype=np.int32)[e]
+            t = top[p::p]
+            np.maximum(t, np.array((1, p * p, p), dtype=np.int32)[e], out=t)
+        # a prime p with p^2 > n divides each multiple m = kp <= n once and is its
+        # largest prime factor, so M(m) = p^2 > n: set them for all such p per k
+        large = primes[small.size :]
+        for k in range(1, n // int(large[0]) + 1 if large.size else 1):
+            P = large[: large.searchsorted(n // k, "right")]
+            kern[k * P] *= P
+            lift[k * P] *= P
+            top[k * P] = n + 1
+        self.spf, self.kern, self.lift, self.top = spf, kern, lift, top
 
-    def residues(self, K: int) -> list[int]:
-        """The r in [0, K) with r(r^2 - 1) = 0 mod the squarefree K, ascending."""
-        out, m = [0], 1
+    def residues(self, x: int) -> list[int]:
+        """The r in [0, K2(x)) with r <= x and r(r^2 - 1) = 0 mod K2(x),
+        ascending: all 3^k CRT classes when K2(x) <= x. K2(x) may exceed the
+        table, so its prime powers come from spf on K(x); they are taken
+        largest first, and once their product passes x the rest only filter."""
+        K, L = int(self.kern[x]), int(self.lift[x])
+        qs = []
         while K > 1:
             p = int(self.spf[K])
             K //= p
-            inv = pow(m, -1, p)
-            out = [r + m * ((e - r) * inv % p) for e in (0, 1, p - 1) for r in out]
-            m *= p
+            qs.append(p * p if L % p == 0 else p)
+        out, m = [0], 1
+        for q in sorted(qs, reverse=True):
+            if m > x:
+                out = [r for r in out if r * (r * r - 1) % q == 0]
+                continue
+            inv = pow(m, -1, q)
+            out = [r + m * ((e - r) * inv % q) for e in (0, 1, q - 1) for r in out]
+            m *= q
+            if m > x:
+                out = [r for r in out if r <= x]
         out.sort()
         return out
+
+    def rows(self, x_lo: int, x_hi: int):
+        """For each x in [x_lo, x_hi), the y with 2 <= y <= x and y(y^2 - 1) = 0
+        mod K2(x), ascending: (x, list) for a short row, (x, int64 array) per
+        block for a long one. Rows without such a y yield nothing."""
+        import numpy as np
+
+        xs = np.arange(x_lo, x_hi)
+        live = self.top[x_lo:x_hi] <= xs
+        kern2 = self.kern[x_lo:x_hi][live].astype(np.int64) * self.lift[x_lo:x_hi][live]
+        cache: dict = {}
+        for x, K in zip(xs[live].tolist(), kern2.tolist()):
+            # every row starts 0, 1 (R = [0] at K = 1, else R starts 0, 1), then
+            # come the values >= 2
+            if K > x:  # the classes up to x are the row
+                ys = self.residues(x)[2:]
+                if ys:
+                    yield x, ys
+                continue
+            R = cache.get(K)
+            if R is None:
+                R = self.residues(x)
+                if K < _CACHED_KERNEL:
+                    cache[K] = R
+            # y = r + j*K for r in R, 0 <= j <= last
+            last = x // K
+            if (last + 1) * len(R) <= _SHORT_ROW:
+                ys = [r + j for j in range(0, last * K + 1, K) for r in R if r + j <= x][2:]
+                if ys:
+                    yield x, ys
+                continue
+            Ra = np.array(R, dtype=np.int64)
+            step = max(1, _BLOCK // len(R))
+            for j in range(0, last + 1, step):
+                js = np.arange(j, min(j + step, last + 1), dtype=np.int64)
+                Y = (Ra + K * js[:, None]).ravel()
+                yield x, Y[2 if j == 0 else 0 : Y.searchsorted(x, "right")]
 
 
 def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
                     sieve: _Sieve | None = None):
     """The descent over x_lo <= x < x_hi: for each x only the y <= x in the CRT
-    classes of K(x), then K(y) | x(x^2 - 1), the cubic-residue masks, and an
+    classes of K2(x), then K(y) | x(x^2 - 1), the cubic-residue masks, and an
     exact cube test for every survivor. Finds what _search_y_range finds."""
     import numpy as np
 
     sieve = sieve or _Sieve(bound)
     kern = sieve.kern
     masks = [np.frombuffer(m, dtype=np.uint8) for m in _MASKS]
-    # every x's candidate row starts 0, 1 (R = [0] at K = 1, else R starts
-    # 0, 1), then values >= 2: dropping y_min entries drops y = 0 and, unless
-    # the trivial family is wanted, y = 1
-    y_min = 1 if include_trivial else 2
-    cache: dict = {}
-    out: list[tuple[int, int, int]] = []
+    out = [(x, 1, x) for x in range(x_lo, x_hi)] if include_trivial else []
     # pending pairs: short rows as Python ints, long rows as (x, y array)
     px: list[int] = []
     py: list[int] = []
@@ -267,33 +345,15 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
         for x, y in zip(X.tolist(), Y.tolist()):
             r, exact = icbrt(x * y * (x * x + y * y - 1))
             if exact:
-                if r == 0 and not include_trivial:
-                    continue
                 out.append((x, y, r))
 
-    for x, K in zip(range(x_lo, x_hi), kern[x_lo:x_hi].tolist()):
-        R = cache.get(K)
-        if R is None:
-            R = sieve.residues(K)
-            if K < _CACHED_KERNEL:
-                cache[K] = R
-        last = x // K  # y = r + j*K for r in R, 0 <= j <= last
-        if (last + 1) * len(R) <= _SHORT_ROW:
-            ys = [r + j for j in range(0, last * K + 1, K) for r in R if r + j <= x]
-            px.extend([x] * (len(ys) - y_min))
-            py.extend(ys[y_min:])
-            pending += len(ys) - y_min
+    for x, Y in sieve.rows(x_lo, x_hi):
+        if isinstance(Y, list):
+            px.extend([x] * len(Y))
+            py.extend(Y)
         else:
-            Ra = np.array(R, dtype=np.int64)
-            step = max(1, _BLOCK // len(R))
-            for j in range(0, last + 1, step):
-                js = np.arange(j, min(j + step, last + 1), dtype=np.int64)
-                Y = (Ra + K * js[:, None]).ravel()
-                Y = Y[y_min if j == 0 else 0 : Y.searchsorted(x, "right")]
-                rows.append((x, Y))
-                pending += Y.size
-                if pending >= _BLOCK:
-                    flush()
+            rows.append((x, Y))
+        pending += len(Y)
         if pending >= _BLOCK:
             flush()
     if pending:
@@ -321,8 +381,9 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
     dropped. method "numpy" is the descent over x that tests only the y
-    allowed by the cube-free kernels of x and y; "pure" scans every box pair
-    y by y in one process and is the oracle the descent is tested against.
+    allowed by the lifted kernel of x and the cube-free kernel of y; "pure"
+    scans every box pair y by y in one process and is the oracle the descent
+    is tested against.
     jobs > 1 splits the x range into strips that worker processes pull as
     they finish; results are merged and sorted, so the output is
     deterministic either way.

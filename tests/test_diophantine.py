@@ -1,5 +1,10 @@
+import random
+from collections import Counter
+from math import prod
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubesum.arith import primes_up_to
@@ -7,6 +12,7 @@ from cubesum.diophantine import (
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
+    _search_x_range,
     _Sieve,
     apply_symmetry,
     canonical_form,
@@ -19,6 +25,7 @@ from cubesum.diophantine import (
     symmetry_group,
     xyz_to_mkl,
 )
+from reference_search import row_solutions
 
 family_u = st.integers(-50, 50).filter(lambda u: u % 3 != 0 and u not in (-1, 0, 1))
 
@@ -184,34 +191,136 @@ def _valuation(n, p):
 
 
 def test_cube_free_support_lemma_on_the_oracle(pure_3000):
-    # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and the
-    # same with x and y swapped: the descent tests only such pairs
+    # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and mod
+    # p^2 when v_p(x) = 1 (mod 3); the same with x and y swapped: the descent
+    # tests only such pairs
     primes = [p for p in primes_up_to(3000) if p >= 5]
     sols = pure_3000[True]
     assert len(sols) > 3000  # the trivial family is in
+    lifted = 0
     for s in sols:
         for a, b in ((s.x, s.y), (s.y, s.x)):
             for p in primes:
                 if a % p == 0 and _valuation(a, p) % 3:
                     assert b % p in (0, 1, p - 1), (s, p)
+                    if _valuation(a, p) % 3 == 1:
+                        assert b % (p * p) in (0, 1, p * p - 1), (s, p)
+                        lifted += b > 1
+    assert lifted >= 10  # not only the trivial family meets the lifted test
+
+
+@st.composite
+def _lifted_counterexample_candidates(draw):
+    # x with v_p(x) = 1 (mod 3), y not in {0, +-1} (mod p^2); y is often drawn
+    # in the classes 0, +-1 (mod p), where the condition mod p still holds
+    p = draw(st.sampled_from([p for p in primes_up_to(200) if p >= 5]))
+    u = draw(st.integers(1, 10**6).filter(lambda u: u % p))
+    x = p ** (3 * draw(st.integers(0, 2)) + 1) * u
+    c = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, p - 1)))
+    y = (draw(st.integers(0, 10**6)) * p + draw(st.integers(0, p - 1))) * p + c
+    assume(y > 0 and y % (p * p) not in (0, 1, p * p - 1))
+    return x, y, p
+
+
+@given(_lifted_counterexample_candidates())
+def test_lifted_valuation_is_not_a_multiple_of_3(case):
+    x, y, p = case
+    assert _valuation(x * y * (x * x + y * y - 1), p) % 3 != 0
+
+
+def _factor(m):
+    out, d = {}, 2
+    while d * d <= m:
+        if m % d == 0:
+            out[d] = _valuation(m, d)
+            m //= d ** out[d]
+        d += 1
+    if m > 1:
+        out[m] = 1
+    return out
+
+
+def _lifted(m):
+    """K(m), K2(m) and M(m) by trial division, reading no sieve."""
+    kernel, powers = 1, [1]
+    for p, v in _factor(m).items():
+        if p >= 5 and v % 3:
+            kernel *= p
+            powers.append(p ** (3 - v % 3))
+    return kernel, prod(powers), max(powers)
+
+
+def _roots_mod(K2, upto):
+    r = np.arange(min(K2, upto + 1), dtype=np.int64)
+    return r[r * (r * r - 1) % K2 == 0].tolist()
 
 
 def test_sieve_tables_match_trial_division():
-    # the kernel oracle factors m by trial division, reading no sieve
     n = 3000
     sieve = _Sieve(n)
-    for m in range(2, n + 1):
-        kernel, rest, d = 1, m, 2
-        while rest > 1:
-            if rest % d == 0:
-                v = _valuation(rest, d)
-                if d >= 5 and v % 3:
-                    kernel *= d
-                rest //= d**v
-            d += 1
-        assert sieve.kern[m] == kernel, m
-    for K in (1, 5, 7, 35, 385, 455, 1001, 2431):
-        assert sieve.residues(K) == [r for r in range(K) if r * (r * r - 1) % K == 0]
+    for m in range(1, n + 1):
+        K, K2, M = _lifted(m)
+        got = (sieve.kern[m], sieve.kern[m] * sieve.lift[m], sieve.top[m])
+        assert got == (K, K2, min(M, n + 1)), m
+        # every root of y(y^2 - 1) mod K2 when K2 <= m, else the roots up to m
+        assert sieve.residues(m) == _roots_mod(K2, m), m
+
+
+def _brute_row(x):
+    K2 = _lifted(x)[1]
+    ys = np.arange(2, x + 1, dtype=np.int64)
+    return ys[ys * (ys * ys - 1) % K2 == 0].tolist()
+
+
+def _largest_prime_is_cubed(x):
+    f = _factor(x)
+    p = max(f, default=0)
+    return p >= 5 and f[p] % 3 == 0
+
+
+def _branch(x):
+    _, K2, M = _lifted(x)
+    return "skipped" if M > x else "K2 > x" if K2 > x else "K2 <= x"
+
+
+def test_rows_match_brute_force():
+    # one pass over every x <= 3000, then single rows up to 2*10^5; short rows
+    # are lists, long ones numpy blocks, 2^17 spans several blocks
+    sieve = _Sieve(3000)
+    got = {}
+    for x, Y in sieve.rows(1, 3001):
+        got.setdefault(x, []).extend(int(y) for y in Y)
+    xs = list(range(1, 3001))
+    for x in xs:
+        assert got.get(x, []) == _brute_row(x), x
+    big = _Sieve(2 * 10**5)
+    rng = random.Random(2026)
+    extra = [2**17, 5 * 7**3 * 64, 11**3 * 13, 5 * 7 * 11 * 13 * 17]
+    for x in extra + [rng.randrange(3001, 2 * 10**5) for _ in range(200)]:
+        row = [int(y) for _, Y in big.rows(x, x + 1) for y in Y]
+        assert row == _brute_row(x), x
+        xs.append(x)
+    branches = Counter(_branch(x) for x in xs)
+    assert min(branches[b] for b in ("skipped", "K2 > x", "K2 <= x")) >= 50, branches
+    # rows whose largest prime p >= 5 has 3 | v_p(x), so M comes from a smaller prime
+    assert sum(_largest_prime_is_cubed(x) for x in xs) >= 5
+
+
+def test_descent_rows_match_the_lemma_free_scan():
+    # the heaviest rows, K2(x) = 1, where the descent walks every y; rows that
+    # hold census solutions; and seeded random rows, most of them skipped
+    sieve = _Sieve(10**6)
+    heaviest = np.nonzero(sieve.kern == 1)[0][-8:].tolist()
+    with_solutions = [85340, 223109, 348843, 555025, 694083, 852267, 940800, 991875]
+    rng = random.Random(1729)
+    rows = heaviest + with_solutions + [rng.randrange(10**5, 10**6) for _ in range(8)]
+    assert len(set(rows)) == 24 and heaviest[0] > 9 * 10**5
+    found = 0
+    for x in rows:
+        expected = row_solutions(x)
+        assert _search_x_range(10**6, x, x + 1, False, sieve) == expected, x
+        found += len(expected)
+    assert found >= 9  # 555025 holds two
 
 
 def test_pagliani_examples():
