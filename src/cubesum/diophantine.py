@@ -10,6 +10,7 @@ x and y have opposite parity and z is even.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from .arith import cube_sum_range, icbrt, smallest_prime_factors
@@ -141,20 +142,20 @@ def canonical_form(sol: SolutionXYZ) -> SolutionXYZ:
 _FILTER_MODULI = (63 * 13 * 19, 31 * 37 * 43, 61 * 67)
 
 
-def _cube_mask(mod: int) -> bytes:
-    mask = bytearray(mod)
-    for r in range(mod):
-        mask[r * r * r % mod] = 1
-    return bytes(mask)
-
-
-_MASKS = tuple(_cube_mask(m) for m in _FILTER_MODULI)
+@cache
+def _masks() -> tuple[bytes, ...]:
+    """The cubic residues modulo each filter modulus, built on first use."""
+    masks = tuple(bytearray(mod) for mod in _FILTER_MODULI)
+    for mod, mask in zip(_FILTER_MODULI, masks):
+        for r in range(mod):
+            mask[r * r * r % mod] = 1
+    return tuple(map(bytes, masks))
 
 
 def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
     """The box scan: every (x, y) with y_lo <= y < y_hi and y <= x <= bound."""
     m1, m2 = _FILTER_MODULI[:2]
-    k1, k2 = _MASKS[:2]
+    k1, k2 = _masks()[:2]
     out = []
     for y in range(y_lo, y_hi):
         if y == 1 and not include_trivial:
@@ -174,57 +175,83 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 
 # --- the descent kernel ---------------------------------------------------
 #
-# Write N = x y (x^2 + y^2 - 1) and let p >= 5 be a prime with e = v_p(x) not a
+# Write N = x y (x^2 + y^2 - 1) and let p be a prime with e = v_p(x) not a
 # multiple of 3. N is a cube only if 3 divides v_p(N) = e + v_p(y) +
 # v_p(x^2 + y^2 - 1), so p divides y or x^2 + y^2 - 1: y = 0 or +-1 (mod p).
 # When e = 1 (mod 3) the condition lifts to p^2:
 # - if p | y, then x^2 + y^2 - 1 = -1 (mod p) is a unit, so v_p(N) = e + v_p(y),
 #   and 3 | v_p(N) needs v_p(y) = 2 (mod 3): p^2 | y;
 # - otherwise p^2 | x^2 gives x^2 + y^2 - 1 = y^2 - 1 (mod p^2), so
-#   v_p(N) = e + v_p(y^2 - 1), and 3 | v_p(N) needs v_p(y^2 - 1) >= 2; the odd p
-#   divides only one of y - 1 and y + 1, so y = +-1 (mod p^2).
-# When e = 2 (mod 3), v_p(y) = 1 or v_p(y^2 - 1) = 1 is enough and the modulus
-# stays p. Call K2(x), the product of p^2 over the p >= 5 with e = 1 (mod 3) and
-# of p over those with e = 2 (mod 3), the lifted kernel of x (p = 2, 3 carry no
-# information at modulus p: every class is 0 or +-1). For p >= 5 the roots of
-# y(y^2 - 1) modulo p and p^2 are exactly 0 and +-1, so the y <= x worth testing
-# for one x are the 3^k CRT classes modulo K2(x) with y(y^2 - 1) = 0. By the
-# symmetry of the equation the cube-free kernel K(y), the product of the
-# p >= 5 with 3 not dividing v_p(y), must divide x(x^2 - 1) too.
+#   v_p(N) = e + v_p(y^2 - 1), and 3 | v_p(N) needs v_p(y^2 - 1) >= 2. An odd p
+#   divides only one of y - 1 and y + 1, so y = +-1 (mod p^2); for p = 2 every
+#   odd y is +-1 (mod 4).
+# When e = 2 (mod 3), v_p(y) = 1 or v_p(y^2 - 1) = 1 is enough: the modulus
+# stays p, no condition at all for p = 2, 3. The lifted kernel K2(x) is the
+# product of p^2 over the p with e = 1 (mod 3) and of p over the p >= 5 with
+# e = 2 (mod 3). Modulo each of its prime powers (4, 9, p, p^2) the roots of
+# y(y^2 - 1) are exactly 0 and +-1, so the y <= x worth testing are the 3^k
+# CRT classes modulo K2(x) with y(y^2 - 1) = 0. By symmetry the cube-free
+# kernel K(y), the product of the p >= 5 with 3 not dividing v_p(y), must
+# divide x(x^2 - 1) too (p = 2, 3 always divide it).
 #
-# Rows fall in two cases by M(x), the largest prime power p^2 or p in K2(x):
-# - M(x) > x: the y <= x with y = 0, +-1 (mod M(x)) are 0 and 1, so the row holds
-#   no y >= 2 and is skipped; these are the x whose largest prime p >= 5 has
-#   p^2 > x, about 73% of rows at 2*10^4;
-# - otherwise the row walks the classes modulo K2(x) up to x. When K2(x) > x
-#   (about 19% of rows) they are built one prime power at a time, largest
-#   first, and cut at x; when K2(x) <= x (about 8%) they repeat every K2(x),
-#   walked in numpy blocks for long rows.
-# y = 1 makes N = x^3, the trivial family (x, 1, x), and is never walked.
+# Let M(x) >= M2(x) be the two largest prime powers of K2(x) (1 if absent) and
+# R(x) = K2(x) / (M M2) the rest. When M(x) > x the classes modulo M below x
+# are 0 and 1, so the row holds no y >= 2 and is skipped: about 73% of rows.
+# The other rows of a strip walk, in one numpy walk, y = c + jP up to x over
+# the 9 CRT classes c of 0, +-1 modulo M and modulo M2 (3 when M2 = 1, the
+# class 0 when M = 1), P = M M2, and keep the y with y(y^2 - 1) = 0 mod R.
+# y = 1 gives N = x^3, the trivial family (x, 1, x), and is never walked.
+#
+# Overflow: y % R <= y <= x, so the residual product stays below x R, which
+# int64 holds while x R < 2^63 (y^2 fits: the int32 tables keep x < 2^31).
+# Giving every prime of x the exponent 1 makes x smaller and R no smaller (K2
+# keeps its p^2 or gains one), so the least x with R > 3.04*10^9 is
+# squarefree: x = s p p' with R = s^2 and p < p' the two primes after those
+# of s. Over the subsets of the primes up to 23 (larger ones give
+# x > 55137*31*37) it is 2*3*5*11*13*17*19*23 = 31,870,410, and below it
+# x R < 10^17. Every strip checks its largest x R and raises OverflowError
+# where that could reach 2^63.
 
-# pairs a numpy block holds: each temporary stays near 128 KB
+# walks are cut into pieces of at most _BLOCK pairs, and a block holds the
+# pieces that start in one window of _BLOCK: under 2*_BLOCK pairs, so each
+# temporary stays under 256 KB
 _BLOCK = 1 << 14
-# residue sets of kernels below this are kept for the rest of the strip: those
-# kernels recur at many x, larger ones at few
-_CACHED_KERNEL = 4096
-# rows of at most this many candidates are built in Python: below it numpy's
-# per-call overhead costs more than it saves
-_SHORT_ROW = 128
+# rows a strip walks at once
+_STRIP = 2048
+_INT64_MAX = 2**63 - 1
+
+
+def _inverse(a, m):
+    """a^-1 mod m elementwise for coprime int64 arrays, 0 where m = 1 (as
+    pow(a, -1, 1)): extended Euclid on the entries still running."""
+    import numpy as np
+
+    inv = np.zeros_like(m)
+    i = np.arange(m.size)
+    r0, r1, t0, t1 = m, a % m, np.zeros_like(m), np.ones_like(m)
+    while i.size:
+        done = r1 == 0
+        inv[i[done]] = t0[done]
+        run = ~done
+        i, r0, r1, t0, t1 = i[run], r0[run], r1[run], t0[run], t1[run]
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return inv % m
 
 
 class _Sieve:
-    """Per-call int32 tables up to n: arith's smallest prime factors, the
-    cube-free kernel K, the lift L, the product of the p >= 5 with v_p = 1
-    (mod 3), so that K2 = K*L, and M, capped at n + 1."""
+    """Per-call int32 tables up to n, built from arith's smallest prime
+    factors: the cube-free kernel K, the lift L with K2 = K*L (the p >= 5 with
+    v_p = 1 (mod 3), and 4 or 9 when v_2 or v_3 is), and M and M2, M capped at
+    n + 1."""
 
     def __init__(self, n: int):
         import numpy as np
 
-        spf = smallest_prime_factors(n)
-        kern, lift, top = (np.ones(n + 1, dtype=np.int32) for _ in range(3))
-        primes = np.flatnonzero(spf == np.arange(n + 1, dtype=np.int32))
-        primes = primes[primes >= 5]
-        small = primes[primes * primes <= n]
+        # spf[m] = m at the primes and at 0; spf is freed before the tables exist
+        primes = np.flatnonzero(smallest_prime_factors(n) == np.arange(n + 1, dtype=np.int32))[1:]
+        kern, lift, top, second = (np.ones(n + 1, dtype=np.int32) for _ in range(4))
+        small = primes[(primes * primes <= n) | (primes < 5)]
         for p in small.tolist():
             # e[i] = v_p(m) mod 3 for the multiple m = (i + 1)p: the multiples of
             # p^v are e[p^(v-1) - 1 :: p^(v-1)]
@@ -233,80 +260,78 @@ class _Sieve:
             while r * p <= n:
                 e[r - 1 :: r] = v % 3
                 r, v = r * p, v + 1
-            kern[p::p] *= np.array((1, p, p), dtype=np.int32)[e]
-            lift[p::p] *= np.array((1, p, 1), dtype=np.int32)[e]
-            t = top[p::p]
-            np.maximum(t, np.array((1, p * p, p), dtype=np.int32)[e], out=t)
-        # a prime p with p^2 > n divides each multiple m = kp <= n once and is its
-        # largest prime factor, so M(m) = p^2 > n: set them for all such p per k
+            # by e: the prime power of K2 and the factors of K and L
+            q = np.array((1, p * p, p if p >= 5 else 1), dtype=np.int32)[e]
+            if p >= 5:
+                kern[p::p] *= np.array((1, p, p), dtype=np.int32)[e]
+                lift[p::p] *= np.array((1, p, 1), dtype=np.int32)[e]
+            else:
+                lift[p::p] *= q
+            t, s = top[p::p], second[p::p]
+            np.maximum(s, np.minimum(t, q), out=s)
+            np.maximum(t, q, out=t)
+        # a prime p >= 5 with p^2 > n divides each multiple m = kp <= n once and
+        # is its largest prime factor, so M(m) = p^2 > n: all such p per k
         large = primes[small.size :]
         for k in range(1, n // int(large[0]) + 1 if large.size else 1):
             P = large[: large.searchsorted(n // k, "right")]
-            kern[k * P] *= P
-            lift[k * P] *= P
-            top[k * P] = n + 1
-        self.spf, self.kern, self.lift, self.top = spf, kern, lift, top
+            m = k * P
+            kern[m] *= P
+            lift[m] *= P
+            second[m] = top[m]
+            top[m] = n + 1
+        self.kern, self.lift, self.top, self.second = kern, lift, top, second
 
-    def residues(self, x: int) -> list[int]:
-        """The r in [0, K2(x)) with r <= x and r(r^2 - 1) = 0 mod K2(x),
-        ascending: all 3^k CRT classes when K2(x) <= x. K2(x) may exceed the
-        table, so its prime powers come from spf on K(x); they are taken
-        largest first, and once their product passes x the rest only filter."""
-        K, L = int(self.kern[x]), int(self.lift[x])
-        qs = []
-        while K > 1:
-            p = int(self.spf[K])
-            K //= p
-            qs.append(p * p if L % p == 0 else p)
-        out, m = [0], 1
-        for q in sorted(qs, reverse=True):
-            if m > x:
-                out = [r for r in out if r * (r * r - 1) % q == 0]
-                continue
-            inv = pow(m, -1, q)
-            out = [r + m * ((e - r) * inv % q) for e in (0, 1, q - 1) for r in out]
-            m *= q
-            if m > x:
-                out = [r for r in out if r <= x]
-        out.sort()
-        return out
-
-    def rows(self, x_lo: int, x_hi: int):
-        """For each x in [x_lo, x_hi), the y with 2 <= y <= x and y(y^2 - 1) = 0
-        mod K2(x), ascending: (x, list) for a short row, (x, int64 array) per
-        block for a long one. Rows without such a y yield nothing."""
+    def pairs(self, x_lo: int, x_hi: int):
+        """The (x, y) with x_lo <= x < x_hi, 2 <= y <= x and y(y^2 - 1) = 0
+        mod K2(x), as int64 arrays X, Y of fewer than 2*_BLOCK pairs each."""
         import numpy as np
 
-        xs = np.arange(x_lo, x_hi)
-        live = self.top[x_lo:x_hi] <= xs
-        kern2 = self.kern[x_lo:x_hi][live].astype(np.int64) * self.lift[x_lo:x_hi][live]
-        cache: dict = {}
-        for x, K in zip(xs[live].tolist(), kern2.tolist()):
-            # every row starts 0, 1 (R = [0] at K = 1, else R starts 0, 1), then
-            # come the values >= 2
-            if K > x:  # the classes up to x are the row
-                ys = self.residues(x)[2:]
-                if ys:
-                    yield x, ys
-                continue
-            R = cache.get(K)
-            if R is None:
-                R = self.residues(x)
-                if K < _CACHED_KERNEL:
-                    cache[K] = R
-            # y = r + j*K for r in R, 0 <= j <= last
-            last = x // K
-            if (last + 1) * len(R) <= _SHORT_ROW:
-                ys = [r + j for j in range(0, last * K + 1, K) for r in R if r + j <= x][2:]
-                if ys:
-                    yield x, ys
-                continue
-            Ra = np.array(R, dtype=np.int64)
-            step = max(1, _BLOCK // len(R))
-            for j in range(0, last + 1, step):
-                js = np.arange(j, min(j + step, last + 1), dtype=np.int64)
-                Y = (Ra + K * js[:, None]).ravel()
-                yield x, Y[2 if j == 0 else 0 : Y.searchsorted(x, "right")]
+        for lo in range(x_lo, x_hi, _STRIP):
+            hi = min(lo + _STRIP, x_hi)
+            x = np.flatnonzero(self.top[lo:hi] <= np.arange(lo, hi)) + lo
+            M, M2 = self.top[x].astype(np.int64), self.second[x].astype(np.int64)
+            P = M * M2
+            R = self.kern[x] * self.lift[x].astype(np.int64) // P
+            if (hi - 1) * int(R.max(initial=1)) > _INT64_MAX:
+                raise OverflowError(f"x * R(x) may reach 2^63 in [{lo}, {hi})")
+            # e = 0 (mod M), 1 (mod M2), so c = a (mod M), b (mod M2); the
+            # classes (a, b) = (0, 0), (1, 0), (-1, 0), (0, 1), ... in this
+            # order, so M2 = 1 keeps the first 3 and M = 1 the first
+            e = M * _inverse(M, M2)
+            a, b = np.array((0, 1, -1) * 3)[:, None], np.repeat((0, 1, -1), 3)[:, None]
+            c = (a + (b - a) * e) % P
+            used = np.arange(9)[:, None] < np.where(M == 1, 1, np.where(M2 == 1, 3, 9))
+            w = np.nonzero(used)[1]
+            c, x, P, R = c[used], x[w], P[w], R[w]
+            # each class walks start, start + P, ... up to x from its least y >= 2
+            start = c - P * ((c - 2) // P)
+            n = (x - start) // P + 1
+            w = n > 0
+            x, P, R, start, n = x[w], P[w], R[w], start[w], n[w]
+            # walks longer than a block are cut into pieces of at most _BLOCK
+            k = (n - 1) // _BLOCK + 1
+            if k.max(initial=0) > 1:
+                w = np.repeat(np.arange(n.size), k)
+                j = (np.arange(w.size) - np.repeat(np.cumsum(k) - k, k)) * _BLOCK
+                x, P, R, start, n = x[w], P[w], R[w], start[w] + j * P[w], np.minimum(n[w] - j, _BLOCK)
+            at = np.cumsum(n) - n
+            stop = start + (n - 1) * P
+            cuts = np.flatnonzero(np.diff(at // _BLOCK, prepend=-1)).tolist() + [n.size]
+            for u, v in zip(cuts, cuts[1:]):
+                # y as a cumulative sum of steps: P inside a walk, and at its
+                # start the jump from the end of the walk before
+                Y = np.repeat(P[u:v], n[u:v])
+                Y[at[u:v] - at[u]] = start[u:v] - np.concatenate(([0], stop[u : v - 1]))
+                np.cumsum(Y, out=Y)
+                X = np.repeat(x[u:v], n[u:v])
+                Rp = np.repeat(R[u:v], n[u:v])
+                big = Rp > 1
+                if big.any():
+                    y, r = Y[big], Rp[big]
+                    big[big] = (y % r) * ((y * y - 1) % r) % r != 0
+                    X, Y = X[~big], Y[~big]
+                yield X, Y
 
 
 def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
@@ -318,23 +343,9 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
 
     sieve = sieve or _Sieve(bound)
     kern = sieve.kern
-    masks = [np.frombuffer(m, dtype=np.uint8) for m in _MASKS]
+    masks = [np.frombuffer(m, dtype=np.uint8) for m in _masks()]
     out = [(x, 1, x) for x in range(x_lo, x_hi)] if include_trivial else []
-    # pending pairs: short rows as Python ints, long rows as (x, y array)
-    px: list[int] = []
-    py: list[int] = []
-    rows: list = []
-    pending = 0
-
-    def flush():
-        nonlocal pending
-        X = np.concatenate([np.array(px, dtype=np.int64)]
-                           + [np.full(Y.size, x, dtype=np.int64) for x, Y in rows])
-        Y = np.concatenate([np.array(py, dtype=np.int64)] + [Y for _, Y in rows])
-        px.clear()
-        py.clear()
-        rows.clear()
-        pending = 0
+    for X, Y in sieve.pairs(x_lo, x_hi):
         ky = kern[Y]
         keep = (X % ky) * ((X * X - 1) % ky) % ky == 0
         X, Y = X[keep], Y[keep]
@@ -346,18 +357,6 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
             r, exact = icbrt(x * y * (x * x + y * y - 1))
             if exact:
                 out.append((x, y, r))
-
-    for x, Y in sieve.rows(x_lo, x_hi):
-        if isinstance(Y, list):
-            px.extend([x] * len(Y))
-            py.extend(Y)
-        else:
-            rows.append((x, Y))
-        pending += len(Y)
-        if pending >= _BLOCK:
-            flush()
-    if pending:
-        flush()
     return out
 
 
@@ -380,10 +379,11 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
-    dropped. method "numpy" is the descent over x that tests only the y
-    allowed by the lifted kernel of x and the cube-free kernel of y; "pure"
-    scans every box pair y by y in one process and is the oracle the descent
-    is tested against.
+    dropped. method "numpy" is the descent over x: one numpy walk per strip of
+    rows over the classes y = 0, +-1 modulo the two largest prime powers of
+    the lifted kernel of x (4 and 9 among them), filtered exactly by the rest
+    of it and by the cube-free kernel of y; "pure" scans every box pair y by
+    y in one process and is the oracle the descent is tested against.
     jobs > 1 splits the x range into strips that worker processes pull as
     they finish; results are merged and sorted, so the output is
     deterministic either way.

@@ -1,17 +1,21 @@
 import random
 from collections import Counter
-from math import prod
+from itertools import combinations
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubesum import diophantine
 from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
+    _BLOCK,
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
+    _inverse,
     _search_x_range,
     _Sieve,
     apply_symmetry,
@@ -191,29 +195,32 @@ def _valuation(n, p):
 
 
 def test_cube_free_support_lemma_on_the_oracle(pure_3000):
-    # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and mod
-    # p^2 when v_p(x) = 1 (mod 3); the same with x and y swapped: the descent
-    # tests only such pairs
-    primes = [p for p in primes_up_to(3000) if p >= 5]
+    # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and any
+    # p with v_p(x) = 1 (mod 3) forces it mod p^2: y mod 4 in {0, 1, 3}, y mod 9
+    # in {0, 1, 8}; the same with x and y swapped: the descent tests only such
+    # pairs
+    primes = primes_up_to(3000)
     sols = pure_3000[True]
     assert len(sols) > 3000  # the trivial family is in
-    lifted = 0
+    lifted = Counter()
     for s in sols:
         for a, b in ((s.x, s.y), (s.y, s.x)):
             for p in primes:
-                if a % p == 0 and _valuation(a, p) % 3:
+                v = _valuation(a, p) % 3
+                if v and p >= 5:
                     assert b % p in (0, 1, p - 1), (s, p)
-                    if _valuation(a, p) % 3 == 1:
-                        assert b % (p * p) in (0, 1, p * p - 1), (s, p)
-                        lifted += b > 1
-    assert lifted >= 10  # not only the trivial family meets the lifted test
+                if v == 1:
+                    assert b % (p * p) in (0, 1, p * p - 1), (s, p)
+                    lifted[min(p, 5)] += b > 1
+    # not only the trivial family meets the lifted test, at 2, at 3 and above
+    assert min(lifted[2], lifted[3], lifted[5]) >= 4, lifted
 
 
 @st.composite
 def _lifted_counterexample_candidates(draw):
     # x with v_p(x) = 1 (mod 3), y not in {0, +-1} (mod p^2); y is often drawn
     # in the classes 0, +-1 (mod p), where the condition mod p still holds
-    p = draw(st.sampled_from([p for p in primes_up_to(200) if p >= 5]))
+    p = draw(st.sampled_from(primes_up_to(200)))
     u = draw(st.integers(1, 10**6).filter(lambda u: u % p))
     x = p ** (3 * draw(st.integers(0, 2)) + 1) * u
     c = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, p - 1)))
@@ -241,35 +248,49 @@ def _factor(m):
 
 
 def _lifted(m):
-    """K(m), K2(m) and M(m) by trial division, reading no sieve."""
-    kernel, powers = 1, [1]
+    """K(m), the prime powers of K2(m), and M(m) >= M2(m), the largest two
+    (1 if absent), by trial division, reading no sieve."""
+    kernel, powers = 1, []
     for p, v in _factor(m).items():
         if p >= 5 and v % 3:
             kernel *= p
+        if v % 3 == 1 or (p >= 5 and v % 3 == 2):
             powers.append(p ** (3 - v % 3))
-    return kernel, prod(powers), max(powers)
-
-
-def _roots_mod(K2, upto):
-    r = np.arange(min(K2, upto + 1), dtype=np.int64)
-    return r[r * (r * r - 1) % K2 == 0].tolist()
+    M, M2 = (sorted(powers, reverse=True) + [1, 1])[:2]
+    return kernel, powers, M, M2
 
 
 def test_sieve_tables_match_trial_division():
-    n = 3000
-    sieve = _Sieve(n)
-    for m in range(1, n + 1):
-        K, K2, M = _lifted(m)
-        got = (sieve.kern[m], sieve.kern[m] * sieve.lift[m], sieve.top[m])
-        assert got == (K, K2, min(M, n + 1)), m
-        # every root of y(y^2 - 1) mod K2 when K2 <= m, else the roots up to m
-        assert sieve.residues(m) == _roots_mod(K2, m), m
+    for n in [*range(1, 30), 3000]:
+        sieve = _Sieve(n)
+        for m in range(1, n + 1):
+            K, powers, M, M2 = _lifted(m)
+            got = (sieve.kern[m], sieve.kern[m] * sieve.lift[m], min(sieve.top[m], n + 1), sieve.second[m])
+            assert got == (K, prod(powers), min(M, n + 1), M2), (n, m)
 
 
 def _brute_row(x):
-    K2 = _lifted(x)[1]
-    ys = np.arange(2, x + 1, dtype=np.int64)
-    return ys[ys * (ys * ys - 1) % K2 == 0].tolist()
+    """The 2 <= y <= x with y = 0, 1 or -1 mod every prime power of K2(x)."""
+    powers = _lifted(x)[1]
+    out = []
+    for lo in range(2, x + 1, 10**6):
+        ys = np.arange(lo, min(lo + 10**6, x + 1), dtype=np.int64)
+        for q in powers:
+            r = ys % q
+            ys = ys[(r == 0) | (r == 1) | (r == q - 1)]
+        out += ys.tolist()
+    return out
+
+
+def _rows(sieve, x_lo, x_hi):
+    """The pairs the sieve walks, by row: {x: sorted y}, {x: blocks it spans}."""
+    rows, blocks = {}, Counter()
+    for X, Y in sieve.pairs(x_lo, x_hi):
+        assert X.size == Y.size < 2 * _BLOCK
+        for x in set(X.tolist()):
+            rows.setdefault(x, []).extend(Y[X == x].tolist())
+            blocks[x] += 1
+    return {x: sorted(ys) for x, ys in rows.items()}, blocks
 
 
 def _largest_prime_is_cubed(x):
@@ -279,38 +300,90 @@ def _largest_prime_is_cubed(x):
 
 
 def _branch(x):
-    _, K2, M = _lifted(x)
-    return "skipped" if M > x else "K2 > x" if K2 > x else "K2 <= x"
+    _, powers, M, M2 = _lifted(x)
+    if M > x:
+        return "skipped"
+    return "M = 1" if M == 1 else "M2 = 1" if M2 == 1 else "R = 1" if prod(powers) == M * M2 else "R > 1"
 
 
 def test_rows_match_brute_force():
-    # one pass over every x <= 3000, then single rows up to 2*10^5; short rows
-    # are lists, long ones numpy blocks, 2^17 spans several blocks
-    sieve = _Sieve(3000)
-    got = {}
-    for x, Y in sieve.rows(1, 3001):
-        got.setdefault(x, []).extend(int(y) for y in Y)
+    # every row at bounds 1..29 and x <= 3000 in one call, then single rows up
+    # to 2*10^5; 2^17 has K2 = 1, and its one walk is cut into 2^17 / _BLOCK pieces
+    for n in range(1, 30):
+        assert _rows(_Sieve(n), 1, n + 1)[0] == {x: row for x in range(1, n + 1) if (row := _brute_row(x))}
+    got, blocks = _rows(_Sieve(3000), 1, 3001)
     xs = list(range(1, 3001))
     for x in xs:
         assert got.get(x, []) == _brute_row(x), x
+    assert max(blocks.values()) >= 2  # a row split between blocks
     big = _Sieve(2 * 10**5)
     rng = random.Random(2026)
-    extra = [2**17, 5 * 7**3 * 64, 11**3 * 13, 5 * 7 * 11 * 13 * 17]
+    extra = [2**17, 5 * 7**3 * 64, 11**3 * 13, 5 * 7 * 11 * 13 * 17, 2 * 3 * 5 * 7 * 11 * 13]
     for x in extra + [rng.randrange(3001, 2 * 10**5) for _ in range(200)]:
-        row = [int(y) for _, Y in big.rows(x, x + 1) for y in Y]
-        assert row == _brute_row(x), x
+        assert _rows(big, x, x + 1)[0].get(x, []) == _brute_row(x), x
         xs.append(x)
+    assert _rows(big, 2**17, 2**17 + 1)[1][2**17] == 2**17 // _BLOCK
     branches = Counter(_branch(x) for x in xs)
-    assert min(branches[b] for b in ("skipped", "K2 > x", "K2 <= x")) >= 50, branches
-    # rows whose largest prime p >= 5 has 3 | v_p(x), so M comes from a smaller prime
+    assert min(branches[b] for b in ("skipped", "M2 = 1", "R = 1", "R > 1")) >= 50, branches
+    assert branches["M = 1"] >= 10, branches
+    # rows whose largest prime p has 3 | v_p(x), so M comes from a smaller prime
     assert sum(_largest_prime_is_cubed(x) for x in xs) >= 5
+
+
+@pytest.mark.extended
+def test_rows_match_brute_force_up_to_1e7():
+    # the sieve at 10^7 takes about 200 MB; seeded rows, and rows of each branch
+    sieve = _Sieve(10**7)
+    rng = random.Random(10**7)
+    xs = [10**7, 2**23, 3**5 * 2**2 * 5**2 * 7**3, 3 * 5 * 7 * 11 * 13 * 17 * 19, 9 * 7 * 11 * 13 * 17 * 19 * 23]
+    xs += [rng.randrange(2 * 10**5, 10**7) for _ in range(60)]
+    for x in xs:
+        assert _rows(sieve, x, x + 1)[0].get(x, []) == _brute_row(x), x
+    assert {_branch(x) for x in xs} >= {"skipped", "M = 1", "M2 = 1", "R > 1"}
+
+
+def test_inverse_matches_pow():
+    rng = random.Random(31)
+    pairs = [(a, m) for a, m in ((rng.randrange(1, 10**12), rng.choice([1, 4, 9, rng.randrange(2, 10**6)]))
+                                 for _ in range(3000)) if gcd(a, m) == 1]
+    pairs += [(1, 1), (7, 1), (5, 4), (121, 9), (2, 3)]
+    a, m = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    assert _inverse(a, m).tolist() == [pow(a, -1, m) for a, m in pairs]
+
+
+def test_residual_overflow_check_raises(monkeypatch):
+    # x = 2310 = 2*3*5*7*11 has R = 4*9*25 = 900, so x R passes 2*10^6
+    assert _lifted(2310)[1:] == ([4, 9, 25, 49, 121], 121, 49)
+    monkeypatch.setattr(diophantine, "_INT64_MAX", 2 * 10**6)
+    with pytest.raises(OverflowError):
+        search(3000)
+
+
+def test_least_x_whose_residual_modulus_passes_int64_squares():
+    # the descent comment's bound: the least squarefree x = s p p', p < p' the
+    # two primes after those of s, with R = s^2 above isqrt(2^63 - 1); primes of
+    # s above 23 give x > 55137*31*37
+    primes = primes_up_to(31)
+    least = min(
+        prod(s) * prime * primes[i + 1] * primes[i + 2]
+        for i, prime in enumerate(primes[:-2])
+        for r in range(i + 1)
+        for s in combinations(primes[:i], r)
+        if (prod(s) * prime) ** 2 > isqrt(2**63 - 1)
+    )
+    assert least == 2 * 3 * 5 * 11 * 13 * 17 * 19 * 23 == 31870410
+    assert 55137 * 31 * 37 > least and 55136**2 < 3.04e9 < 55137**2
+    x = least
+    _, powers, M, M2 = _lifted(x)
+    assert prod(powers) // (M * M2) == (2 * 3 * 5 * 11 * 13 * 17) ** 2 > 3.04e9
+    assert (x - 1) * isqrt(2**63 - 1) < 10**17
 
 
 def test_descent_rows_match_the_lemma_free_scan():
     # the heaviest rows, K2(x) = 1, where the descent walks every y; rows that
     # hold census solutions; and seeded random rows, most of them skipped
     sieve = _Sieve(10**6)
-    heaviest = np.nonzero(sieve.kern == 1)[0][-8:].tolist()
+    heaviest = np.nonzero(sieve.top == 1)[0][-8:].tolist()
     with_solutions = [85340, 223109, 348843, 555025, 694083, 852267, 940800, 991875]
     rng = random.Random(1729)
     rows = heaviest + with_solutions + [rng.randrange(10**5, 10**6) for _ in range(8)]
