@@ -200,17 +200,9 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 # The other rows of a strip walk, in one numpy walk, y = c + jP up to x over
 # the 9 CRT classes c of 0, +-1 modulo M and modulo M2 (3 when M2 = 1, the
 # class 0 when M = 1), P = M M2, and keep the y with y(y^2 - 1) = 0 mod R.
+# As y and y^2 - 1 are coprime, that is y^2 - 1 = 0 mod R / gcd(R, y), which
+# int64 computes exactly: y^2 < 2^62 since the int32 tables keep x < 2^31.
 # y = 1 gives N = x^3, the trivial family (x, 1, x), and is never walked.
-#
-# Overflow: y % R <= y <= x, so the residual product stays below x R, which
-# int64 holds while x R < 2^63 (y^2 fits: the int32 tables keep x < 2^31).
-# Giving every prime of x the exponent 1 makes x smaller and R no smaller (K2
-# keeps its p^2 or gains one), so the least x with R > 3.04*10^9 is
-# squarefree: x = s p p' with R = s^2 and p < p' the two primes after those
-# of s. Over the subsets of the primes up to 23 (larger ones give
-# x > 55137*31*37) it is 2*3*5*11*13*17*19*23 = 31,870,410, and below it
-# x R < 10^17. Every strip checks its largest x R and raises OverflowError
-# where that could reach 2^63.
 
 # walks are cut into pieces of at most _BLOCK pairs, and a block holds the
 # pieces that start in one window of _BLOCK: under 2*_BLOCK pairs, so each
@@ -218,7 +210,6 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 _BLOCK = 1 << 14
 # rows a strip walks at once
 _STRIP = 2048
-_INT64_MAX = 2**63 - 1
 
 
 def _inverse(a, m):
@@ -267,6 +258,7 @@ class _Sieve:
                 lift[p::p] *= np.array((1, p, 1), dtype=np.int32)[e]
             else:
                 lift[p::p] *= q
+                np.minimum(q, n + 1, out=q)
             t, s = top[p::p], second[p::p]
             np.maximum(s, np.minimum(t, q), out=s)
             np.maximum(t, q, out=t)
@@ -293,8 +285,6 @@ class _Sieve:
             M, M2 = self.top[x].astype(np.int64), self.second[x].astype(np.int64)
             P = M * M2
             R = self.kern[x] * self.lift[x].astype(np.int64) // P
-            if (hi - 1) * int(R.max(initial=1)) > _INT64_MAX:
-                raise OverflowError(f"x * R(x) may reach 2^63 in [{lo}, {hi})")
             # e = 0 (mod M), 1 (mod M2), so c = a (mod M), b (mod M2); the
             # classes (a, b) = (0, 0), (1, 0), (-1, 0), (0, 1), ... in this
             # order, so M2 = 1 keeps the first 3 and M = 1 the first
@@ -329,7 +319,7 @@ class _Sieve:
                 big = Rp > 1
                 if big.any():
                     y, r = Y[big], Rp[big]
-                    big[big] = (y % r) * ((y * y - 1) % r) % r != 0
+                    big[big] = (y * y - 1) % (r // np.gcd(y, r)) != 0
                     X, Y = X[~big], Y[~big]
                 yield X, Y
 

@@ -1,14 +1,12 @@
 import random
 from collections import Counter
-from itertools import combinations
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubesum import diophantine
 from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
     _BLOCK,
@@ -213,7 +211,7 @@ def test_cube_free_support_lemma_on_the_oracle(pure_3000):
                     assert b % (p * p) in (0, 1, p * p - 1), (s, p)
                     lifted[min(p, 5)] += b > 1
     # not only the trivial family meets the lifted test, at 2, at 3 and above
-    assert min(lifted[2], lifted[3], lifted[5]) >= 4, lifted
+    assert lifted[5] >= 10 and min(lifted[2], lifted[3]) >= 4, lifted
 
 
 @st.composite
@@ -265,7 +263,7 @@ def test_sieve_tables_match_trial_division():
         sieve = _Sieve(n)
         for m in range(1, n + 1):
             K, powers, M, M2 = _lifted(m)
-            got = (sieve.kern[m], sieve.kern[m] * sieve.lift[m], min(sieve.top[m], n + 1), sieve.second[m])
+            got = (sieve.kern[m], sieve.kern[m] * sieve.lift[m], sieve.top[m], sieve.second[m])
             assert got == (K, prod(powers), min(M, n + 1), M2), (n, m)
 
 
@@ -349,34 +347,6 @@ def test_inverse_matches_pow():
     pairs += [(1, 1), (7, 1), (5, 4), (121, 9), (2, 3)]
     a, m = (np.array(c, dtype=np.int64) for c in zip(*pairs))
     assert _inverse(a, m).tolist() == [pow(a, -1, m) for a, m in pairs]
-
-
-def test_residual_overflow_check_raises(monkeypatch):
-    # x = 2310 = 2*3*5*7*11 has R = 4*9*25 = 900, so x R passes 2*10^6
-    assert _lifted(2310)[1:] == ([4, 9, 25, 49, 121], 121, 49)
-    monkeypatch.setattr(diophantine, "_INT64_MAX", 2 * 10**6)
-    with pytest.raises(OverflowError):
-        search(3000)
-
-
-def test_least_x_whose_residual_modulus_passes_int64_squares():
-    # the descent comment's bound: the least squarefree x = s p p', p < p' the
-    # two primes after those of s, with R = s^2 above isqrt(2^63 - 1); primes of
-    # s above 23 give x > 55137*31*37
-    primes = primes_up_to(31)
-    least = min(
-        prod(s) * prime * primes[i + 1] * primes[i + 2]
-        for i, prime in enumerate(primes[:-2])
-        for r in range(i + 1)
-        for s in combinations(primes[:i], r)
-        if (prod(s) * prime) ** 2 > isqrt(2**63 - 1)
-    )
-    assert least == 2 * 3 * 5 * 11 * 13 * 17 * 19 * 23 == 31870410
-    assert 55137 * 31 * 37 > least and 55136**2 < 3.04e9 < 55137**2
-    x = least
-    _, powers, M, M2 = _lifted(x)
-    assert prod(powers) // (M * M2) == (2 * 3 * 5 * 11 * 13 * 17) ** 2 > 3.04e9
-    assert (x - 1) * isqrt(2**63 - 1) < 10**17
 
 
 def test_descent_rows_match_the_lemma_free_scan():
