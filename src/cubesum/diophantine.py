@@ -194,15 +194,24 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 # kernel K(y), the product of the p >= 5 with 3 not dividing v_p(y), must
 # divide x(x^2 - 1) too (p = 2, 3 always divide it).
 #
-# Let M(x) >= M2(x) be the two largest prime powers of K2(x) (1 if absent) and
-# R(x) = K2(x) / (M M2) the rest. When M(x) > x the classes modulo M below x
-# are 0 and 1, so the row holds no y >= 2 and is skipped: about 73% of rows.
-# The other rows of a strip walk, in one numpy walk, y = c + jP up to x over
-# the 9 CRT classes c of 0, +-1 modulo M and modulo M2 (3 when M2 = 1, the
-# class 0 when M = 1), P = M M2, and keep the y with y(y^2 - 1) = 0 mod R.
-# As y and y^2 - 1 are coprime, that is y^2 - 1 = 0 mod R / gcd(R, y), which
-# int64 computes exactly: y^2 < 2^62 since the int32 tables keep x < 2^31.
-# y = 1 gives N = x^3, the trivial family (x, 1, x), and is never walked.
+# Each row x takes the smaller of two candidate sets, both holding every y
+# that passes both conditions, so the search finds the same pairs either way:
+# - the walk. Let M(x) >= M2(x) be the two largest prime powers of K2(x) (1 if
+#   absent) and R(x) = K2(x) / (M M2) the rest. When M(x) > x the classes
+#   modulo M below x are 0 and 1, so the row holds no y >= 2 and is skipped:
+#   about 73% of rows. The other rows of a strip walk, in one numpy walk,
+#   y = c + jP up to x over the 9 CRT classes c of 0, +-1 modulo M and modulo
+#   M2 (3 when M2 = 1, the class 0 when M = 1), P = M M2, and keep the y with
+#   y(y^2 - 1) = 0 mod R; then K(y) | x(x^2 - 1) is tested.
+# - the mirror set. K(y) is squarefree and made of primes p >= 5, each of
+#   which divides one of x - 1, x, x + 1, so the y are those with K(y) = d for
+#   the squarefree products d <= x of the primes p >= 5 of (x - 1)x(x + 1):
+#   one range each of the index of y sorted by (K(y), y). Then
+#   y(y^2 - 1) = 0 mod K2(x) is tested.
+# Where K2(x) is small the walk covers most y: at 20,025 the 100 heaviest
+# rows (K2(x) <= 180) held 69% of the 960,527 walked pairs, and their mirror
+# sets 42,822 values.
+# y = 1 gives N = x^3, the trivial family (x, 1, x), and is never generated.
 
 # walks are cut into pieces of at most _BLOCK pairs, and a block holds the
 # pieces that start in one window of _BLOCK: under 2*_BLOCK pairs, so each
@@ -210,6 +219,11 @@ def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
 _BLOCK = 1 << 14
 # rows a strip walks at once
 _STRIP = 2048
+# rows whose walk is longer than this count their mirror set too; the count
+# costs a few microseconds of Python per row. With jobs = 1 on a 2-core
+# x86-64 host the search at 2*10^4 took 9.2-9.5 ms with cut-offs from 400 to
+# 1000 and 10.1 ms with 2000; at 10^6 it took 468 ms with 600, 433 ms with 2000
+_MIRROR_MIN = 600
 
 
 def _inverse(a, m):
@@ -230,17 +244,31 @@ def _inverse(a, m):
     return inv % m
 
 
+def _divides(r, y):
+    """r | y(y^2 - 1) elementwise and exactly, for integer arrays r >= 1 and
+    0 <= y < 2^31 (the int32 tables keep x < 2^31): y * ((y^2 - 1) mod r)
+    < 2^63 while every r <= 2^32; with a larger r, y^2 - 1 = 0 mod
+    r / gcd(r, y), as y and y^2 - 1 are coprime."""
+    import numpy as np
+
+    if r.max(initial=0) <= 1 << 32:
+        return y * ((y * y - 1) % r) % r == 0
+    return (y * y - 1) % (r // np.gcd(y, r)) == 0
+
+
 class _Sieve:
-    """Per-call int32 tables up to n, built from arith's smallest prime
-    factors: the cube-free kernel K, the lift L with K2 = K*L (the p >= 5 with
-    v_p = 1 (mod 3), and 4 or 9 when v_2 or v_3 is), and M and M2, M capped at
-    n + 1."""
+    """Per-call tables up to n, built from arith's smallest prime factors: the
+    int32 cube-free kernel K, the lift L with K2 = K*L (the p >= 5 with
+    v_p = 1 (mod 3), and 4 or 9 when v_2 or v_3 is), M and M2, M capped at
+    n + 1; spf itself up to n + 1, to factor the mirror rows; and the mirror
+    index, each y <= n as K(y)*2^32 + y, sorted."""
 
     def __init__(self, n: int):
         import numpy as np
 
-        # spf[m] = m at the primes and at 0; spf is freed before the tables exist
-        primes = np.flatnonzero(smallest_prime_factors(n) == np.arange(n + 1, dtype=np.int32))[1:]
+        # spf[m] = m at the primes and at 0
+        spf = smallest_prime_factors(n + 1)
+        primes = np.flatnonzero(spf[: n + 1] == np.arange(n + 1, dtype=np.int32))[1:]
         kern, lift, top, second = (np.ones(n + 1, dtype=np.int32) for _ in range(4))
         small = primes[(primes * primes <= n) | (primes < 5)]
         for p in small.tolist():
@@ -272,73 +300,112 @@ class _Sieve:
             lift[m] *= P
             second[m] = top[m]
             top[m] = n + 1
-        self.kern, self.lift, self.top, self.second = kern, lift, top, second
+        # one int64 key per y, so one searchsorted finds each (K(y), y) range:
+        # the 8 bytes an int32 order of y and an int32 sorted K would take
+        index = kern.astype(np.int64)
+        index <<= 32
+        index |= np.arange(n + 1, dtype=np.int32)
+        index.sort()
+        self.spf, self.kern, self.lift, self.top, self.second, self.index = (
+            spf, kern, lift, top, second, index)
 
-    def pairs(self, x_lo: int, x_hi: int):
-        """The (x, y) with x_lo <= x < x_hi, 2 <= y <= x and y(y^2 - 1) = 0
-        mod K2(x), as int64 arrays X, Y of fewer than 2*_BLOCK pairs each."""
+    def walks(self, lo: int, hi: int):
+        """The CRT walks of the rows lo <= x < hi, as the int64 arrays
+        (x, P, R, start, n) that _blocks takes: one entry per class with a y
+        in [2, x]."""
         import numpy as np
 
-        for lo in range(x_lo, x_hi, _STRIP):
-            hi = min(lo + _STRIP, x_hi)
-            x = np.flatnonzero(self.top[lo:hi] <= np.arange(lo, hi)) + lo
-            M, M2 = self.top[x].astype(np.int64), self.second[x].astype(np.int64)
-            P = M * M2
-            R = self.kern[x] * self.lift[x].astype(np.int64) // P
-            # e = 0 (mod M), 1 (mod M2), so c = a (mod M), b (mod M2); the
-            # classes (a, b) = (0, 0), (1, 0), (-1, 0), (0, 1), ... in this
-            # order, so M2 = 1 keeps the first 3 and M = 1 the first
-            e = M * _inverse(M, M2)
-            a, b = np.array((0, 1, -1) * 3)[:, None], np.repeat((0, 1, -1), 3)[:, None]
-            c = (a + (b - a) * e) % P
-            used = np.arange(9)[:, None] < np.where(M == 1, 1, np.where(M2 == 1, 3, 9))
-            w = np.nonzero(used)[1]
-            c, x, P, R = c[used], x[w], P[w], R[w]
-            # each class walks start, start + P, ... up to x from its least y >= 2
-            start = c - P * ((c - 2) // P)
-            n = (x - start) // P + 1
-            w = n > 0
-            x, P, R, start, n = x[w], P[w], R[w], start[w], n[w]
-            # walks longer than a block are cut into pieces of at most _BLOCK
-            k = (n - 1) // _BLOCK + 1
-            if k.max(initial=0) > 1:
-                w = np.repeat(np.arange(n.size), k)
-                j = (np.arange(w.size) - np.repeat(np.cumsum(k) - k, k)) * _BLOCK
-                x, P, R, start, n = x[w], P[w], R[w], start[w] + j * P[w], np.minimum(n[w] - j, _BLOCK)
-            at = np.cumsum(n) - n
-            stop = start + (n - 1) * P
-            cuts = np.flatnonzero(np.diff(at // _BLOCK, prepend=-1)).tolist() + [n.size]
-            for u, v in zip(cuts, cuts[1:]):
-                # y as a cumulative sum of steps: P inside a walk, and at its
-                # start the jump from the end of the walk before
-                Y = np.repeat(P[u:v], n[u:v])
-                Y[at[u:v] - at[u]] = start[u:v] - np.concatenate(([0], stop[u : v - 1]))
-                np.cumsum(Y, out=Y)
-                X = np.repeat(x[u:v], n[u:v])
-                Rp = np.repeat(R[u:v], n[u:v])
-                big = Rp > 1
-                if big.any():
-                    y, r = Y[big], Rp[big]
-                    big[big] = (y * y - 1) % (r // np.gcd(y, r)) != 0
-                    X, Y = X[~big], Y[~big]
-                yield X, Y
+        x = np.flatnonzero(self.top[lo:hi] <= np.arange(lo, hi)) + lo
+        M, M2 = self.top[x].astype(np.int64), self.second[x].astype(np.int64)
+        P = M * M2
+        R = self.kern[x] * self.lift[x].astype(np.int64) // P
+        # e = 0 (mod M), 1 (mod M2), so c = a (mod M), b (mod M2); the
+        # classes (a, b) = (0, 0), (1, 0), (-1, 0), (0, 1), ... in this
+        # order, so M2 = 1 keeps the first 3 and M = 1 the first
+        e = M * _inverse(M, M2)
+        a, b = np.array((0, 1, -1) * 3)[:, None], np.repeat((0, 1, -1), 3)[:, None]
+        c = (a + (b - a) * e) % P
+        used = np.arange(9)[:, None] < np.where(M == 1, 1, np.where(M2 == 1, 3, 9))
+        w = np.nonzero(used)[1]
+        c, x, P, R = c[used], x[w], P[w], R[w]
+        # each class walks start, start + P, ... up to x from its least y >= 2
+        start = c - P * ((c - 2) // P)
+        n = (x - start) // P + 1
+        w = n > 0
+        return x[w], P[w], R[w], start[w], n[w]
+
+    def mirror(self, rows):
+        """The mirror sets of the rows, as the int64 arrays (x, 1, K2(x),
+        start, n) that _blocks takes with table=self.index: one entry per
+        squarefree d <= x made of the primes p >= 5 of (x - 1)x(x + 1) that
+        has a y in [2, x] with K(y) = d."""
+        import numpy as np
+
+        spf, xs, ds = self.spf, [], []
+        for x in rows.tolist():
+            divisors = [1]
+            for m in (x - 1, x, x + 1):
+                while m > 1:
+                    p = spf.item(m)
+                    m //= p
+                    while m % p == 0:
+                        m //= p
+                    if p >= 5:
+                        divisors += [d * p for d in divisors if d * p <= x]
+            xs += [x] * len(divisors)
+            ds += divisors
+        x, d = np.array(xs, dtype=np.int64), np.array(ds, dtype=np.int64) << 32
+        start = self.index.searchsorted(d + 2)
+        n = self.index.searchsorted(d + x, "right") - start
+        x, start, n = x[n > 0], start[n > 0], n[n > 0]
+        return x, np.ones_like(x), self.kern[x] * self.lift[x].astype(np.int64), start, n
+
+
+def _blocks(x, P, R, start, n, table=None):
+    """The y = start, start + P, ... (n terms) of each row x with
+    y(y^2 - 1) = 0 mod R, as int64 arrays X, Y of fewer than 2*_BLOCK pairs
+    each; with a table, each such y is the low 32 bits of table[start + jP]."""
+    import numpy as np
+
+    # walks longer than a block are cut into pieces of at most _BLOCK
+    k = (n - 1) // _BLOCK + 1
+    if k.max(initial=0) > 1:
+        w = np.repeat(np.arange(n.size), k)
+        j = (np.arange(w.size) - np.repeat(np.cumsum(k) - k, k)) * _BLOCK
+        x, P, R, start, n = x[w], P[w], R[w], start[w] + j * P[w], np.minimum(n[w] - j, _BLOCK)
+    at = np.cumsum(n) - n
+    stop = start + (n - 1) * P
+    cuts = np.flatnonzero(np.diff(at // _BLOCK, prepend=-1)).tolist() + [n.size]
+    for u, v in zip(cuts, cuts[1:]):
+        # y as a cumulative sum of steps: P inside a walk, and at its
+        # start the jump from the end of the walk before
+        Y = np.repeat(P[u:v], n[u:v])
+        Y[at[u:v] - at[u]] = start[u:v] - np.concatenate(([0], stop[u : v - 1]))
+        np.cumsum(Y, out=Y)
+        if table is not None:
+            Y = table[Y] & 0xFFFFFFFF
+        X = np.repeat(x[u:v], n[u:v])
+        Rp = np.repeat(R[u:v], n[u:v])
+        big = Rp > 1
+        if big.any():
+            big[big] = ~_divides(Rp[big], Y[big])
+            X, Y = X[~big], Y[~big]
+        yield X, Y
 
 
 def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
                     sieve: _Sieve | None = None):
-    """The descent over x_lo <= x < x_hi: for each x only the y <= x in the CRT
-    classes of K2(x), then K(y) | x(x^2 - 1), the cubic-residue masks, and an
-    exact cube test for every survivor. Finds what _search_y_range finds."""
+    """The descent over x_lo <= x < x_hi: each row takes the smaller of its
+    walk and its mirror set, each filtered by the other's condition, then the
+    cubic-residue masks and an exact cube test for every survivor. Finds what
+    _search_y_range finds, sorted."""
     import numpy as np
 
     sieve = sieve or _Sieve(bound)
-    kern = sieve.kern
     masks = [np.frombuffer(m, dtype=np.uint8) for m in _masks()]
     out = [(x, 1, x) for x in range(x_lo, x_hi)] if include_trivial else []
-    for X, Y in sieve.pairs(x_lo, x_hi):
-        ky = kern[Y]
-        keep = (X % ky) * ((X * X - 1) % ky) % ky == 0
-        X, Y = X[keep], Y[keep]
+
+    def cubes(X, Y):
         for m, mask in zip(_FILTER_MODULI, masks):
             xm, ym = X % m, Y % m
             keep = mask[(xm * ym % m) * ((xm * xm + ym * ym - 1) % m) % m] != 0
@@ -347,6 +414,24 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
             r, exact = icbrt(x * y * (x * x + y * y - 1))
             if exact:
                 out.append((x, y, r))
+
+    for lo in range(x_lo, x_hi, _STRIP):
+        hi = min(lo + _STRIP, x_hi)
+        # each side is (x, step, R, start, n); a row's size is its sum of n
+        walk = sieve.walks(lo, hi)
+        walked = np.bincount(walk[0] - lo, walk[4], hi - lo)
+        heavy = np.flatnonzero(walked > _MIRROR_MIN)
+        if heavy.size:
+            mirror = sieve.mirror(heavy + lo)
+            mirrored = np.zeros(hi - lo, dtype=bool)
+            mirrored[heavy] = np.bincount(mirror[0] - lo, mirror[4], hi - lo)[heavy] < walked[heavy]
+            for X, Y in _blocks(*(a[mirrored[mirror[0] - lo]] for a in mirror), table=sieve.index):
+                cubes(X, Y)
+            walk = [a[~mirrored[walk[0] - lo]] for a in walk]
+        for X, Y in _blocks(*walk):
+            keep = _divides(sieve.kern[Y], X)
+            cubes(X[keep], Y[keep])
+    out.sort()
     return out
 
 
@@ -369,11 +454,14 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
-    dropped. method "numpy" is the descent over x: one numpy walk per strip of
-    rows over the classes y = 0, +-1 modulo the two largest prime powers of
-    the lifted kernel of x (4 and 9 among them), filtered exactly by the rest
-    of it and by the cube-free kernel of y; "pure" scans every box pair y by
-    y in one process and is the oracle the descent is tested against.
+    dropped. method "numpy" is the descent over x: each row tests the smaller
+    of two candidate sets, each filtered exactly by the other's condition.
+    One is a numpy walk, per strip of rows, over the classes y = 0, +-1
+    modulo the two largest prime powers of the lifted kernel of x (4 and 9
+    among them), filtered by the rest of it. The other is the y whose
+    cube-free kernel divides x(x^2 - 1), read from an index of y sorted by
+    that kernel. "pure" scans every box pair y by y in one process and is
+    the oracle the descent is tested against.
     jobs > 1 splits the x range into strips that worker processes pull as
     they finish; results are merged and sorted, so the output is
     deterministic either way.

@@ -203,6 +203,7 @@ def test_criterion_09_census_fast_tier():
 
 
 CENSUS_1E6 = Path(__file__).resolve().parent.parent / "docs" / "golden" / "census_1e6.json"
+CENSUS_1E7 = CENSUS_1E6.with_name("census_1e7.json")
 
 
 def _family_in_box(bound: int) -> dict[tuple[int, int, int], int]:
@@ -241,6 +242,22 @@ def test_criterion_10_census_extended():
         recorded = json.loads(CENSUS_1E6.read_text())["solutions"]
         assert [s.as_tuple() for s in sols] == [
             (int(r["x"]), int(r["y"]), int(r["z"])) for r in recorded]
+
+
+@pytest.mark.extended
+def test_census_1e7_reproduces_the_recorded_file():
+    # every field of scripts/run_extended_census.py's output but the run's
+    # own elapsed_s, jobs and peak_rss_mb
+    jobs = int(os.environ.get("CUBESUM_JOBS", multiprocessing.cpu_count()))
+    with Criterion("census at bound 10^7, recorded result", 30.0):
+        doc = json.loads(CENSUS_1E7.read_text())
+        sols = dio.search(10**7, include_trivial=False, jobs=jobs)
+        u = [dio.in_pagliani_family(s) for s in sols]
+        assert doc["solutions"] == [
+            {"x": str(s.x), "y": str(s.y), "z": str(s.z), "pagliani_u": None if v is None else str(v)}
+            for s, v in zip(sols, u)]
+        assert (doc["bound"], doc["nontrivial_count"], doc["family_count"], doc["opposite_parity_count"]) == (
+            10**7, len(sols), sum(v is not None for v in u), sum((s.x + s.y) % 2 for s in sols))
 
 
 def test_criterion_10_recorded_census():

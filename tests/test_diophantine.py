@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
     _BLOCK,
+    _STRIP,
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
+    _blocks,
+    _divides,
     _inverse,
     _search_x_range,
     _Sieve,
@@ -280,10 +283,16 @@ def _brute_row(x):
     return out
 
 
-def _rows(sieve, x_lo, x_hi):
-    """The pairs the sieve walks, by row: {x: sorted y}, {x: blocks it spans}."""
+def _walk(sieve, x_lo, x_hi):
+    """The blocks of pairs the sieve walks for x_lo <= x < x_hi, strip by strip."""
+    for lo in range(x_lo, x_hi, _STRIP):
+        yield from _blocks(*sieve.walks(lo, min(lo + _STRIP, x_hi)))
+
+
+def _rows(pairs):
+    """The pairs of the blocks, by row: {x: sorted y}, {x: blocks it spans}."""
     rows, blocks = {}, Counter()
-    for X, Y in sieve.pairs(x_lo, x_hi):
+    for X, Y in pairs:
         assert X.size == Y.size < 2 * _BLOCK
         for x in set(X.tolist()):
             rows.setdefault(x, []).extend(Y[X == x].tolist())
@@ -308,8 +317,8 @@ def test_rows_match_brute_force():
     # every row at bounds 1..29 and x <= 3000 in one call, then single rows up
     # to 2*10^5; 2^17 has K2 = 1, and its one walk is cut into 2^17 / _BLOCK pieces
     for n in range(1, 30):
-        assert _rows(_Sieve(n), 1, n + 1)[0] == {x: row for x in range(1, n + 1) if (row := _brute_row(x))}
-    got, blocks = _rows(_Sieve(3000), 1, 3001)
+        assert _rows(_walk(_Sieve(n), 1, n + 1))[0] == {x: row for x in range(1, n + 1) if (row := _brute_row(x))}
+    got, blocks = _rows(_walk(_Sieve(3000), 1, 3001))
     xs = list(range(1, 3001))
     for x in xs:
         assert got.get(x, []) == _brute_row(x), x
@@ -318,9 +327,9 @@ def test_rows_match_brute_force():
     rng = random.Random(2026)
     extra = [2**17, 5 * 7**3 * 64, 11**3 * 13, 5 * 7 * 11 * 13 * 17, 2 * 3 * 5 * 7 * 11 * 13]
     for x in extra + [rng.randrange(3001, 2 * 10**5) for _ in range(200)]:
-        assert _rows(big, x, x + 1)[0].get(x, []) == _brute_row(x), x
+        assert _rows(_walk(big, x, x + 1))[0].get(x, []) == _brute_row(x), x
         xs.append(x)
-    assert _rows(big, 2**17, 2**17 + 1)[1][2**17] == 2**17 // _BLOCK
+    assert _rows(_walk(big, 2**17, 2**17 + 1))[1][2**17] == 2**17 // _BLOCK
     branches = Counter(_branch(x) for x in xs)
     assert min(branches[b] for b in ("skipped", "M2 = 1", "R = 1", "R > 1")) >= 50, branches
     assert branches["M = 1"] >= 10, branches
@@ -336,8 +345,78 @@ def test_rows_match_brute_force_up_to_1e7():
     xs = [10**7, 2**23, 3**5 * 2**2 * 5**2 * 7**3, 3 * 5 * 7 * 11 * 13 * 17 * 19, 9 * 7 * 11 * 13 * 17 * 19 * 23]
     xs += [rng.randrange(2 * 10**5, 10**7) for _ in range(60)]
     for x in xs:
-        assert _rows(sieve, x, x + 1)[0].get(x, []) == _brute_row(x), x
+        assert _rows(_walk(sieve, x, x + 1))[0].get(x, []) == _brute_row(x), x
     assert {_branch(x) for x in xs} >= {"skipped", "M = 1", "M2 = 1", "R > 1"}
+
+
+def _kernels(n):
+    """K(y) for every y <= n by trial division, on numpy arrays: each d up to
+    sqrt(n) in turn (a composite d divides nothing the primes below it left),
+    and the cofactor left at the end is 1 or a prime. Reads no sieve."""
+    rest = np.arange(n + 1, dtype=np.int64)
+    kern = np.ones(n + 1, dtype=np.int64)
+    for d in range(2, isqrt(n) + 1):
+        v = np.zeros(n + 1, dtype=np.int64)
+        hit = np.flatnonzero(rest % d == 0)[1:]
+        while hit.size:
+            rest[hit] //= d
+            v[hit] += 1
+            hit = hit[rest[hit] % d == 0]
+        if d >= 5:
+            kern[v % 3 != 0] *= d
+    big = rest >= 5
+    kern[big] *= rest[big]
+    return kern
+
+
+def _mirror_rows(sieve, rows, filtered):
+    """The mirror sets of the rows, {x: sorted y}, filtered by
+    y(y^2 - 1) = 0 mod K2(x) as the search filters them, or not."""
+    x, P, K2, start, n = sieve.mirror(np.array(rows))
+    return _rows(_blocks(x, P, K2 if filtered else np.ones_like(K2), start, n, table=sieve.index))[0]
+
+
+def test_mirror_sets_match_trial_division():
+    # every x <= 3000, then the 8 heaviest rows below 2*10^5 (K2(x) = 1, so the
+    # walk takes every y): the mirror set is {2 <= y <= x : K(y) | x(x^2 - 1)},
+    # and the walk and the mirror set, each filtered by the other's condition,
+    # give the same pairs, which the search then tests
+    kern = _kernels(2 * 10**5)
+    for n, rows in ((3000, list(range(1, 3001))), (2 * 10**5, None)):
+        sieve = _Sieve(n)
+        if rows is None:
+            rows = np.nonzero(sieve.top == 1)[0][-8:].tolist()
+            assert rows[0] > 10**5 and all(_lifted(x)[1] == [] for x in rows)
+        mirror, filtered = _mirror_rows(sieve, rows, False), _mirror_rows(sieve, rows, True)
+        walked = {}
+        for x in rows:
+            for X, Y in _walk(sieve, x, x + 1):
+                keep = _divides(sieve.kern[Y], X)
+                walked.setdefault(x, []).extend(sorted(Y[keep].tolist()))
+        for x in rows:
+            ys = np.arange(2, x + 1, dtype=np.int64)
+            assert mirror.get(x, []) == ys[x * (x * x - 1) % kern[2 : x + 1] == 0].tolist(), x
+            assert filtered.get(x, []) == walked.get(x, []), x
+        assert sum(map(len, walked.values())) >= 1000
+        if n > 3000:
+            # the walk takes all x - 1 values of y, so the search takes the mirror set
+            assert all(len(mirror[x]) < x - 1 for x in rows)
+
+
+def test_divides_is_exact():
+    # both regimes, every r <= 2^32 and some r up to 2^62, against Python
+    # integers; the extra pairs (r, y, r | y(y^2 - 1)) are near the edges
+    rng = random.Random(97)
+    small = 4 * 9 * 25 * 49 * 121 * 169
+    for top, extra in ((2**32, [(small, small, True), (small, 2 * small - 1, True), (small, 2 * small + 3, False)]),
+                       (2**62, [((2**31 - 1) * 2**31, 2**31 - 1, True), (2**62, 2**31 - 1, False)])):
+        pairs = [(rng.choice([rng.randrange(1, top), rng.randrange(1, 10**4)]), rng.randrange(2**31))
+                 for _ in range(3000)] + [(r, y) for r, y, _ in extra]
+        r, y = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        got = _divides(r, y).tolist()
+        assert got == [a * (a * a - 1) % b == 0 for b, a in pairs]
+        assert got[-len(extra) :] == [d for *_, d in extra]
+        assert sum(got) >= 10
 
 
 def test_inverse_matches_pow():
@@ -350,8 +429,9 @@ def test_inverse_matches_pow():
 
 
 def test_descent_rows_match_the_lemma_free_scan():
-    # the heaviest rows, K2(x) = 1, where the descent walks every y; rows that
-    # hold census solutions; and seeded random rows, most of them skipped
+    # the heaviest rows, K2(x) = 1, whose walk would take every y, so the
+    # descent takes their mirror sets; rows that hold census solutions; and
+    # seeded random rows, most of them skipped
     sieve = _Sieve(10**6)
     heaviest = np.nonzero(sieve.top == 1)[0][-8:].tolist()
     with_solutions = [85340, 223109, 348843, 555025, 694083, 852267, 940800, 991875]
