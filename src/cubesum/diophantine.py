@@ -103,8 +103,10 @@ class SymmetryElement:
         return SymmetryElement(self.word + other.word)
 
 
-def symmetry_group() -> list[SymmetryElement]:
-    """All 8 elements, as reduced words, deduplicated by their action."""
+@cache
+def symmetry_group() -> tuple[SymmetryElement, ...]:
+    """All 8 elements, as reduced words, deduplicated by their action. The
+    search runs once; orbit and canonical_form share its tuple."""
     seen: dict[tuple, SymmetryElement] = {}
     frontier = [SymmetryElement()]
     probe = [(1, 2, 3), (5, 7, 11)]
@@ -116,7 +118,7 @@ def symmetry_group() -> list[SymmetryElement]:
         seen[key] = g
         for name in _GENERATORS:
             frontier.append(SymmetryElement(g.word + (name,)))
-    return sorted(seen.values(), key=lambda g: (len(g.word), g.word))
+    return tuple(sorted(seen.values(), key=lambda g: (len(g.word), g.word)))
 
 
 def apply_symmetry(g: SymmetryElement, sol: SolutionXYZ) -> SolutionXYZ:

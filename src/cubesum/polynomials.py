@@ -1,14 +1,22 @@
 """Dense univariate polynomials and reduced rational functions.
 
-Coefficients are exact scalars: Fraction or NumberFieldElement. A Poly remembers
-its scalar zero so empty/constant cases stay well-typed. Arithmetic between two
-Polys or rational functions over different scalar rings raises TypeError.
+A Poly is fraction-free: integer rows (see introws), one over Q and d over a
+number field of degree d, over one positive denominator. As in
+NumberFieldElement the pair is normalised, with no zero column at the top and
+gcd(den, every entry) == 1, so equal Polys over one field have equal rows.
+`coeffs`, the Fraction or NumberFieldElement scalars, is built when it is read.
+Polys or rational functions over different scalar rings raise TypeError.
+
+Division by a leading coefficient c multiplies by its adjugate a over the
+integer N = c a (NumberField.adjugate); a rational c needs none. Division
+makes the divisor monic, so a monic divisor inverts nothing, and runs on the
+rows. The gcd is Euclid on the rows, each remainder made monic, which removes
+its content (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
 
 A RationalFunction keeps num and den coprime with den monic, so equality is
-plain syntactic comparison. The constructor normalises any pair with one gcd
-of num and den. The operators build their results already reduced by
-Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1), taking gcds of the operands' own
-parts only:
+syntactic. The constructor takes one gcd of num and den. The operators build
+reduced results by Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1), taking gcds of
+the operands' own parts only:
 - (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b);
   division multiplies by the reciprocal, d/c with c made monic;
 - a/b + c/d: with g = gcd(b, d) and t = a(d/g) + c(b/g), the sum is
@@ -19,157 +27,138 @@ parts only:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partialmethod, reduce
+from math import gcd, lcm
 
+from .introws import horner, mulmod, normalise, pdiv
 from .rings import NumberFieldElement, coerce_scalar, scalar_zero
 
 INFINITY = "inf"  # marker for the place at infinity on P^1
+_Q0 = Fraction(0)
+_ONES: dict = {}  # the constant 1 of each scalar ring, shared: a Poly never changes
 
 
 class Poly:
     """Polynomial with exact coefficients, lowest degree first."""
 
-    __slots__ = ("coeffs", "zero")
+    __slots__ = ("_field", "_rows", "_den", "_coeffs")
 
     def __init__(self, coeffs=(), zero=None):
         coeffs = list(coeffs)
         if zero is None:
             zero = scalar_zero(coeffs)
-        self.zero = zero
-        out = [coerce_scalar(c, zero) for c in coeffs]
-        while out and not out[-1]:
-            out.pop()
-        self.coeffs = tuple(out)
+        f = _ring(zero)
+        cs = [coerce_scalar(c, zero) for c in coeffs]
+        pairs = [((c.numerator,), c.denominator) for c in cs] if f is None else [(c.num, c.den) for c in cs]
+        den = lcm(*(d for _, d in pairs))
+        _make(f, [[num[k] * (den // d) for num, d in pairs] for k in range(f.degree if f else 1)], den, self)
 
     @classmethod
     def x(cls, zero=None):
-        z = Fraction(0) if zero is None else zero
-        return cls([z + 0, z + 1], zero=z)
+        return _rational(_ring(zero), [0, 1])
+
+    @property
+    def zero(self):
+        return _Q0 if self._field is None else self._field.zero()
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions or NumberFieldElements, built once."""
+        if self._coeffs is None:
+            self._coeffs = tuple(_scalar(self._field, col, self._den) for col in zip(*self._rows))
+        return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._rows[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._rows[0]
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.zero + 1
+        r = self._rows
+        return len(r[0]) == 1 and r[0][0] == self._den == 1 and not any([x[0] for x in r[1:]])
 
     def leading(self):
-        if not self.coeffs:
-            return self.zero
-        return self.coeffs[-1]
+        return _scalar(self._field, [r[-1] for r in self._rows], self._den) if self._rows[0] else self.zero
 
     def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"({c})*t^{i}" if i else f"({c})")
-        return "Poly(" + " + ".join(terms) + ")"
+        terms = [f"({c})*t^{i}" if i else f"({c})" for i, c in enumerate(self.coeffs) if c]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
     def __eq__(self, other):
         if isinstance(other, Poly):
+            if other._field is self._field:
+                return self._den == other._den and self._rows == other._rows
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction, NumberFieldElement)):
             return self == Poly([other], zero=self.zero)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # equal Polys over Q and over a field share their first row and den
+        return hash((tuple(self._rows[0]), self._den))
 
     def _wrap(self, other):
-        """other as a Poly over this one's scalars, or None.
-
-        A Poly over another scalar ring raises TypeError. Anything that is
-        neither a Poly nor an exact scalar gives None, so the operators return
-        NotImplemented and a RationalFunction operand answers for them.
-        """
+        """other as a Poly over this one's scalars; None, for NotImplemented, if it
+        is no exact scalar or Poly. A Poly over another ring raises TypeError."""
         if isinstance(other, Poly):
-            _check_ring(self.zero, other.zero)
+            _check_ring(self._field, other._field)
             return other
         if isinstance(other, (int, Fraction, NumberFieldElement)):
             return Poly([other], zero=self.zero)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the lcm of the denominators."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = self.zero
-        out = [z] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = out[i] + c
-        for i, c in enumerate(o.coeffs):
-            out[i] = out[i] + c
-        return Poly(out, zero=z)
+        g = gcd(self._den, o._den)
+        s, t, a, b = o._den // g, sign * (self._den // g), self._rows, o._rows
+        if len(a[0]) < len(b[0]):
+            a, b, s, t = b, a, t, s
+        rows = [[s * x + t * y for x, y in zip(u, v)] + [s * x for x in u[len(v):]] for u, v in zip(a, b)]
+        return _make(self._field, rows, self._den // g * o._den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs], zero=self.zero)
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else self + (-o)
+    __add__ = __radd__ = partialmethod(_combine, sign=1)
+    __sub__ = partialmethod(_combine, sign=-1)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else o + (-self)
+        return (-self)._combine(other, 1)
+
+    def __neg__(self):
+        return _make(self._field, [[-c for c in r] for r in self._rows], self._den)
 
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly([], zero=self.zero)
-        z = self.zero
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(out, zero=z)
+        if o.is_one() or self.is_one():
+            return self if o.is_one() else o
+        return _make(self._field, mulmod(self._rows, o._rows, _tail(self._field)), self._den * o._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Poly; use RationalFunction")
-        out = Poly([self.zero + 1], zero=self.zero)
-        base = self
+        out, base = _one(self._field), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
         return out
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        z = self.zero
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly([], zero=z), self
-        quot = [z] * (dq + 1)
-        # divisors are mostly monic (gcds, reduced denominators, t - a)
-        lead = other.leading()
-        inv_lead = None if lead == 1 else _scalar_inv(lead)
-        for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree]
-            if inv_lead is not None:
-                c = c * inv_lead
-            if c:
-                quot[shift] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] = rem[shift + i] - c * b
-        return Poly(quot, zero=z), Poly(rem[: other.degree], zero=z)
+        m, f = other.monic(), self._field
+        q, r, s = pdiv(self._rows, m._rows, m._den, _tail(f))
+        q = _make(f, [[m._den * c for c in row] for row in q], self._den * s)
+        return q._div_lead(other), _make(f, r, self._den * s)
 
     def __floordiv__(self, other):
         o = self._wrap(other)
@@ -179,35 +168,37 @@ class Poly:
         o = self._wrap(other)
         return NotImplemented if o is None else self.divmod(o)[1]
 
-    def monic(self) -> "Poly":
-        if self.is_zero() or self.leading() == 1:
+    def _div_lead(self, p: "Poly") -> "Poly":
+        """self over the leading coefficient c of the nonzero p: self if c is 1."""
+        c = [r[-1] for r in p._rows]
+        if c[0] == p._den and not any(c[1:]):
             return self
-        inv = _scalar_inv(self.leading())
-        return Poly([c * inv for c in self.coeffs], zero=self.zero)
+        a, n = self._field.adjugate(c) if any(c[1:]) else ([1], c[0])
+        return _make(self._field, mulmod(self._rows, [[p._den * x] for x in a], _tail(self._field)), self._den * n)
+
+    def monic(self) -> "Poly":
+        return self._div_lead(self) if self._rows[0] else self
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        a, b = self, other.monic()
+        while b.degree > 0:
+            a, b = b, _make(a._field, pdiv(a._rows, b._rows, b._den, _tail(a._field))[1], 1).monic()
+        return a.monic() if b.is_zero() else b  # a nonzero constant b is 1
 
     def derivative(self) -> "Poly":
-        return Poly(
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))], zero=self.zero
-        )
+        return _make(self._field, [[i * c for i, c in enumerate(r)][1:] for r in self._rows], self._den)
 
     def evaluate(self, x):
-        acc = self.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        r = _rational_value(self._field, x)
+        if r is None or self.is_zero():  # Horner's rule on the scalars
+            return reduce(lambda acc, c: acc * x + c, reversed(self.coeffs), self.zero)
+        vals = [b[-1] for b in horner(self._rows, r)]
+        return _scalar(self._field, vals, self._den * r.denominator**self.degree)
 
     def compose(self, other: "RationalFunction") -> "RationalFunction":
         """Substitute the rational function `other` for the variable."""
-        acc = RationalFunction(Poly([], zero=self.zero))
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
+        zero = RationalFunction(_rational(self._field, []))
+        return reduce(lambda acc, c: acc * other + c, reversed(self.coeffs), zero)
 
     def valuation(self, place) -> int:
         """Multiplicity of the root `place` (a scalar), or -degree at INFINITY."""
@@ -215,24 +206,54 @@ class Poly:
             raise ValueError("valuation of the zero polynomial")
         if place is INFINITY:
             return -self.degree
-        lin = Poly([-(self.zero + place), self.zero + 1], zero=self.zero)
-        v, rem = 0, self
-        while True:
-            q, r = rem.divmod(lin)
-            if not r.is_zero():
-                return v
-            v += 1
-            rem = q
+        v, r = 0, _rational_value(self._field, place)
+        if r is None:  # divide by t - place while it is a root
+            lin, rem = Poly([-(self.zero + place), self.zero + 1], zero=self.zero), self
+            while not rem.evaluate(place):
+                v, rem = v + 1, rem // lin
+            return v
+        sums = horner(self._rows, r)
+        while not any([b[-1] for b in sums]):
+            v, sums = v + 1, horner([[c * r.denominator**j for j, c in enumerate(b[-2::-1])] for b in sums], r)
+        return v
 
     def reverse(self, degree: int | None = None) -> "Poly":
         """Coefficient reversal t -> 1/t, padded to the given degree."""
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        out = [self.zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(out, zero=self.zero)
+        return _make(self._field, [[0] * (d - self.degree) + r[::-1] for r in self._rows], self._den)
+
+
+def _make(field, rows: list[list[int]], den: int, p: Poly | None = None) -> Poly:
+    """The Poly sum_k gen^k rows[k] / den over field, normalised (into p)."""
+    p = object.__new__(Poly) if p is None else p
+    p._field, (p._rows, p._den), p._coeffs = field, normalise(rows, den), None
+    return p
+
+
+def _rational(field, ints: list[int]) -> Poly:
+    """The Poly with the integer coefficients ints over field (None for Q)."""
+    return _make(field, [list(ints)] + [[0] * len(ints)] * (field.degree - 1 if field else 0), 1)
+
+
+def _one(field) -> Poly:
+    return _ONES.get(field) or _ONES.setdefault(field, _rational(field, [1]))
+
+
+def _scalar(field, coords, den: int):
+    return Fraction(coords[0], den) if field is None else NumberFieldElement(field, tuple(coords), den)
+
+
+def _rational_value(field, x):
+    """x as an int or Fraction if it is a rational scalar of field, else None."""
+    if isinstance(x, NumberFieldElement) and x.field is field and x.is_rational():
+        return x.rational_value()
+    return x if isinstance(x, (int, Fraction)) else None
+
+
+def _tail(field) -> tuple[int, ...]:
+    return () if field is None else field.defining
 
 
 def _ring(zero):
@@ -240,26 +261,17 @@ def _ring(zero):
     return zero.field if isinstance(zero, NumberFieldElement) else None
 
 
-def _check_ring(zero, other_zero):
-    if _ring(zero) is not _ring(other_zero):
+def _check_ring(field, other_field):
+    if field is not other_field:
         raise TypeError("mixed scalar rings: Q and a number field, or two number fields")
 
 
 def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """(a/g, b/g) with g = gcd(a, b), which is monic. A constant operand
-    shares no factor with the other, so no gcd is taken for it."""
+    """(a/g, b/g), g = gcd(a, b); none is taken for a constant, coprime to all."""
     if a.degree <= 0 or b.degree <= 0:
         return a, b
     g = a.gcd(b)
-    if g.is_one():
-        return a, b
-    return a // g, b // g
-
-
-def _scalar_inv(c):
-    if isinstance(c, NumberFieldElement):
-        return c.inverse()
-    return Fraction(1) / c
+    return (a, b) if g.is_one() else (a // g, b // g)
 
 
 class RationalFunction:
@@ -270,38 +282,26 @@ class RationalFunction:
     def __init__(self, num: Poly, den: Poly | None = None):
         if not isinstance(num, Poly):
             num = Poly([num])
-        if den is None:
-            den = Poly([num.zero + 1], zero=num.zero)
+        den = _one(num._field) if den is None else den
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        # a constant denominator is coprime to anything; the leading
-        # coefficient step below normalises it
+        # a constant denominator is coprime to anything; den.monic() normalises it
         if den.degree > 0 and not num.is_zero():
-            g = num.gcd(den)
-            if not g.is_one():
-                num = num // g
-                den = den // g
+            num, den = _cancel(num, den)
         if num.is_zero():
-            den = Poly([num.zero + 1], zero=num.zero)
-        if den.leading() != 1:
-            lead_inv = _scalar_inv(den.leading())
-            num = num * lead_inv
-            den = den * lead_inv
-        self.num = num
-        self.den = den
+            den = _one(num._field)
+        self.num, self.den = num._div_lead(den), den.monic()
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RationalFunction":
         """num/den already coprime with den monic: no gcd, no scaling."""
         out = object.__new__(cls)
         out.num = num
-        out.den = den if not num.is_zero() else Poly([num.zero + 1], zero=num.zero)
+        out.den = den if not num.is_zero() else _one(num._field)
         return out
 
     def __repr__(self):
-        if self.den.is_one():
-            return f"RF({self.num!r})"
-        return f"RF({self.num!r} / {self.den!r})"
+        return f"RF({self.num!r})" if self.den.is_one() else f"RF({self.num!r} / {self.den!r})"
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -325,19 +325,14 @@ class RationalFunction:
 
     def _wrap(self, other):
         """other as a rational function over this one's scalars, or None.
-
         Polys and rational functions over another scalar ring raise TypeError
-        here, so every operator rejects them in either operand order.
-        """
+        here, so every operator rejects them in either operand order."""
         if isinstance(other, RationalFunction):
-            _check_ring(self.num.zero, other.num.zero)
+            _check_ring(self.num._field, other.num._field)
             return other
-        if isinstance(other, Poly):
-            _check_ring(self.num.zero, other.zero)
-            return RationalFunction._reduced(other, Poly([other.zero + 1], zero=other.zero))
-        if isinstance(other, (int, Fraction, NumberFieldElement)):
-            z = self.num.zero
-            return RationalFunction._reduced(Poly([other], zero=z), Poly([z + 1], zero=z))
+        if isinstance(other, (Poly, int, Fraction, NumberFieldElement)):
+            p = self.num._wrap(other)
+            return RationalFunction._reduced(p, _one(p._field))
         return None
 
     def __add__(self, other):
@@ -362,9 +357,7 @@ class RationalFunction:
 
     def __sub__(self, other):
         o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
         o = self._wrap(other)
@@ -374,6 +367,8 @@ class RationalFunction:
         o = self._wrap(other)
         if o is None:
             return NotImplemented
+        if o is self:
+            return self**2
         a, b = _cancel(self.num, o.den)
         c, d = _cancel(o.num, self.den)
         return RationalFunction._reduced(a * c, d * b)
@@ -382,9 +377,7 @@ class RationalFunction:
 
     def __truediv__(self, other):
         o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
+        return NotImplemented if o is None else self * o._reciprocal()
 
     def __rtruediv__(self, other):
         o = self._wrap(other)
@@ -393,7 +386,7 @@ class RationalFunction:
     def _reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction._reduced(self.den * _scalar_inv(self.num.leading()), self.num.monic())
+        return RationalFunction._reduced(self.den._div_lead(self.num), self.num.monic())
 
     def __pow__(self, n: int):
         base = self._reciprocal() if n < 0 else self
@@ -403,7 +396,7 @@ class RationalFunction:
         d = self.den.evaluate(x)
         if not d:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) * _scalar_inv(d)
+        return self.num.evaluate(x) / d
 
     def compose(self, other: "RationalFunction") -> "RationalFunction":
         return self.num.compose(other) / self.den.compose(other)
@@ -417,10 +410,14 @@ class RationalFunction:
         return self.num.valuation(place) - self.den.valuation(place)
 
     def over(self, zero) -> "RationalFunction":
-        """The same function with its coefficients in the scalar ring of `zero`.
-
-        Coefficients go through coerce_scalar: rationals lift into a number
-        field; a number field scalar sent to Q or to another field raises
-        TypeError.
-        """
+        """The same function with its coefficients in the scalar ring of `zero`:
+        rationals lift into a number field; a number field scalar sent to Q or
+        to another field raises TypeError."""
+        f = _ring(zero)
+        if f is self.num._field:
+            return self
+        if self.num._field is None:  # the rows lift as they are, and stay reduced
+            num, den = (_make(f, p._rows + [[0] * (p.degree + 1)] * (f.degree - 1), p._den)
+                        for p in (self.num, self.den))
+            return RationalFunction._reduced(num, den)
         return RationalFunction(Poly(self.num.coeffs, zero=zero), Poly(self.den.coeffs, zero=zero))

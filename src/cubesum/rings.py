@@ -9,14 +9,16 @@ A number field element is fraction-free: integer power-basis coordinates over
 one positive common denominator, kept with no common factor (Cohen, A Course
 in Computational Algebraic Number Theory, 4.2.1). Products go through
 polymulmod on the integer numerators, the same routine F_{p^n} multiplies with.
-The Fraction coordinates are derived on demand, for printing and sorting.
+An inverse is the adjugate over the norm (NumberField.adjugate), all in
+integers. The Fraction coordinates are derived on demand, for printing and
+sorting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .arith import is_prime
 
@@ -154,6 +156,9 @@ class NumberField:
         self.name = name
         self.defining = tuple(int(c) for c in defining)
         self.degree = len(defining)
+        basis = [[0] * k + [1] for k in range(self.degree)]
+        # Tr(gen^k): the trace of multiplication by gen^k on the power basis
+        self.traces = tuple(sum(polymulmod(b, e, self.defining)[i] for i, e in enumerate(basis)) for b in basis)
 
     def __repr__(self):
         return f"NumberField({self.name})"
@@ -168,6 +173,25 @@ class NumberField:
         num = [v.numerator * (den // v.denominator) for v in vals]
         num += [0] * (self.degree - len(num))
         return NumberFieldElement(self, tuple(num), den)
+
+    def adjugate(self, c) -> tuple[list[int], int]:
+        """(a, N) with c a = N, a nonzero int, for the integer coordinates c of
+        a nonzero element, in closed form.
+
+        Over a quadratic field a is the conjugate of c and N its norm. Else
+        Cayley-Hamilton: with X^d + s_(d-1) X^(d-1) + ... + s_0 the
+        characteristic polynomial of c, c (c^(d-1) + s_(d-1) c^(d-2) + ... + s_1)
+        = -s_0, and Faddeev-LeVerrier gives the s_k from traces, exactly in Z.
+        """
+        if self.degree == 2:
+            (t0, t1), (u, v) = self.defining, c  # gen^2 = -t1 gen - t0: conj(gen) = -t1 - gen
+            return [u - t1 * v, -v], u * u - t1 * u * v + t0 * v * v
+        e, s = [0] * self.degree, 1
+        for k in range(1, self.degree + 1):  # e = c^(k-1) + ... + s_(d-k+1), s = s_(d-k)
+            e = polymulmod(c, e, self.defining)
+            e[0] += s
+            s = -sum(map(mul, polymulmod(c, e, self.defining), self.traces)) // k
+        return [-x for x in e], s
 
     def zero(self) -> "NumberFieldElement":
         return self()
@@ -277,25 +301,11 @@ class NumberFieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse by extended Euclid against the defining poly."""
+        """(c / den)^-1 = den a / N, with c a = N from NumberField.adjugate."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.is_rational():
-            # (a/d)^-1 = d/a; the constructor moves the sign of a
-            return NumberFieldElement(self.field, (self.den,) + self.num[1:], self.num[0])
-        from .polynomials import Poly  # polynomials imports this module
-
-        # the remainders r and cofactors t keep t*g = r mod f, with g the
-        # numerator polynomial; f is irreducible, so the last nonzero remainder
-        # is a constant c, and (g/den)^-1 = den*t/c
-        r0, r1 = Poly(self.field.defining + (1,)), Poly(self.num)
-        t0, t1 = Poly(), Poly([1])
-        while r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        c = r1.coeffs[0]
-        return self.field(*(a * self.den / c for a in t1.coeffs))
+        a, n = self.field.adjugate(self.num)
+        return NumberFieldElement(self.field, tuple(x * self.den for x in a), n)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -2,9 +2,10 @@
 
 An element here is a tuple of Fractions in the power basis, one per
 coordinate. A product is the product of the two coefficient polynomials reduced
-modulo the defining polynomial with polynomials.Poly over Q, and an inverse
-solves the linear system "x times y = 1" by Gaussian elimination over Q. No
-integer numerators, common denominators or multiply-mod-g loop are involved.
+modulo the defining polynomial with the Fraction-coefficient reference_poly.Poly
+over Q, and an inverse solves the linear system "x times y = 1" by Gaussian
+elimination over Q. No integer numerators, common denominators, adjugates or
+multiply-mod-g loop are involved.
 Tests compare the fraction-free elements of cubesum.rings against this code.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cubesum.polynomials import Poly
+from reference_poly import Poly
 
 
 class RefElement:

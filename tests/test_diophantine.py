@@ -77,6 +77,16 @@ def test_symmetry_group_order_and_involutions():
         assert g.apply(probe) == probe
 
 
+def test_cached_symmetry_group_equals_a_fresh_search():
+    group = symmetry_group()
+    assert isinstance(group, tuple) and symmetry_group() is group
+    fresh = symmetry_group.__wrapped__()  # the breadth-first search, run again
+    points = [(1, 2, 3), (5, 7, 11), (-4, 9, 0)]
+    assert [g.word for g in fresh] == [g.word for g in group]
+    assert [[g.apply(p) for p in points] for g in fresh] == [[g.apply(p) for p in points] for g in group]
+    assert len({tuple(g.apply(p) for p in points) for g in group}) == 8
+
+
 def test_apply_symmetry_examples():
     assert apply_symmetry(SymmetryElement(("t3",)), SolutionXYZ(8, 3, 12)) == SolutionXYZ(3, 8, 12)
     assert apply_symmetry(SymmetryElement(("t1", "t2")), SolutionXYZ(3, 8, 12)) == SolutionXYZ(-3, -8, 12)

@@ -1,6 +1,7 @@
-"""Every name the package imports is used, and every module-level private name
-it defines is read: an import or a helper that nothing references is dead code
-that still costs a load and misleads the reader about what the code depends on."""
+"""Every name the package and the test-only reference modules (tests/reference_*.py)
+import is used, and every module-level private name they define is read: an
+import or a helper that nothing references is dead code that still costs a load
+and misleads the reader about what the code depends on."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import cubesum
 
 PACKAGE = Path(cubesum.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
@@ -55,10 +57,14 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
                   if private not in read)
 
 
-def _package_trees() -> dict[str, ast.Module]:
-    sources = sorted(PACKAGE.glob("*.py"))
+def _trees(directory: Path, pattern: str) -> dict[str, ast.Module]:
+    sources = sorted(directory.glob(pattern))
     assert sources
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return _trees(PACKAGE, "*.py")
 
 
 def test_package_has_no_unused_imports():
@@ -87,3 +93,23 @@ def test_detector_flags_an_unread_private_name():
         "b.py": ast.parse("from a import _helper\nimport a\nprint(a._kept, _helper())\n"),
     }
     assert _unread_private_names(trees) == ["a.py:2 _INVERSE", "a.py:5 _Gone"]
+
+
+def test_reference_modules_have_no_unused_imports():
+    found = [
+        f"{name}:{line} {imported}"
+        for name, tree in _trees(TESTS, "reference_*.py").items()
+        for imported, line in _unused_imports(tree)
+    ]
+    assert not found, f"unused imports in tests/reference_*.py: {found}"
+
+
+def test_reference_modules_read_every_private_name():
+    # a reference module's helper may be read by the reference modules or the tests
+    references, tests = _trees(TESTS, "reference_*.py"), _trees(TESTS, "test_*.py")
+    read = set().union(*map(_reads, {**references, **tests}.values()))
+    found = sorted(f"{name}:{line} {private}"
+                   for name, tree in references.items()
+                   for private, line in _private_definitions(tree)
+                   if private not in read)
+    assert not found, f"module-level private names nothing reads in tests/reference_*.py: {found}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubesum.rings import QOMEGA, QZETA12
+from cubesum.rings import QOMEGA, QZETA12, NumberField, polymulmod
 from reference_numberfield import RefElement
 
 FIELDS = [QOMEGA, QZETA12]
@@ -141,3 +141,21 @@ def test_elements_of_two_fields_are_unequal_but_do_not_mix():
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
         with pytest.raises(TypeError):
             op(QOMEGA(1), QZETA12(1))
+
+
+@pytest.mark.parametrize("defining", [(-2, 0), (1, 1), (-2, 0, 0), (1, 1, 0), (1, 0, -1, 0), (-2, 0, 0, 0, 0)],
+                         ids=["x2-2", "x2+x+1", "x3-2", "x3+x+1", "zeta12", "x5-2"])
+def test_adjugate_times_element_is_its_norm(defining):
+    # real and imaginary quadratics take the closed form; degrees 3 to 5 go
+    # through Faddeev-LeVerrier; the reference inverts by Gaussian elimination
+    field = NumberField("test", defining)
+    rng = random.Random(17)
+    for _ in range(40):
+        c = [rng.randint(-9, 9) for _ in defining]
+        if not any(c):
+            continue
+        a, n = field.adjugate(c)
+        assert n != 0 and all(type(x) is int for x in a)
+        assert polymulmod(c, a, field.defining) == [n] + [0] * (len(defining) - 1)
+        x, rx = pair(field, [Fraction(v, 3) for v in c])
+        assert_agrees(x.inverse(), rx.inverse())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cubesum.multipoly import MultiPoly, normal_form
 from cubesum.polynomials import INFINITY, Poly, RationalFunction
-from cubesum.rings import QOMEGA, W, ZETA, EisensteinInt, NumberFieldElement
+from cubesum.rings import QOMEGA, W, ZETA, EisensteinInt, NumberField
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.lists(coeff, min_size=0, max_size=6).map(Poly)
@@ -84,17 +84,22 @@ def test_monic_gcd_over_omega_inverts_nothing(monkeypatch):
     a = (t - W) * (t - 1) * (t + 2)
     b = (t - W) * (t - 1)
     calls = []
-    real = NumberFieldElement.inverse
+    real = NumberField.adjugate
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
+    def counting(self, c):
+        calls.append(c)
+        return real(self, c)
 
-    monkeypatch.setattr(NumberFieldElement, "inverse", counting)
+    # every scalar inverse, in Poly and in NumberFieldElement.inverse, goes
+    # through the adjugate of NumberField
+    monkeypatch.setattr(NumberField, "adjugate", counting)
     # the only divisor is b, which is monic, and the gcd b is monic already
     assert a.gcd(b) == b
     assert (a // b) == t + 2
     assert calls == []
+    # a divisor with the leading coefficient w takes the adjugate of w
+    assert a // (W * b) == (t + 2) * W**2
+    assert calls and all(c == [0, 1] for c in calls)
 
 
 def test_divmod_by_non_monic_divisor_over_q_and_omega():
