@@ -45,10 +45,7 @@ def mulmod(a: Rows, b: Rows, tail: tuple[int, ...]) -> Rows:
     out = [[0] * n for _ in range(d + len(b) - 1)]
     for k, x in enumerate(a):
         for l, y in enumerate(b):
-            if len(y) == 1:  # a scalar row
-                if y[0]:
-                    out[k + l] = [u + y[0] * v for u, v in zip(out[k + l], x)]
-            elif any(x) and any(y):
+            if any(x) and any(y):
                 row = out[k + l]
                 for i, c in enumerate(x):
                     if c:
@@ -83,11 +80,6 @@ def pdiv(a: Rows, b: Rows, n: int, tail: tuple[int, ...]) -> tuple[Rows, Rows, i
         for row, x in zip(q, c):
             row[j] = x
         # r -= c gen^0 b + ... on entries j .. j+m-1; entry j + m is now 0 and never read
-        if len(c) == 2:  # over a quadratic field, one pass per row
-            (x0, x1), (u0, u1) = c, shifts
-            for row, v0, v1 in zip(r, u0, u1):
-                row[j : j + m] = [y - x0 * z0 - x1 * z1 for y, z0, z1 in zip(row[j : j + m], v0, v1)]
-            continue
         for x, u in zip(c, shifts):
             for row, v in zip(r, u if x else ()):
                 row[j : j + m] = [y - x * z for y, z in zip(row[j : j + m], v)]

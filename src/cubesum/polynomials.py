@@ -35,7 +35,6 @@ from .rings import NumberFieldElement, coerce_scalar, scalar_zero
 
 INFINITY = "inf"  # marker for the place at infinity on P^1
 _Q0 = Fraction(0)
-_ONES: dict = {}  # the constant 1 of each scalar ring, shared: a Poly never changes
 
 
 class Poly:
@@ -144,7 +143,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of Poly; use RationalFunction")
-        out, base = _one(self._field), self
+        out, base = _rational(self._field, [1]), self
         while n:
             if n & 1:
                 out = out * base
@@ -155,6 +154,7 @@ class Poly:
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        _check_ring(self._field, other._field)
         m, f = other.monic(), self._field
         q, r, s = pdiv(self._rows, m._rows, m._den, _tail(f))
         q = _make(f, [[m._den * c for c in row] for row in q], self._den * s)
@@ -180,6 +180,7 @@ class Poly:
         return self._div_lead(self) if self._rows[0] else self
 
     def gcd(self, other: "Poly") -> "Poly":
+        _check_ring(self._field, other._field)
         a, b = self, other.monic()
         while b.degree > 0:
             a, b = b, _make(a._field, pdiv(a._rows, b._rows, b._den, _tail(a._field))[1], 1).monic()
@@ -237,10 +238,6 @@ def _rational(field, ints: list[int]) -> Poly:
     return _make(field, [list(ints)] + [[0] * len(ints)] * (field.degree - 1 if field else 0), 1)
 
 
-def _one(field) -> Poly:
-    return _ONES.get(field) or _ONES.setdefault(field, _rational(field, [1]))
-
-
 def _scalar(field, coords, den: int):
     return Fraction(coords[0], den) if field is None else NumberFieldElement(field, tuple(coords), den)
 
@@ -282,14 +279,15 @@ class RationalFunction:
     def __init__(self, num: Poly, den: Poly | None = None):
         if not isinstance(num, Poly):
             num = Poly([num])
-        den = _one(num._field) if den is None else den
+        den = _rational(num._field, [1]) if den is None else den
+        _check_ring(num._field, den._field)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         # a constant denominator is coprime to anything; den.monic() normalises it
         if den.degree > 0 and not num.is_zero():
             num, den = _cancel(num, den)
         if num.is_zero():
-            den = _one(num._field)
+            den = _rational(num._field, [1])
         self.num, self.den = num._div_lead(den), den.monic()
 
     @classmethod
@@ -297,7 +295,7 @@ class RationalFunction:
         """num/den already coprime with den monic: no gcd, no scaling."""
         out = object.__new__(cls)
         out.num = num
-        out.den = den if not num.is_zero() else _one(num._field)
+        out.den = den if not num.is_zero() else _rational(num._field, [1])
         return out
 
     def __repr__(self):
@@ -332,7 +330,7 @@ class RationalFunction:
             return other
         if isinstance(other, (Poly, int, Fraction, NumberFieldElement)):
             p = self.num._wrap(other)
-            return RationalFunction._reduced(p, _one(p._field))
+            return RationalFunction._reduced(p, _rational(p._field, [1]))
         return None
 
     def __add__(self, other):
@@ -420,4 +418,4 @@ class RationalFunction:
             num, den = (_make(f, p._rows + [[0] * (p.degree + 1)] * (f.degree - 1), p._den)
                         for p in (self.num, self.den))
             return RationalFunction._reduced(num, den)
-        return RationalFunction(Poly(self.num.coeffs, zero=zero), Poly(self.den.coeffs, zero=zero))
+        raise TypeError("a number field scalar cannot be sent to Q or to another field")

@@ -178,14 +178,10 @@ class NumberField:
         """(a, N) with c a = N, a nonzero int, for the integer coordinates c of
         a nonzero element, in closed form.
 
-        Over a quadratic field a is the conjugate of c and N its norm. Else
         Cayley-Hamilton: with X^d + s_(d-1) X^(d-1) + ... + s_0 the
         characteristic polynomial of c, c (c^(d-1) + s_(d-1) c^(d-2) + ... + s_1)
         = -s_0, and Faddeev-LeVerrier gives the s_k from traces, exactly in Z.
         """
-        if self.degree == 2:
-            (t0, t1), (u, v) = self.defining, c  # gen^2 = -t1 gen - t0: conj(gen) = -t1 - gen
-            return [u - t1 * v, -v], u * u - t1 * u * v + t0 * v * v
         e, s = [0] * self.degree, 1
         for k in range(1, self.degree + 1):  # e = c^(k-1) + ... + s_(d-k+1), s = s_(d-k)
             e = polymulmod(c, e, self.defining)

@@ -321,6 +321,11 @@ def test_operators_reject_mixed_scalar_rings():
                 op(x, y)
         with pytest.raises(TypeError):
             x / y if isinstance(x, RationalFunction) or isinstance(y, RationalFunction) else x // y
+    # the named methods and the constructor check too, with constant divisors
+    for x, y in [(t, tw), (tw, t), (tw, tz), (W * tw * tw, t + 1), (t * t, tw + 1), (t, tw * 0 + W)]:
+        for call in (x.divmod, x.gcd, lambda y, x=x: RationalFunction(x, y)):
+            with pytest.raises(TypeError):
+                call(y)
     with pytest.raises(TypeError):
         f * W
     with pytest.raises(TypeError):
