@@ -222,11 +222,17 @@ def infinity_model(E: FunctionFieldCurve) -> tuple[Poly, Poly, int]:
     The twist (x, y) -> (x/t^(2k), y/t^(3k)) turns A, B into polynomials in s
     of valuation < 4 resp. < 6 at s = 0.
     """
-    A, B = _poly_of(E.A), _poly_of(E.B)
+    A, B, k = _poly_of(E.A), _poly_of(E.B), _twist_at_infinity(E)
+    return A.reverse(4 * k), B.reverse(6 * k), k
+
+
+def _twist_at_infinity(E: FunctionFieldCurve) -> int:
+    """The k of infinity_model, read off the degrees of A and B alone."""
+    if not (E.A.is_polynomial() and E.B.is_polynomial()):
+        raise ValueError("expected a polynomial coefficient")
     # k is the least integer with deg A <= 4k and deg B <= 6k, so at k - 1 one
     # of the two fails: v(A~) < 4 or v(B~) < 6, and no smaller twist exists
-    k = max(0, -(-A.degree // 4), -(-B.degree // 6))
-    return A.reverse(4 * k), B.reverse(6 * k), k
+    return max(0, -(-E.A.num.degree // 4), -(-E.B.num.degree // 6))
 
 
 def _kodaira_from_valuations(vA, vB, vD: int) -> str:
@@ -347,7 +353,7 @@ def _section_localized(P: RationalFunctionPoint, E: FunctionFieldCurve, place: P
     zc = P.x.zero_scalar
     B = E.B.over(zc)
     if place.is_infinity:
-        k = infinity_model(E)[2]
+        k = _twist_at_infinity(E)
         return (_reciprocal_twist(P.x, 2 * k), _reciprocal_twist(P.y, 3 * k),
                 _reciprocal_twist(B, 6 * k), zc)
     return P.x, P.y, B, zc + place.root()
@@ -358,7 +364,10 @@ def _reciprocal_twist(f: RationalFunction, power: int) -> RationalFunction:
     num, den = f.num, f.den
     s = Poly.x(zero=num.zero)
     shift = power + den.degree - num.degree
-    out = RationalFunction(num.reverse(), den.reverse())
+    # the reversals keep their nonzero constant terms and invert every other
+    # root, so they stay coprime: only the denominator is made monic
+    rden = den.reverse()
+    out = RationalFunction._reduced(num.reverse()._div_lead(rden), rden.monic())
     if shift >= 0:
         return out * RationalFunction(s**shift)
     return out / RationalFunction(s**(-shift))
@@ -433,8 +442,7 @@ def intersection_with_zero(P: RationalFunctionPoint, E: FunctionFieldCurve) -> i
             if e % 2:
                 raise ValueError("odd x-pole order; not a section of the minimal model")
             total += (e // 2) * g.degree
-    _As, _Bs, k = infinity_model(E)
-    v_inf = 2 * k + P.x.den.degree - P.x.num.degree
+    v_inf = 2 * _twist_at_infinity(E) + P.x.den.degree - P.x.num.degree
     if v_inf < 0:
         if v_inf % 2:
             raise ValueError("odd x-pole order at infinity")
@@ -442,15 +450,13 @@ def intersection_with_zero(P: RationalFunctionPoint, E: FunctionFieldCurve) -> i
     return total
 
 
-def height_self(P: RationalFunctionPoint, E: FunctionFieldCurve,
-                fibers: list[KodairaFiber] | None = None) -> Fraction:
+def height_self(P: RationalFunctionPoint, E: FunctionFieldCurve) -> Fraction:
     """<P, P> in the mw-lattice convention: 2*chi + 2(P.O) - sum contr_v(P)."""
     if P.is_infinity():
         return Fraction(0)
     if P.y.is_zero():
         raise ValueError("torsion section has no height")
-    if fibers is None:
-        fibers = classify_fibers(E)
+    fibers = classify_fibers(E)
     chi = _arithmetic_genus_chi(fibers)
     corr = Fraction(0)
     for f in fibers:
@@ -460,7 +466,7 @@ def height_self(P: RationalFunctionPoint, E: FunctionFieldCurve,
 
 
 def height_pairing(P: RationalFunctionPoint, Q: RationalFunctionPoint,
-                   E: FunctionFieldCurve, fibers: list[KodairaFiber] | None = None) -> Fraction:
+                   E: FunctionFieldCurve) -> Fraction:
     """Shioda height pairing of two non-torsion sections, in the mw-lattice
     convention: twice the canonical value.
 
@@ -471,24 +477,21 @@ def height_pairing(P: RationalFunctionPoint, Q: RationalFunctionPoint,
     """
     if P.is_infinity() or Q.is_infinity():
         raise ValueError("height pairing needs non-torsion sections")
-    if fibers is None:
-        fibers = classify_fibers(E)
     if P == Q:
-        return height_self(P, E, fibers)
+        return height_self(P, E)
     S = add(P, Q, E)
-    qS = Fraction(0) if S.is_infinity() else height_self(S, E, fibers)
-    return (qS - height_self(P, E, fibers) - height_self(Q, E, fibers)) / 2
+    qS = Fraction(0) if S.is_infinity() else height_self(S, E)
+    return (qS - height_self(P, E) - height_self(Q, E)) / 2
 
 
 def height_gram(sections, E: FunctionFieldCurve) -> HeightMatrix:
     """Gram matrix of height_pairing on the sections, in the mw-lattice
     convention; HeightMatrix.to_convention("canonical") halves it."""
-    fibers = classify_fibers(E)
     n = len(sections)
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entries[i][j] = entries[j][i] = height_pairing(sections[i], sections[j], E, fibers)
+            entries[i][j] = entries[j][i] = height_pairing(sections[i], sections[j], E)
     return HeightMatrix(tuple(tuple(r) for r in entries), "mw-lattice")
 
 

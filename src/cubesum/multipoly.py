@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials and square-eliminating normal forms.
 
-Just enough machinery for the surface identity checks: a MultiPoly is a dict
-from exponent tuples to exact scalars over a fixed variable list. The normal
-form routine rewrites var^2 -> replacement for a triangular set of relations,
-which is all the quotient-map and coordinate-change verifications need (no
-Groebner bases).
+Just enough machinery for two surface identity checks, the quotient map psi
+and the Inose coordinate changes: a MultiPoly is a dict from exponent tuples
+to exact scalars over a fixed variable list. normal_form rewrites
+var^2 -> replacement for relation sets whose replacements mention no
+eliminated variable, such as psi's {s: u^6 - 1, y0: x0^3 - 1} and the Inose
+check's {y: x^3 - c(t)}; any other set raises ValueError (no Groebner bases).
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class MultiPoly:
             return NotImplemented
         return self.vars == o.vars and self.terms == o.terms
 
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
     def _wrap(self, other):
         if isinstance(other, MultiPoly):
             if other.vars != self.vars:
@@ -137,96 +135,33 @@ class MultiPoly:
         idx = self.vars.index(name)
         return max((e[idx] for e in self.terms), default=0)
 
-    def derivative(self, name: str) -> "MultiPoly":
-        idx = self.vars.index(name)
-        out = {}
-        z = self.zero
-        for e, c in self.terms.items():
-            if e[idx]:
-                ne = list(e)
-                ne[idx] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), z) + c * e[idx]
-        return MultiPoly(self.vars, out, zero=z)
-
-    def substitute(self, assignment: dict):
-        """Evaluate by substituting scalars or MultiPolys for variables.
-
-        MultiPoly values may live in a different variable space; every
-        variable actually occurring in self must then be assigned.
-        """
-        target = self.vars
-        for val in assignment.values():
-            if isinstance(val, MultiPoly):
-                target = val.vars
-                break
-        z = self.zero
-        acc = MultiPoly.const(target, 0, zero=z)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(target, c, zero=z)
-            for v, exp in zip(self.vars, e):
-                if not exp:
-                    continue
-                val = assignment.get(v)
-                if val is None:
-                    if v not in target:
-                        raise KeyError(f"variable {v} occurs but has no assignment")
-                    val = MultiPoly.variable(target, v, zero=z)
-                elif not isinstance(val, MultiPoly):
-                    val = MultiPoly.const(target, val, zero=z)
-                term = term * val**exp
-            acc = acc + term
-        return acc
-
 
 def normal_form(expr: MultiPoly, relations: dict[str, MultiPoly]) -> MultiPoly:
     """Reduce expr by the rewrite rules var^2 -> relations[var].
 
-    The relation set must be triangular: there is an ordering of the eliminated
-    variables in which each replacement polynomial mentions only earlier-reducible
-    variables (to degree arbitrary) or non-eliminated ones. The result has degree
-    < 2 in every eliminated variable and is zero iff expr lies in the ideal
+    No replacement may mention an eliminated variable; any other relation set
+    raises ValueError. Rewriting one variable then leaves the degrees in the
+    others as they are, so one pass per variable reaches the result: degree
+    < 2 in every eliminated variable, and zero iff expr lies in the ideal
     generated by {var^2 - replacement}.
     """
-    order = _triangular_order(expr.vars, relations)
-    out = expr
-    for name in order:
-        out = _reduce_one(out, name, relations[name])
-    return out
-
-
-def _triangular_order(variables, relations: dict[str, MultiPoly]) -> list[str]:
-    remaining = dict(relations)
-    order: list[str] = []
-    while remaining:
-        progressed = False
-        for name, rep in list(remaining.items()):
-            # reducible now if its replacement avoids all *other* pending vars
-            if all(rep.degree_in(other) == 0 for other in remaining if other != name):
-                if rep.degree_in(name) >= 2:
-                    raise ValueError(f"relation for {name} mentions {name}^2; not triangular")
-                order.append(name)
-                del remaining[name]
-                progressed = True
-        if not progressed:
-            raise ValueError("relation set is not triangular")
-    # reduce the most dependent variable first so replacements introduce only
-    # variables that are handled later
-    return list(reversed(order))
+    for name, rep in relations.items():
+        if any(rep.degree_in(v) for v in relations):
+            raise ValueError(f"the replacement for {name} mentions an eliminated variable")
+    for name, rep in relations.items():
+        expr = _reduce_one(expr, name, rep)
+    return expr
 
 
 def _reduce_one(p: MultiPoly, name: str, rep: MultiPoly) -> MultiPoly:
+    """p with each name^(2k + r) replaced by rep^k name^r, for rep free of name:
+    the terms are grouped by k, so rep^k is built and multiplied once per k."""
     idx = p.vars.index(name)
-    z = p.zero
-    while True:
-        high = {e: c for e, c in p.terms.items() if e[idx] >= 2}
-        if not high:
-            return p
-        low = {e: c for e, c in p.terms.items() if e[idx] < 2}
-        acc = MultiPoly(p.vars, low, zero=z)
-        for e, c in high.items():
-            k, r = divmod(e[idx], 2)
-            ne = list(e)
-            ne[idx] = r
-            mono = MultiPoly(p.vars, {tuple(ne): c}, zero=z)
-            acc = acc + mono * rep**k
-        p = acc
+    by_k: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        k, r = divmod(e[idx], 2)
+        by_k.setdefault(k, {})[e[:idx] + (r,) + e[idx + 1:]] = c
+    acc = MultiPoly(p.vars, by_k.pop(0, {}), zero=p.zero)
+    for k, terms in by_k.items():
+        acc = acc + MultiPoly(p.vars, terms, zero=p.zero) * rep**k
+    return acc

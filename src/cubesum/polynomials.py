@@ -96,7 +96,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        # equal Polys over Q and over a field share their first row and den
+        # a constant equals its scalar, so it hashes as one; equal Polys over Q
+        # and over a field share their first row and den
+        if self.degree <= 0:
+            return hash(self.leading())
         return hash((tuple(self._rows[0]), self._den))
 
     def _wrap(self, other):
@@ -155,10 +158,11 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         _check_ring(self._field, other._field)
-        m, f = other.monic(), self._field
+        inv, f = other._lead_inverse(), self._field  # one adjugate, for m and for q
+        m = other._times(inv)
         q, r, s = pdiv(self._rows, m._rows, m._den, _tail(f))
         q = _make(f, [[m._den * c for c in row] for row in q], self._den * s)
-        return q._div_lead(other), _make(f, r, self._den * s)
+        return q._times(inv), _make(f, r, self._den * s)
 
     def __floordiv__(self, other):
         o = self._wrap(other)
@@ -168,13 +172,24 @@ class Poly:
         o = self._wrap(other)
         return NotImplemented if o is None else self.divmod(o)[1]
 
+    def _lead_inverse(self):
+        """1/c for the leading coefficient c of the nonzero self, as the pair
+        (scalar rows a, integer n) of a / n; None if c is 1."""
+        c = [r[-1] for r in self._rows]
+        if c[0] == self._den and not any(c[1:]):
+            return None
+        a, n = self._field.adjugate(c) if any(c[1:]) else ([1], c[0])
+        return [[self._den * x] for x in a], n
+
+    def _times(self, inv) -> "Poly":
+        """self times the scalar a / n of inv = (a, n), or self if inv is None."""
+        if inv is None:
+            return self
+        return _make(self._field, mulmod(self._rows, inv[0], _tail(self._field)), self._den * inv[1])
+
     def _div_lead(self, p: "Poly") -> "Poly":
         """self over the leading coefficient c of the nonzero p: self if c is 1."""
-        c = [r[-1] for r in p._rows]
-        if c[0] == p._den and not any(c[1:]):
-            return self
-        a, n = self._field.adjugate(c) if any(c[1:]) else ([1], c[0])
-        return _make(self._field, mulmod(self._rows, [[p._den * x] for x in a], _tail(self._field)), self._den * n)
+        return self._times(p._lead_inverse())
 
     def monic(self) -> "Poly":
         return self._div_lead(self) if self._rows[0] else self
@@ -319,7 +334,8 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # with denominator 1 it equals its numerator, so it hashes as that
+        return hash(self.num) if self.den.is_one() else hash((self.num, self.den))
 
     def _wrap(self, other):
         """other as a rational function over this one's scalars, or None.

@@ -1,16 +1,24 @@
 """Symbolic verification of the quartic surface's geometry.
 
 Everything here reduces a polynomial identity to zero in exact arithmetic:
-the cyclic degree-6 quotient map onto the surface, the graph construction that
-recovers the parametric solution family, the coordinate changes identifying
-the second fibration with the Fermat-like quartic, and the singular points,
-lines and line orbits of the quartic itself.
+- the cyclic degree-6 quotient map onto the surface and the coordinate changes
+  identifying the second fibration with the Fermat-like quartic, as MultiPoly
+  normal forms;
+- the graph construction that recovers the parametric solution family, over
+  Q(w)(u);
+- the singular points, lines and line orbits of the quartic
+  F = X*Y*(X^2 + Y^2 - W^2) - Z^3*W, on univariate Polys over Q(zeta12).
+  F(p + t*e_i) carries F(p) and dF/dX_i(p) as its two lowest coefficients,
+  and F(t*p + q) is zero exactly when the line through p and q lies on the
+  surface. A line is keyed by its normalised Plucker coordinates, so a
+  symmetry's image of a line is found by one dict lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .elliptic import add, curve_over_omega, curve_sextic_twist, point_over_omega, section_tau
 from .multipoly import MultiPoly, normal_form
@@ -207,14 +215,10 @@ def verify_inose_and_eps2(coefficient: int = 432, flip_wprime_sign: bool = False
 
 # --- singular points, lines, orbits ----------------------------------------
 
-_XYZW = ("X", "Y", "Z", "W")
 
-
-def quartic_form() -> MultiPoly:
-    """X*Y*(X^2 + Y^2 - W^2) - Z^3*W over Q(zeta12)."""
-    zero = QZETA12.zero()
-    X, Y, Z, Wv = (MultiPoly.variable(_XYZW, n, zero=zero) for n in _XYZW)
-    return X * Y * (X**2 + Y**2 - Wv**2) - Z**3 * Wv
+def quartic(X, Y, Z, W):
+    """X*Y*(X^2 + Y^2 - W^2) - Z^3*W for any four ring elements."""
+    return X * Y * (X**2 + Y**2 - W**2) - Z**3 * W
 
 
 SINGULAR_POINTS = (
@@ -227,7 +231,7 @@ SINGULAR_POINTS = (
 
 
 def _lines():
-    """The 18 lines, each as (two spanning points, two linear forms)."""
+    """The 18 lines, each as two spanning points."""
     one = QZETA12.one()
     zero = QZETA12.zero()
     i, w = I_Z12, W_Z12
@@ -236,15 +240,13 @@ def _lines():
     def pt(*cs):
         return tuple(zero + c for c in cs)
 
-    # linear form: coefficients (cX, cY, cZ, cW); the line is the common zero
-    # locus of its two forms
-    data = [
-        ((pt(0, 1, 0, 0), pt(0, 0, 0, 1)), (pt(1, 0, 0, 0), pt(0, 0, 1, 0))),   # X=0, Z=0
-        ((pt(1, 0, 0, 0), pt(0, 0, 0, 1)), (pt(0, 1, 0, 0), pt(0, 0, 1, 0))),   # Y=0, Z=0
-        ((pt(0, 1, 0, 0), pt(0, 0, 1, 0)), (pt(1, 0, 0, 0), pt(0, 0, 0, 1))),   # X=0, W=0
-        ((pt(1, 0, 0, 0), pt(0, 0, 1, 0)), (pt(0, 1, 0, 0), pt(0, 0, 0, 1))),   # Y=0, W=0
-        (((i, one, zero, zero), pt(0, 0, 1, 0)), ((one, -i, zero, zero), pt(0, 0, 0, 1))),  # X=iY, W=0
-        (((-i, one, zero, zero), pt(0, 0, 1, 0)), ((one, i, zero, zero), pt(0, 0, 0, 1))),  # X=-iY, W=0
+    lines = [
+        (pt(0, 1, 0, 0), pt(0, 0, 0, 1)),   # X=0, Z=0
+        (pt(1, 0, 0, 0), pt(0, 0, 0, 1)),   # Y=0, Z=0
+        (pt(0, 1, 0, 0), pt(0, 0, 1, 0)),   # X=0, W=0
+        (pt(1, 0, 0, 0), pt(0, 0, 1, 0)),   # Y=0, W=0
+        ((i, one, zero, zero), pt(0, 0, 1, 0)),   # X=iY, W=0
+        ((-i, one, zero, zero), pt(0, 0, 1, 0)),  # X=-iY, W=0
     ]
     # the twelve lines {X = aW, Y = b Z} and {Y = aW, X = b Z} with a = +-1,
     # b in {a, a*w, a*w^2}
@@ -252,13 +254,10 @@ def _lines():
         for a in (one, -one):
             for b in (a, a * w, a * w2):
                 if xfirst:
-                    points = ((a, zero, zero, one), (zero, b, one, zero))
-                    forms = ((one, zero, zero, -a), (zero, one, -b, zero))
+                    lines.append(((a, zero, zero, one), (zero, b, one, zero)))
                 else:
-                    points = ((zero, a, zero, one), (b, zero, one, zero))
-                    forms = ((zero, one, zero, -a), (one, zero, -b, zero))
-                data.append((points, forms))
-    return data
+                    lines.append(((zero, a, zero, one), (b, zero, one, zero)))
+    return lines
 
 
 # Generators of the order-24 projective symmetry group, each a pair
@@ -304,6 +303,14 @@ def _apply_sym(g, point):
     return tuple(scal[i] * point[perm[i]] for i in range(4))
 
 
+def _plucker(p, q):
+    """The line through p and q as its six 2x2 minors, scaled to make the first
+    nonzero one 1: equal for any two spanning pairs of one line."""
+    minors = [p[i] * q[j] - p[j] * q[i] for i, j in combinations(range(4), 2)]
+    lead = next(m for m in minors if m).inverse()
+    return tuple(m * lead for m in minors)
+
+
 @dataclass(frozen=True)
 class SurfaceGeometryReport:
     singular_points_ok: bool
@@ -325,44 +332,28 @@ class SurfaceGeometryReport:
 
 def verify_lines_and_singular_points() -> SurfaceGeometryReport:
     """Check the five singular points, the 18 lines, and their orbit partition."""
-    F = quartic_form()
-    partials = [F.derivative(v) for v in _XYZW]
     zero = QZETA12.zero()
 
+    # F(p + t e_i) has the constant coefficient F(p) and the linear one dF/dX_i(p)
     sing_ok = True
     for p in SINGULAR_POINTS:
-        vals = {v: zero + c for v, c in zip(_XYZW, p)}
-        for poly in [F, *partials]:
-            val = poly.substitute(vals)
-            if not val.is_zero():
+        for i in range(4):
+            f = quartic(*(Poly([c, int(j == i)], zero=zero) for j, c in enumerate(p)))
+            if any(f.coeffs[:2]):
                 sing_ok = False
 
+    # F(a p + b q) is a binary quartic with the coefficients of F(t p + q)
     lines = _lines()
-    ab = ("a", "b")
-    on_surface = []
-    for (p, q), _forms in lines:
-        a = MultiPoly.variable(ab, "a", zero=zero)
-        b = MultiPoly.variable(ab, "b", zero=zero)
-        coords = {v: a * pc + b * qc for v, pc, qc in zip(_XYZW, p, q)}
-        val = F.substitute(coords)
-        on_surface.append(val.is_zero())
+    on_surface = [quartic(*(Poly([qc, pc], zero=zero) for pc, qc in zip(p, q))).is_zero()
+                  for p, q in lines]
 
     # orbit partition under the order-24 projective symmetry group: its orbits
     # are the connected components under its generators, and if every
     # generator maps each line to a listed line, so does every group element
-    def line_index_of(points) -> int:
-        for j, (_pts, forms) in enumerate(lines):
-            if all(
-                sum((f[i] * pt[i] for i in range(4)), zero) == zero
-                for f in forms
-                for pt in points
-            ):
-                return j
-        raise RuntimeError("symmetry image is not one of the listed lines")
-
     group = _projective_symmetries()
     if len(group) != 24:
         raise ArithmeticError(f"the projective symmetry group has {len(group)} elements, not 24")
+    index = {_plucker(p, q): j for j, (p, q) in enumerate(lines)}
     parent = list(range(len(lines)))
 
     def find(i):
@@ -371,9 +362,11 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
             i = parent[i]
         return i
 
-    for idx, (pts, _forms) in enumerate(lines):
+    for idx, (p, q) in enumerate(lines):
         for g in SYMMETRY_GENERATORS:
-            j = line_index_of(tuple(_apply_sym(g, p) for p in pts))
+            j = index.get(_plucker(_apply_sym(g, p), _apply_sym(g, q)))
+            if j is None:
+                raise RuntimeError("symmetry image is not one of the listed lines")
             ri, rj = find(idx), find(j)
             if ri != rj:
                 parent[ri] = rj

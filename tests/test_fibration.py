@@ -183,18 +183,16 @@ def test_height_gram_matches_displayed_matrix():
 
 def test_height_quadraticity():
     E, s1, _ = omega_setup()
-    fibers = classify_fibers(E)
     for n in (1, 2, 3):
         P = multiply(n, s1, E)
-        assert height_pairing(P, P, E, fibers) == Fraction(2, 3) * n * n
+        assert height_pairing(P, P, E) == Fraction(2, 3) * n * n
 
 
 def test_height_bilinearity():
     E, s1, ws1 = omega_setup()
-    fibers = classify_fibers(E)
 
     def pair(P, Q):
-        return height_pairing(P, Q, E, fibers)
+        return height_pairing(P, Q, E)
 
     d = double(s1, E)
     for P in (s1, ws1):
@@ -205,14 +203,13 @@ def test_height_bilinearity():
 
 def test_height_minimum_over_48_combinations():
     E, s1, ws1 = omega_setup()
-    fibers = classify_fibers(E)
     values = []
     for a in range(-3, 4):
         for b in range(-3, 4):
             if a == 0 and b == 0:
                 continue
             P = add(multiply(a, s1, E), multiply(b, ws1, E), E)
-            h = height_pairing(P, P, E, fibers)
+            h = height_pairing(P, P, E)
             assert h == Fraction(2, 3) * (a * a - a * b + b * b)
             values.append(h)
     assert len(values) == 48
@@ -229,7 +226,7 @@ def test_generator_pair_does_not_meet():
         Fraction(0),
     )
     direct = 2 + intersection_with_zero(s1, E) + intersection_with_zero(ws1, E) - 0 - contr
-    assert direct == height_pairing(s1, ws1, E, fibers) == Fraction(-1, 3)
+    assert direct == height_pairing(s1, ws1, E) == Fraction(-1, 3)
 
 
 def test_height_rejects_torsion():
@@ -409,3 +406,29 @@ def test_fibers_classified_once_per_curve(monkeypatch):
     E2 = curve_over_omega(curve_main())
     assert classify_fibers(E2) == classify_fibers(E)
     assert len(runs) == 2 and runs[1] is E2
+
+
+def test_infinity_model_runs_once_per_curve(monkeypatch):
+    calls = []
+    real = fibration.infinity_model
+    monkeypatch.setattr(fibration, "infinity_model", lambda E: calls.append(E) or real(E))
+    E, s1, ws1 = omega_setup()
+    gram = height_gram([s1, ws1], E)
+    assert gram.entries == ((Fraction(2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(2, 3)))
+    assert calls == [E]  # classify_fibers' own call
+
+
+def test_reciprocal_twist_equals_the_normalising_constructor():
+    E, s1, ws1 = omega_setup()
+    k = infinity_model(E)[2]
+    s = RationalFunction(Poly.x(zero=QOMEGA.zero()))
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            if (a, b) == (0, 0):
+                continue
+            P = add(multiply(a, s1, E), multiply(b, ws1, E), E)
+            for f, power in ((P.x, 2 * k), (P.y, 3 * k)):
+                # equality is syntactic: the reduced pairs themselves agree
+                expected = RationalFunction(f.num.reverse(), f.den.reverse())
+                expected *= s ** (power + f.den.degree - f.num.degree)
+                assert fibration._reciprocal_twist(f, power) == expected

@@ -1,7 +1,8 @@
 """Every name the package and the test-only reference modules (tests/reference_*.py)
-import is used, and every module-level private name they define is read: an
-import or a helper that nothing references is dead code that still costs a load
-and misleads the reader about what the code depends on."""
+import is used, and every private name they define at module level or as a
+method of a class is read: an import or a helper that nothing references is
+dead code that still costs a load and misleads the reader about what the code
+depends on."""
 
 import ast
 from pathlib import Path
@@ -26,20 +27,22 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """The module-level private names a module binds: functions, classes and
-    assigned names that start with one underscore and are not dunders."""
+    """The private names a module binds: module-level functions, classes and
+    assigned names, and the methods of its classes, that start with one
+    underscore and are not dunders."""
     found = []
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, m.lineno) for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            found.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
-        else:
-            continue
-        found += [(name, node.lineno) for name in names
-                  if name.startswith("_") and not name.endswith("__")]
-    return found
+            found += [(t.id, node.lineno) for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.endswith("__")]
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -83,7 +86,7 @@ def test_detector_flags_an_unused_name():
 
 def test_package_reads_every_private_name():
     found = _unread_private_names(_package_trees())
-    assert not found, f"module-level private names nothing reads in src/cubesum: {found}"
+    assert not found, f"private names nothing reads in src/cubesum: {found}"
 
 
 def test_detector_flags_an_unread_private_name():
@@ -93,6 +96,15 @@ def test_detector_flags_an_unread_private_name():
         "b.py": ast.parse("from a import _helper\nimport a\nprint(a._kept, _helper())\n"),
     }
     assert _unread_private_names(trees) == ["a.py:2 _INVERSE", "a.py:5 _Gone"]
+
+
+def test_detector_flags_an_unread_private_method():
+    trees = {
+        "a.py": ast.parse("class Ring:\n    def _norm(self):\n        return 1\n"
+                          "    def _unused(self):\n        return 2\n"
+                          "    def __len__(self):\n        return self._norm()\n"),
+    }
+    assert _unread_private_names(trees) == ["a.py:4 _unused"]
 
 
 def test_reference_modules_have_no_unused_imports():
@@ -112,4 +124,4 @@ def test_reference_modules_read_every_private_name():
                    for name, tree in references.items()
                    for private, line in _private_definitions(tree)
                    if private not in read)
-    assert not found, f"module-level private names nothing reads in tests/reference_*.py: {found}"
+    assert not found, f"private names nothing reads in tests/reference_*.py: {found}"

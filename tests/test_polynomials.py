@@ -97,9 +97,9 @@ def test_monic_gcd_over_omega_inverts_nothing(monkeypatch):
     assert a.gcd(b) == b
     assert (a // b) == t + 2
     assert calls == []
-    # a divisor with the leading coefficient w takes the adjugate of w
+    # a divisor with the leading coefficient w takes the adjugate of w, once
     assert a // (W * b) == (t + 2) * W**2
-    assert calls and all(c == [0, 1] for c in calls)
+    assert calls == [[0, 1]]
 
 
 def test_divmod_by_non_monic_divisor_over_q_and_omega():
@@ -144,10 +144,11 @@ def test_normal_form_triangular_chain():
     vars2 = ("a", "b")
     a = MultiPoly.variable(vars2, "a")
     b = MultiPoly.variable(vars2, "b")
-    # a^2 -> b + 1 (mentions the other eliminated variable), b^2 -> 2
-    out = normal_form(a**4, {"a": b + 1, "b": MultiPoly.const(vars2, 2)})
-    # (b+1)^2 = b^2 + 2b + 1 -> 2b + 3
-    assert out == 2 * b + 3
+    # a^2 -> b + 1 mentions the other eliminated variable b (b^2 -> 2): a
+    # dependent chain is rejected, not reduced in a triangular order
+    with pytest.raises(ValueError):
+        normal_form(a**4, {"a": b + 1, "b": MultiPoly.const(vars2, 2)})
+    assert normal_form(a**4, {"a": b + 1}) == b**2 + 2 * b + 1
 
 
 def test_normal_form_rejects_cycle():
@@ -158,27 +159,12 @@ def test_normal_form_rejects_cycle():
         normal_form(a * b, {"a": b, "b": a})
 
 
-def test_multipoly_derivative():
-    vars2 = ("x", "y")
-    x = MultiPoly.variable(vars2, "x")
-    y = MultiPoly.variable(vars2, "y")
-    f = x**3 * y + 2 * y**2
-    assert f.derivative("x") == 3 * x**2 * y
-    assert f.derivative("y") == x**3 + 4 * y
-
-
-def test_multipoly_cross_space_substitution():
-    xyzw = ("X", "Y")
-    ab = ("a", "b")
-    X = MultiPoly.variable(xyzw, "X")
-    Y = MultiPoly.variable(xyzw, "Y")
-    a = MultiPoly.variable(ab, "a")
-    b = MultiPoly.variable(ab, "b")
-    f = X**2 - Y
-    out = f.substitute({"X": a + b, "Y": a * b * 2})
-    assert out == a**2 + b**2
-    with pytest.raises(KeyError):
-        f.substitute({"X": a + b})  # Y occurs but has no target
+def test_equal_polys_scalars_and_rational_functions_hash_equal():
+    t = Poly.x()
+    for a, b in ((t, RationalFunction(t)), (3, RationalFunction(Poly([3]))),
+                 (Poly([3]), 3), (Poly([W]), W)):
+        assert a == b and b == a
+        assert a in {b} and b in {a}
 
 
 def test_poly_reverse():

@@ -1,6 +1,8 @@
 import pytest
 
 from cubesum import surface_checks
+from cubesum.multipoly import MultiPoly
+from cubesum.rings import QZETA12
 from cubesum.elliptic import (
     add,
     base_change_t_u3,
@@ -16,7 +18,7 @@ from cubesum.surface_checks import (
     SINGULAR_POINTS,
     inose_substitution_residuals,
     pagliani_graph_image,
-    quartic_form,
+    quartic,
     quotient_psi_residual,
     verify_inose_and_eps2,
     verify_lines_and_singular_points,
@@ -110,11 +112,31 @@ def test_line_orbits():
 
 
 def test_quartic_form_shape():
-    F = quartic_form()
+    xyzw = ("X", "Y", "Z", "W")
+    F = quartic(*(MultiPoly.variable(xyzw, n, zero=QZETA12.zero()) for n in xyzw))
     assert F.degree_in("X") == 3
     assert F.degree_in("Z") == 3
     assert F.degree_in("W") == 2
     assert all(sum(exp) == 4 for exp in F.terms)
+
+
+def test_a_perturbed_quartic_keeps_only_the_lines_in_z_equal_0(monkeypatch):
+    # the five singular points have Z = 0, so F + Z^4 is still singular there;
+    # of the lines only {X = 0, Z = 0} and {Y = 0, Z = 0} lie in Z = 0
+    real = surface_checks.quartic
+    monkeypatch.setattr(surface_checks, "quartic", lambda X, Y, Z, W: real(X, Y, Z, W) + Z**4)
+    rep = verify_lines_and_singular_points()
+    assert rep.singular_points_ok
+    assert rep.lines_on_surface == (True, True) + (False,) * 16
+    assert not rep.all_ok
+
+
+def test_a_smooth_point_is_not_singular(monkeypatch):
+    # F(0, 0, 1, 0) = 0, but dF/dW = -2XYW - Z^3 = -1 there
+    monkeypatch.setattr(surface_checks, "SINGULAR_POINTS", SINGULAR_POINTS + ((0, 0, 1, 0),))
+    rep = verify_lines_and_singular_points()
+    assert not rep.singular_points_ok
+    assert all(rep.lines_on_surface)
 
 
 def test_short_symmetry_group_raises(monkeypatch):
