@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,55 +319,28 @@ def cmd_count(args) -> int:
                 reports.append(_count_one(job))
                 if len(jobs_list) > 20 and (i + 1) % 10 == 0:
                     _progress(i + 1, len(jobs_list))
-        rows = [(r.p, r.n, r.brute, r.formula, r.a_term_used, r.match) for r in reports]
+        docs = [{k: v for k, v in asdict(r).items() if k != "convention"} for r in reports]
         payload = {
             "sweep_max_p": args.sweep,
             "n": args.n,
             "convention": args.convention,
             "all_match": all(r.match for r in reports),
-            "reports": [
-                {"p": r.p, "n": r.n, "brute": r.brute, "formula": r.formula,
-                 "a_term_used": r.a_term_used, "match": r.match}
-                for r in reports
-            ],
+            "reports": docs,
         }
+        rows = [tuple(d.values()) for d in docs]
         _emit(payload, rows, ("p", "n", "brute", "formula", "a_term", "match"), args.format)
         return 0 if all(r.match for r in reports) else 1
     if args.convention == "both":
         winners, reports = pc.adjudicate_conventions([(args.p, args.n)], budget=args.budget)
-        rows = [
-            (r.p, r.n, r.brute, r.formula, r.a_term_used, r.convention, r.match) for r in reports
-        ]
-        payload = {
-            "reports": [
-                {
-                    "p": r.p,
-                    "n": r.n,
-                    "brute": r.brute,
-                    "formula": r.formula,
-                    "a_term_used": r.a_term_used,
-                    "convention": r.convention,
-                    "match": r.match,
-                }
-                for r in reports
-            ],
-            "matching_conventions": sorted(winners),
-        }
-        _emit(payload, rows, ("p", "n", "brute", "formula", "a_term", "convention", "match"), args.format)
-        return 0 if winners else 1
-    rep = pc.CountReport.build(args.p, args.n, args.convention, budget=args.budget)
-    payload = {
-        "p": rep.p,
-        "n": rep.n,
-        "brute": rep.brute,
-        "formula": rep.formula,
-        "a_term_used": rep.a_term_used,
-        "convention": rep.convention,
-        "match": rep.match,
-    }
-    rows = [(rep.p, rep.n, rep.brute, rep.formula, rep.a_term_used, rep.convention, rep.match)]
+        payload = {"reports": [asdict(r) for r in reports], "matching_conventions": sorted(winners)}
+        ok = bool(winners)
+    else:
+        reports = [pc.CountReport.build(args.p, args.n, args.convention, budget=args.budget)]
+        payload = asdict(reports[0])
+        ok = reports[0].match
+    rows = [tuple(asdict(r).values()) for r in reports]
     _emit(payload, rows, ("p", "n", "brute", "formula", "a_term", "convention", "match"), args.format)
-    return 0 if rep.match else 1
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -9,6 +9,7 @@ x and y have opposite parity and z is even.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -106,12 +107,15 @@ class SymmetryElement:
 @cache
 def symmetry_group() -> tuple[SymmetryElement, ...]:
     """All 8 elements, as reduced words, deduplicated by their action. The
-    search runs once; orbit and canonical_form share its tuple."""
+    search is breadth-first, so each action keeps its shortest word, the
+    first in generator order among those; it runs once, and orbit,
+    canonical_form and the quartic's symmetries in surface_checks share its
+    tuple."""
     seen: dict[tuple, SymmetryElement] = {}
-    frontier = [SymmetryElement()]
+    frontier = deque([SymmetryElement()])
     probe = [(1, 2, 3), (5, 7, 11)]
     while frontier:
-        g = frontier.pop()
+        g = frontier.popleft()
         key = tuple(g.apply(p) for p in probe)
         if key in seen:
             continue

@@ -136,19 +136,9 @@ def _det(m: list[list[Fraction]]) -> Fraction:
 
 
 def _squarefree_layers(f: Poly) -> list[tuple[Poly, int]]:
-    """[(g, e)] with f = const * prod g^e, g squarefree pairwise coprime."""
-    out = []
-    e = 1
-    g = f.gcd(f.derivative())
-    w = f // g
-    while w.degree > 0:
-        y = w.gcd(g)
-        layer = w // y
-        if layer.degree > 0:
-            out.append((layer.monic(), e))
-        w, g = y, g // y
-        e += 1
-    return out
+    """[(g, e)] with f = const * prod g^e, g squarefree pairwise coprime: the
+    squarefree part of f, split by multiplicity in f."""
+    return _refine_by(f, f // f.gcd(f.derivative()))
 
 
 def _rational_roots(f: Poly) -> list[Fraction]:

@@ -265,10 +265,11 @@ def closed_form_alpha(p: int) -> EisensteinInt:
     if p % 3 == 2:
         raise ValueError("alpha exists only for split primes (p = 1 mod 3)")
     m, n = represent_eisenstein(p)
-    return _alpha_from_beta(EisensteinInt(m, n), p)
+    return alpha_from_beta(EisensteinInt(m, n), p)
 
 
-def _alpha_from_beta(beta: EisensteinInt, p: int) -> EisensteinInt:
+def alpha_from_beta(beta: EisensteinInt, p: int) -> EisensteinInt:
+    """(-4/p) w^a beta^2 with w^a = beta mod 2, for beta of norm p."""
     w = EisensteinInt(0, 1)
     for a in range(3):
         d = beta - w**a

@@ -12,6 +12,11 @@ Everything here reduces a polynomial identity to zero in exact arithmetic:
   and F(t*p + q) is zero exactly when the line through p and q lies on the
   surface. A line is keyed by its normalised Plucker coordinates, so a
   symmetry's image of a line is found by one dict lookup.
+
+The quartic's 24 symmetries are the order-8 group of diophantine's t1, t2, t3
+(signs and the swap of x and y) times the rescaling z -> w^k*z, k = 0, 1, 2,
+which commutes with all three; both the graph check and the line orbits take
+them from symmetry_group().
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .diophantine import SymmetryElement, symmetry_group
 from .elliptic import add, curve_over_omega, curve_sextic_twist, point_over_omega, section_tau
 from .multipoly import MultiPoly, normal_form
 from .polynomials import Poly, RationalFunction
@@ -107,41 +113,15 @@ def pagliani_graph_image(sign: int = 1, use_pi1: bool = False):
     return (D * D / S.y, u**3, u * S.x * D / S.y)
 
 
-def _compose_scaling(f, wk):
-    def g(x, y, zc):
-        xx, yy, zz = f(x, y, zc)
-        return (xx, yy, zz * wk)
-
-    return g
-
-
-def _swap_xy(f):
-    def g(x, y, zc):
-        return f(y, x, zc)
-
-    return g
-
-
 def _pagliani_candidates():
-    """The parametric solution triple and its 24 symmetry images."""
-    z = QOMEGA.zero()
-    u = RationalFunction(Poly.x(zero=z))
-    xp = (u * u - 1) ** 2 / 3
-    yp = u**3
-    zp = u * (u * u - 1) * (u * u + 2) / 3
-    base = [
-        ("id", lambda x, y, zc: (x, y, zc)),
-        ("t1", lambda x, y, zc: (-x, y, -zc)),
-        ("t2", lambda x, y, zc: (x, -y, -zc)),
-        ("t1t2", lambda x, y, zc: (-x, -y, zc)),
-    ]
-    base += [(n + ".t3", _swap_xy(f)) for n, f in base]
-    syms = []
-    for name, f in base:
+    """(label, image) for the parametric solution triple's 24 symmetry images:
+    g in symmetry_group(), then z -> w^k*z."""
+    u = RationalFunction(Poly.x(zero=QOMEGA.zero()))
+    family = ((u * u - 1) ** 2 / 3, u**3, u * (u * u - 1) * (u * u + 2) / 3)
+    for g in symmetry_group():
+        x, y, z = g.apply(family)
         for k in range(3):
-            label = f"{name}.w{k}" if k else name
-            syms.append((label, _compose_scaling(f, W**k)))
-    return (xp, yp, zp), syms
+            yield ("".join(g.word) or "id") + (f".w{k}" if k else ""), (x, y, z * W**k)
 
 
 def verify_pagliani_graph(sign: int = 1, use_pi1: bool = False) -> PaglianiGraphResult:
@@ -155,9 +135,8 @@ def verify_pagliani_graph(sign: int = 1, use_pi1: bool = False) -> PaglianiGraph
         img = pagliani_graph_image(sign=sign, use_pi1=use_pi1)
     except ValueError:  # the projection missed y^2 = x^3 - 1
         return PaglianiGraphResult(False, None)
-    (xp, yp, zp), syms = _pagliani_candidates()
-    for name, f in syms:
-        if img == f(xp, yp, zp):
+    for name, triple in _pagliani_candidates():
+        if img == triple:
             return PaglianiGraphResult(True, name)
     return PaglianiGraphResult(False, None)
 
@@ -260,49 +239,6 @@ def _lines():
     return lines
 
 
-# Generators of the order-24 projective symmetry group, each a pair
-# (perm, scal) acting on (X:Y:Z:W) as X_i -> scal[i] * X_perm[i]: the three
-# sign/swap involutions and the cube-root rescaling of Z.
-_ONE = QZETA12.one()
-SYMMETRY_GENERATORS = (
-    ((0, 1, 2, 3), (-_ONE, _ONE, -_ONE, _ONE)),  # t1
-    ((0, 1, 2, 3), (_ONE, -_ONE, -_ONE, _ONE)),  # t2
-    ((1, 0, 2, 3), (_ONE, _ONE, _ONE, _ONE)),    # t3 (swap X, Y)
-    ((0, 1, 2, 3), (_ONE, _ONE, W_Z12, _ONE)),   # t4 (Z -> wZ)
-)
-
-
-def _projective_symmetries():
-    """The order-24 group generated by SYMMETRY_GENERATORS."""
-
-    def compose(g, h):
-        gp, gs = g
-        hp, hs = h
-        return (tuple(hp[gp[i]] for i in range(4)), tuple(gs[i] * hs[gp[i]] for i in range(4)))
-
-    def normalize(g):
-        perm, scal = g
-        inv = scal[0].inverse()
-        return (perm, tuple(c * inv for c in scal))
-
-    group = {}
-    frontier = [((0, 1, 2, 3), (_ONE,) * 4)]
-    while frontier:
-        g = frontier.pop()
-        key = normalize(g)
-        if key in group:
-            continue
-        group[key] = key
-        for h in SYMMETRY_GENERATORS:
-            frontier.append(compose(h, g))
-    return sorted(group, key=lambda g: (g[0], tuple(tuple(map(str, c.coords)) for c in g[1])))
-
-
-def _apply_sym(g, point):
-    perm, scal = g
-    return tuple(scal[i] * point[perm[i]] for i in range(4))
-
-
 def _plucker(p, q):
     """The line through p and q as its six 2x2 minors, scaled to make the first
     nonzero one 1: equal for any two spanning pairs of one line."""
@@ -348,11 +284,18 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
                   for p, q in lines]
 
     # orbit partition under the order-24 projective symmetry group: its orbits
-    # are the connected components under its generators, and if every
-    # generator maps each line to a listed line, so does every group element
-    group = _projective_symmetries()
-    if len(group) != 24:
-        raise ArithmeticError(f"the projective symmetry group has {len(group)} elements, not 24")
+    # are the connected components under its generators t1, t2, t3 and
+    # Z -> wZ, and if every generator maps each line to a listed line, so does
+    # every group element
+    order = len(symmetry_group())
+    if order != 8:
+        raise ArithmeticError(f"the integer symmetry group has {order} elements, not 8")
+
+    def images(P):
+        X, Y, Z, Wc = P
+        flips = [(*SymmetryElement((n,)).apply((X, Y, Z)), Wc) for n in ("t1", "t2", "t3")]
+        return flips + [(X, Y, W_Z12 * Z, Wc)]
+
     index = {_plucker(p, q): j for j, (p, q) in enumerate(lines)}
     parent = list(range(len(lines)))
 
@@ -363,8 +306,8 @@ def verify_lines_and_singular_points() -> SurfaceGeometryReport:
         return i
 
     for idx, (p, q) in enumerate(lines):
-        for g in SYMMETRY_GENERATORS:
-            j = index.get(_plucker(_apply_sym(g, p), _apply_sym(g, q)))
+        for gp, gq in zip(images(p), images(q)):
+            j = index.get(_plucker(gp, gq))
             if j is None:
                 raise RuntimeError("symmetry image is not one of the listed lines")
             ri, rj = find(idx), find(j)

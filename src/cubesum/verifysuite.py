@@ -287,7 +287,7 @@ def check_character_machinery():
         m, n = represent_eisenstein(p)
         base = EisensteinInt(m, n)
         traces = {
-            mod._alpha_from_beta(b, p).trace()
+            mod.alpha_from_beta(b, p).trace()
             for z in (base, base.conj())
             for b in z.associates()
         }

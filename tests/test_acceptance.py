@@ -310,7 +310,7 @@ def test_criterion_12_character_machinery():
             m, n = represent_eisenstein(p)
             base = EisensteinInt(m, n)
             traces = {
-                mod._alpha_from_beta(b, p).trace()
+                mod.alpha_from_beta(b, p).trace()
                 for z in (base, base.conj())
                 for b in z.associates()
             }

@@ -77,6 +77,13 @@ def test_symmetry_group_order_and_involutions():
         assert g.apply(probe) == probe
 
 
+def test_symmetry_group_words_are_reduced():
+    # breadth-first: each action keeps its shortest word, first in generator order
+    words = [g.word for g in symmetry_group()]
+    assert words == [(), ("t1",), ("t2",), ("t3",), ("t1", "t2"), ("t1", "t3"), ("t2", "t3"),
+                     ("t1", "t2", "t3")]
+
+
 def test_cached_symmetry_group_equals_a_fresh_search():
     group = symmetry_group()
     assert isinstance(group, tuple) and symmetry_group() is group

@@ -432,3 +432,33 @@ def test_reciprocal_twist_equals_the_normalising_constructor():
                 expected = RationalFunction(f.num.reverse(), f.den.reverse())
                 expected *= s ** (power + f.den.degree - f.num.degree)
                 assert fibration._reciprocal_twist(f, power) == expected
+
+
+def _squarefree_layers_by_yun(f):
+    """Yun's squarefree decomposition, the reference for _squarefree_layers:
+    [(g, e)] with f = const * prod g^e, g monic, squarefree, pairwise coprime."""
+    out = []
+    e = 1
+    g = f.gcd(f.derivative())
+    w = f // g
+    while w.degree > 0:
+        y = w.gcd(g)
+        layer = w // y
+        if layer.degree > 0:
+            out.append((layer.monic(), e))
+        w, g = y, g // y
+        e += 1
+    return out
+
+
+def test_squarefree_layers_equal_yuns_decomposition():
+    polys = []
+    for E in (curve_main(), curve_sextic_twist(), curve_second_fibration()):
+        A, B = _over_q(E.A), _over_q(E.B)
+        polys.append((A**3 * 4 + B**2 * 27) * Fraction(-16))
+    E, s1, ws1 = omega_setup()
+    polys += [add(multiply(a, s1, E), multiply(b, ws1, E), E).x.den
+              for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    assert len(polys) == 27 and any(f.degree > 0 for f in polys[3:])
+    for f in polys:
+        assert fibration._squarefree_layers(f) == _squarefree_layers_by_yun(f)

@@ -9,7 +9,7 @@ from cubesum.modular import (
     LatticeSumAmbiguityError,
     QSeries,
     SixthRoot,
-    _alpha_from_beta,
+    alpha_from_beta,
     ap_closed_form,
     chi2,
     closed_form_alpha,
@@ -92,7 +92,7 @@ def test_ap_invariant_under_associate_choice():
         traces = set()
         for z in (base, base.conj()):
             for assoc in z.associates():
-                traces.add(_alpha_from_beta(assoc, p).trace())
+                traces.add(alpha_from_beta(assoc, p).trace())
         assert traces == {ap_closed_form(p)}, p
 
 

@@ -2,7 +2,8 @@
 import is used, and every private name they define at module level or as a
 method of a class is read: an import or a helper that nothing references is
 dead code that still costs a load and misleads the reader about what the code
-depends on."""
+depends on. No package module reads another one's private name: what a module
+shares is public."""
 
 import ast
 from pathlib import Path
@@ -41,8 +42,7 @@ def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.id, node.lineno) for target in targets
                       for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [(name, line) for name, line in found
-            if name.startswith("_") and not name.endswith("__")]
+    return [(name, line) for name, line in found if _is_private(name)]
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -58,6 +58,28 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
                   for name, tree in trees.items()
                   for private, line in _private_definitions(tree)
                   if private not in read)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _foreign_private_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Private names a module takes from a sibling: `from .m import _name`, and
+    `m._name` where m was bound by `from . import m`. Private attributes of
+    objects (`E._fibers`) are not module reads and are not flagged."""
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                siblings |= {alias.asname or alias.name for alias in node.names}
+            else:
+                found += [(f"{node.module}.{alias.name}", node.lineno)
+                          for alias in node.names if _is_private(alias.name)]
+    found += [(f"{node.value.id}.{node.attr}", node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings and _is_private(node.attr)]
+    return sorted(found)
 
 
 def _trees(directory: Path, pattern: str) -> dict[str, ast.Module]:
@@ -105,6 +127,20 @@ def test_detector_flags_an_unread_private_method():
                           "    def __len__(self):\n        return self._norm()\n"),
     }
     assert _unread_private_names(trees) == ["a.py:4 _unused"]
+
+
+def test_package_reads_no_private_name_of_another_module():
+    found = [f"{name}:{line} {read}"
+             for name, tree in _package_trees().items()
+             for read, line in _foreign_private_reads(tree)]
+    assert not found, f"private names read across src/cubesum modules: {found}"
+
+
+def test_detector_flags_a_private_name_read_across_modules():
+    tree = ast.parse("from . import modular as mod, rings\nfrom .arith import _spf, is_prime\n"
+                     "from os import _exit\n\ndef f(E, P):\n"
+                     "    return mod._alpha(rings.__name__, mod.hecke, E._fibers, P.x._rows, is_prime)\n")
+    assert _foreign_private_reads(tree) == [("arith._spf", 2), ("mod._alpha", 6)]
 
 
 def test_reference_modules_have_no_unused_imports():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from cubesum import surface_checks
@@ -140,8 +142,8 @@ def test_a_smooth_point_is_not_singular(monkeypatch):
 
 
 def test_short_symmetry_group_raises(monkeypatch):
-    full = surface_checks._projective_symmetries()
-    monkeypatch.setattr(surface_checks, "_projective_symmetries", lambda: full[:23])
+    full = surface_checks.symmetry_group()
+    monkeypatch.setattr(surface_checks, "symmetry_group", lambda: full[:7])
     with pytest.raises(ArithmeticError):
         verify_lines_and_singular_points()
 
@@ -151,10 +153,14 @@ def test_line_orbits_are_the_known_partition():
     assert rep.orbits == ((0, 1), (2, 3), (4, 5), tuple(range(6, 18)))
 
 
-def test_generators_generate_the_symmetry_group():
-    group = surface_checks._projective_symmetries()
-    assert len(group) == 24
-    assert len(surface_checks.SYMMETRY_GENERATORS) == 4
+def test_graph_candidates_are_24_distinct_symmetry_images():
+    # the 8 integer symmetries times z -> w^k z act freely on the family
+    candidates = list(surface_checks._pagliani_candidates())
+    labels = [label for label, _ in candidates]
+    triples = [triple for _, triple in candidates]
+    assert len(candidates) == 24
+    assert len(set(labels)) == 24 and {"id", "t1", "t1t2t3.w2"} <= set(labels)
+    assert all(a != b for a, b in combinations(triples, 2))
 
 
 def test_missing_line_in_an_orbit_raises(monkeypatch):
