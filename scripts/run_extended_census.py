@@ -23,7 +23,7 @@ import resource
 import sys
 import time
 
-from cubesum.diophantine import canonical_form, in_pagliani_family, mkl_to_xyz, pagliani, search
+from cubesum.diophantine import family_in_box, in_pagliani_family, search
 
 
 def main() -> int:
@@ -71,16 +71,8 @@ def main() -> int:
         print(f"{r['x']:>8} {r['y']:>8} {r['z']:>10}  {r['pagliani_u'] or ''}")
 
     # every family member that fits the box must have been found
-    missing = []
-    u = 2
-    while u**3 <= args.bound:
-        if u % 3:
-            member = canonical_form(mkl_to_xyz(pagliani(u))).as_tuple()
-            if max(member[:2]) <= args.bound and not any(
-                (r["x"], r["y"], r["z"]) == member for r in records
-            ):
-                missing.append((u, member))
-        u += 1
+    found = {s.as_tuple() for s in sols}
+    missing = [(u, member) for member, u in family_in_box(args.bound).items() if member not in found]
     if missing:
         print(f"ERROR: family members missing from the census: {missing}")
         return 1

@@ -100,7 +100,6 @@ class CoefficientCache:
 
 
 def default_cache_path() -> Path:
-    env = os.environ.get("CUBESUM_CACHE")
-    if env:
-        return Path(env)
+    """The cache file under the home directory; the CLI's CUBESUM_CACHE and
+    --cache-file override it."""
     return Path.home() / ".cache" / "cubesum" / "coefficients.txt"

@@ -276,8 +276,15 @@ def cmd_eta(args) -> int:
     return 0
 
 
+def _coefficient_cache(path: str) -> CoefficientCache:
+    """The cache at path; an empty path (which Path reads as ".") or a
+    directory is a usage error."""
+    if not path or Path(path).is_dir():
+        raise ValueError(f"cache file {path!r} is empty or a directory")
+    return CoefficientCache(Path(path))
+
+
 def cmd_ap(args) -> int:
-    cache = CoefficientCache(Path(args.cache_file))
     if args.p is not None:
         p = args.p
         rec = {"p": p, "closed_form": mod.ap_closed_form(p)}
@@ -288,7 +295,7 @@ def cmd_ap(args) -> int:
         rows = [tuple(rec.values())]
         _emit({"prime": rec}, rows, tuple(rec.keys()), args.format)
         return 0
-    coeffs = cache.get(args.max)
+    coeffs = _coefficient_cache(args.cache_file).get(args.max)
     rows = [(n, a) for n, a in coeffs.items() if a or not args.nonzero]
     payload = {"max": args.max, "coefficients": {str(n): a for n, a in rows}}
     _emit(payload, rows, ("n", "a_n"), args.format)
@@ -344,6 +351,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.census_bound < 1:
+        raise ValueError(f"census bound (--census-bound, CUBESUM_CENSUS_BOUND) must be >= 1, "
+                         f"not {args.census_bound}")
     report = run_suite(census_bound=args.census_bound, jobs=args.jobs, skip_slow=args.skip_census)
     if args.format == "json":
         print(json.dumps(_stringify(report.to_dict()), indent=2, sort_keys=True))
@@ -355,7 +365,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache = CoefficientCache(Path(args.cache_file))
+    cache = _coefficient_cache(args.cache_file)
     if args.action == "build":
         coeffs = cache.get(args.max)
         print(f"cache at {cache.path}: {len(coeffs)} coefficients", file=sys.stderr)

@@ -158,27 +158,6 @@ def _masks() -> tuple[bytes, ...]:
     return tuple(map(bytes, masks))
 
 
-def _search_y_range(bound: int, y_lo: int, y_hi: int, include_trivial: bool):
-    """The box scan: every (x, y) with y_lo <= y < y_hi and y <= x <= bound."""
-    m1, m2 = _FILTER_MODULI[:2]
-    k1, k2 = _masks()[:2]
-    out = []
-    for y in range(y_lo, y_hi):
-        if y == 1 and not include_trivial:
-            # y = 1 forces N = x^3: exactly the trivial family (x, 1, x)
-            continue
-        yy = y * y - 1
-        for x in range(max(y, 1), bound + 1):
-            n = x * y * (x * x + yy)
-            if k1[n % m1] and k2[n % m2]:
-                r, exact = icbrt(n)
-                if exact:
-                    if r == 0 and not include_trivial:
-                        continue
-                    out.append((x, y, r))
-    return out
-
-
 # --- the descent kernel ---------------------------------------------------
 #
 # Write N = x y (x^2 + y^2 - 1) and let p be a prime with e = v_p(x) not a
@@ -403,8 +382,8 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
                     sieve: _Sieve | None = None):
     """The descent over x_lo <= x < x_hi: each row takes the smaller of its
     walk and its mirror set, each filtered by the other's condition, then the
-    cubic-residue masks and an exact cube test for every survivor. Finds what
-    _search_y_range finds, sorted."""
+    cubic-residue masks and an exact cube test for every survivor. Returns
+    every solution in those rows, sorted."""
     import numpy as np
 
     sieve = sieve or _Sieve(bound)
@@ -460,28 +439,24 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
 
     With include_trivial=False the family (x, 1, x) and any z = 0 member are
-    dropped. method "numpy" is the descent over x: each row tests the smaller
-    of two candidate sets, each filtered exactly by the other's condition.
-    One is a numpy walk, per strip of rows, over the classes y = 0, +-1
-    modulo the two largest prime powers of the lifted kernel of x (4 and 9
-    among them), filtered by the rest of it. The other is the y whose
-    cube-free kernel divides x(x^2 - 1), read from an index of y sorted by
-    that kernel. "pure" scans every box pair y by y in one process and is
-    the oracle the descent is tested against.
+    dropped. The search is the descent over x: each row tests the smaller of
+    two candidate sets, each filtered exactly by the other's condition. One
+    is a numpy walk, per strip of rows, over the classes y = 0, +-1 modulo
+    the two largest prime powers of the lifted kernel of x (4 and 9 among
+    them), filtered by the rest of it. The other is the y whose cube-free
+    kernel divides x(x^2 - 1), read from an index of y sorted by that kernel.
+    "numpy" is the only method; the argument stays because callers name it
+    (the benchmark's census warm-up), and any other value raises ValueError.
     jobs > 1 splits the x range into strips that worker processes pull as
     they finish; results are merged and sorted, so the output is
     deterministic either way.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if method not in ("numpy", "pure"):
+    if method != "numpy":
         raise ValueError(f"unknown search method {method!r}")
-    if method == "pure" and jobs > 1:
-        raise ValueError("method 'pure' runs in one process: use jobs=1")
     triples: list[tuple[int, int, int]] = []
-    if method == "pure":
-        triples = _search_y_range(bound, 1, bound + 1, include_trivial)
-    elif jobs <= 1:
+    if jobs <= 1:
         triples = _search_x_range(bound, 1, bound + 1, include_trivial)
     else:
         import multiprocessing as mp
@@ -542,6 +517,21 @@ def pagliani_identity_residual() -> Poly:
         + (k * (k - 1) * half) ** 2
     )
     return s - l**3
+
+
+def family_in_box(bound: int) -> dict[tuple[int, int, int], int]:
+    """The canonical triple of each family member with x <= bound, mapped to
+    its u >= 2, in order of u. The canonical x is at least u^3, and u and -u
+    share an orbit."""
+    out = {}
+    u = 2
+    while u**3 <= bound:
+        if u % 3:
+            member = canonical_form(mkl_to_xyz(pagliani(u))).as_tuple()
+            if member[0] <= bound:
+                out[member] = u
+        u += 1
+    return out
 
 
 def in_pagliani_family(sol: SolutionXYZ) -> int | None:

@@ -235,14 +235,7 @@ def check_census_fast(bound: int = 10**4, jobs: int = 1):
         for s in sols
     )
     found = {s.as_tuple() for s in sols}
-    missing = []
-    u = 2
-    while u**3 <= bound:
-        if u % 3:
-            member = dio.canonical_form(dio.mkl_to_xyz(dio.pagliani(u))).as_tuple()
-            if max(member[0], member[1]) <= bound and member not in found:
-                missing.append((u, member))
-        u += 1
+    missing = [(u, member) for member, u in dio.family_in_box(bound).items() if member not in found]
     ok = ok_verify and not missing
     return (
         ok,

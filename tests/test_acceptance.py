@@ -37,6 +37,7 @@ from cubesum.elliptic import (
 )
 from cubesum.polynomials import Poly, RationalFunction
 from cubesum.rings import EisensteinInt, represent_eisenstein
+from reference_search import box_solutions
 
 
 class Criterion:
@@ -193,31 +194,12 @@ def test_criterion_09_census_fast_tier():
             assert s.x * s.y * (s.x**2 + s.y**2 - 1) == s.z**3
             assert 0 < s.y <= s.x <= bound and s.z > 0
         found = {s.as_tuple() for s in sols}
-        u = 2
-        while u**3 <= bound:
-            if u % 3:
-                member = dio.canonical_form(dio.mkl_to_xyz(dio.pagliani(u))).as_tuple()
-                if max(member[:2]) <= bound:
-                    assert member in found, (u, member)
-            u += 1
+        for member, u in dio.family_in_box(bound).items():
+            assert member in found, (u, member)
 
 
 CENSUS_1E6 = Path(__file__).resolve().parent.parent / "docs" / "golden" / "census_1e6.json"
 CENSUS_1E7 = CENSUS_1E6.with_name("census_1e7.json")
-
-
-def _family_in_box(bound: int) -> dict[tuple[int, int, int], int]:
-    """Canonical representatives of the family members inside the box, to u.
-    A member's canonical x is at least |u|^3, and u and -u share an orbit."""
-    out = {}
-    u = 2
-    while u**3 <= bound:
-        if u % 3:
-            member = dio.canonical_form(dio.mkl_to_xyz(dio.pagliani(u))).as_tuple()
-            if member[0] <= bound:
-                out[member] = u
-        u += 1
-    return out
 
 
 @pytest.mark.extended
@@ -260,6 +242,19 @@ def test_census_1e7_reproduces_the_recorded_file():
             10**7, len(sols), sum(v is not None for v in u), sum((s.x + s.y) % 2 for s in sols))
 
 
+@pytest.mark.extended
+def test_box_oracle_reproduces_the_recorded_census_to_1e5():
+    # the kernel-free row scan of all 5e9 pairs of the 10^5 box takes about
+    # 40 s in 2 processes (70-80 s on one core); it and the descent must both
+    # give the recorded solutions with x <= 10^5
+    recorded = [(int(r["x"]), int(r["y"]), int(r["z"]))
+                for r in json.loads(CENSUS_1E6.read_text())["solutions"]]
+    expected = [t for t in recorded if t[0] <= 10**5]
+    assert len(expected) == 34
+    assert list(box_solutions(10**5, jobs=2)) == expected
+    assert [s.as_tuple() for s in dio.search(10**5)] == expected
+
+
 def test_criterion_10_recorded_census():
     with Criterion("10 census extended, recorded result", 10.0):
         doc = json.loads(CENSUS_1E6.read_text())
@@ -273,16 +268,15 @@ def test_criterion_10_recorded_census():
             assert 1 < s.y <= s.x <= bound and s.z > 0
             u = rec["pagliani_u"]
             assert dio.in_pagliani_family(s) == (None if u is None else int(u))
-        family = _family_in_box(bound)
+        family = dio.family_in_box(bound)
         annotated = {t: int(r["pagliani_u"]) for t, r in zip(triples, doc["solutions"])
                      if r["pagliani_u"] is not None}
         assert annotated == family  # every member inside the box, each with its u
         assert doc["nontrivial_count"] == len(sols)
         assert doc["family_count"] == len(family)
         assert doc["opposite_parity_count"] == sum((s.x + s.y) % 2 for s in sols)
-        # where the box scan is cheap, the recorded census is exactly the oracle's
-        small = [s.as_tuple() for s in dio.search(2000, method="pure")]
-        assert [t for t in triples if t[0] <= 2000] == small
+        # up to x = 10^4 the recorded census is exactly the box oracle's
+        assert [t for t in triples if t[0] <= 10**4] == list(box_solutions(10**4))
 
 
 def test_criterion_11_symbolic_identities():

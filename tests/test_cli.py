@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubesum
+from cubesum.cache import default_cache_path
 from cubesum.cli import build_parser, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -119,6 +120,40 @@ def test_bad_environment_value_is_a_usage_error(capsys, monkeypatch, name, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert name in captured.err
+
+
+def test_census_bound_below_1_is_a_usage_error(capsys, monkeypatch):
+    # rejected before any check runs, from the flag and from the variable
+    for argv, env in ((["verify", "--census-bound", "0"], None), (["verify"], "0")):
+        if env is not None:
+            monkeypatch.setenv("CUBESUM_CENSUS_BOUND", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "census bound" in captured.err and "CUBESUM_CENSUS_BOUND" in captured.err
+
+
+def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    cases = [(["ap", "--max", "10"], ""),
+             (["ap", "--max", "10", "--cache-file", ""], None),
+             (["ap", "--max", "10", "--cache-file", str(tmp_path)], None),
+             (["cache", "show", "--cache-file", str(tmp_path)], None),
+             (["cache", "clear"], "")]
+    for argv, env in cases:
+        monkeypatch.delenv("CUBESUM_CACHE", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CUBESUM_CACHE", env)
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: cache file" in captured.err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_the_cli_reads_the_cache_variable(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("CUBESUM_CACHE", str(tmp_path / "c.txt"))
+    assert default_cache_path() == Path.home() / ".cache" / "cubesum" / "coefficients.txt"
+    status, out = run_cli(capsys, ["cache", "path"])
+    assert status == 0 and out.strip() == str(tmp_path / "c.txt")
 
 
 def test_good_environment_value_is_used(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from cubesum.diophantine import (
     symmetry_group,
     xyz_to_mkl,
 )
-from reference_search import row_solutions
+from reference_search import box_solutions, row_solutions
 
 family_u = st.integers(-50, 50).filter(lambda u: u % 3 != 0 and u not in (-1, 0, 1))
 
@@ -150,17 +150,13 @@ def test_search_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_pure_method_rejects_worker_processes():
-    with pytest.raises(ValueError):
-        search(10, method="pure", jobs=2)
-
-
 def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError):
-        search(10, method="box")
+    for method in ("pure", "box"):
+        with pytest.raises(ValueError):
+            search(10, method=method)
 
 
-# every solution with 0 < y <= x <= 10^4 and y > 1, from method="pure" (14 s)
+# every solution with 0 < y <= x <= 10^4 and y > 1
 SOLUTIONS_1E4 = [
     (8, 3, 12), (25, 4, 40), (25, 20, 80), (36, 6, 66), (36, 25, 120), (49, 20, 140),
     (75, 64, 360), (120, 99, 660), (192, 125, 1080), (578, 153, 3162), (630, 49, 2310),
@@ -170,38 +166,36 @@ SOLUTIONS_1E4 = [
 ]
 
 
-@pytest.fixture(scope="module")
-def pure_3000():
-    return {t: search(3000, include_trivial=t, method="pure") for t in (False, True)}
+def _triples(sols):
+    return [s.as_tuple() for s in sols]
 
 
 @pytest.mark.parametrize("bound", [1000, 3000])
-def test_search_numpy_matches_pure(bound, pure_3000):
+def test_search_numpy_matches_the_box_oracle(bound):
     for include_trivial in (False, True):
-        if bound == 3000:
-            pure = pure_3000[include_trivial]
-        else:
-            pure = search(bound, include_trivial=include_trivial, method="pure")
-        assert pure == search(bound, include_trivial=include_trivial, method="numpy")
-        assert len(pure) > (bound if include_trivial else 0)  # (8, 3, 12) and more
+        box = list(box_solutions(bound, include_trivial))
+        assert _triples(search(bound, include_trivial=include_trivial)) == box
+        assert len(box) > (bound if include_trivial else 0)  # (8, 3, 12) and more
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 1500), st.booleans())
-def test_search_numpy_matches_pure_small(bound, include_trivial):
-    pure = search(bound, include_trivial=include_trivial, method="pure")
-    assert pure == search(bound, include_trivial=include_trivial, method="numpy")
+def test_search_numpy_matches_the_box_oracle_small(bound, include_trivial):
+    # the box at a smaller bound is the part of the 1500 box with x <= bound
+    box = [t for t in box_solutions(1500, include_trivial) if t[0] <= bound]
+    assert _triples(search(bound, include_trivial=include_trivial)) == box
 
 
 def test_search_numpy_x_strips_match_serial():
-    serial = search(3000, method="numpy")
-    assert search(3000, method="numpy", jobs=2) == serial
-    assert search(3000, method="numpy", include_trivial=True, jobs=2) == search(
-        3000, method="numpy", include_trivial=True)
+    for include_trivial in (False, True):
+        serial = search(3000, include_trivial=include_trivial)
+        assert search(3000, include_trivial=include_trivial, jobs=2) == serial
+        assert _triples(serial) == list(box_solutions(3000, include_trivial))
 
 
 def test_search_numpy_at_1e4_matches_the_pinned_census():
-    assert [s.as_tuple() for s in search(10**4, method="numpy")] == SOLUTIONS_1E4
+    assert list(box_solutions(10**4)) == SOLUTIONS_1E4
+    assert _triples(search(10**4, method="numpy")) == SOLUTIONS_1E4
 
 
 def _valuation(n, p):
@@ -212,23 +206,23 @@ def _valuation(n, p):
     return v
 
 
-def test_cube_free_support_lemma_on_the_oracle(pure_3000):
+def test_cube_free_support_lemma_on_the_oracle():
     # p >= 5 with 3 not dividing v_p(x) forces y = 0, 1 or -1 (mod p), and any
     # p with v_p(x) = 1 (mod 3) forces it mod p^2: y mod 4 in {0, 1, 3}, y mod 9
     # in {0, 1, 8}; the same with x and y swapped: the descent tests only such
     # pairs
     primes = primes_up_to(3000)
-    sols = pure_3000[True]
+    sols = box_solutions(3000, True)
     assert len(sols) > 3000  # the trivial family is in
     lifted = Counter()
-    for s in sols:
-        for a, b in ((s.x, s.y), (s.y, s.x)):
+    for x, y, _ in sols:
+        for a, b in ((x, y), (y, x)):
             for p in primes:
                 v = _valuation(a, p) % 3
                 if v and p >= 5:
-                    assert b % p in (0, 1, p - 1), (s, p)
+                    assert b % p in (0, 1, p - 1), (x, y, p)
                 if v == 1:
-                    assert b % (p * p) in (0, 1, p * p - 1), (s, p)
+                    assert b % (p * p) in (0, 1, p * p - 1), (x, y, p)
                     lifted[min(p, 5)] += b > 1
     # not only the trivial family meets the lifted test, at 2, at 3 and above
     assert lifted[5] >= 10 and min(lifted[2], lifted[3]) >= 4, lifted

@@ -3,7 +3,8 @@ import is used, and every private name they define at module level or as a
 method of a class is read: an import or a helper that nothing references is
 dead code that still costs a load and misleads the reader about what the code
 depends on. No package module reads another one's private name: what a module
-shares is public."""
+shares is public. The census and field oracles import nothing from cubesum, so
+a fault in the code they check cannot reach them."""
 
 import ast
 from pathlib import Path
@@ -161,3 +162,35 @@ def test_reference_modules_read_every_private_name():
                    for private, line in _private_definitions(tree)
                    if private not in read)
     assert not found, f"private names nothing reads in tests/reference_*.py: {found}"
+
+
+# the oracles that must share no code with the package they check
+INDEPENDENT_REFERENCES = ("reference_search.py", "reference_field.py")
+
+
+def _cubesum_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """The imports of cubesum or of anything in it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name.split(".")[0] == "cubesum"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "cubesum":
+            found.append((node.module, node.lineno))
+    return found
+
+
+def test_independent_oracles_import_nothing_from_cubesum():
+    trees = _trees(TESTS, "reference_*.py")
+    assert set(INDEPENDENT_REFERENCES) <= set(trees)
+    found = [f"{name}:{line} {module}" for name in INDEPENDENT_REFERENCES
+             for module, line in _cubesum_imports(trees[name])]
+    assert not found, f"independent oracles import the package: {found}"
+
+
+def test_detector_flags_a_cubesum_import():
+    tree = ast.parse("import numpy as np\nimport cubesum.arith\nfrom cubesum import diophantine\n"
+                     "from cubesum.arith import icbrt\nfrom cubesumx import y\n"
+                     "def f():\n    import cubesum as c\n")
+    assert _cubesum_imports(tree) == [("cubesum.arith", 2), ("cubesum", 3), ("cubesum.arith", 4),
+                                      ("cubesum", 7)]
