@@ -95,6 +95,11 @@ def _add_format(p: argparse.ArgumentParser):
     )
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError(f"jobs (--jobs, CUBESUM_JOBS) must be >= 1, not {args.jobs}")
+
+
 def _progress(done: int, total: int):
     print(f"progress: {done}/{total} chunks", file=sys.stderr, flush=True)
 
@@ -103,6 +108,7 @@ def _progress(done: int, total: int):
 
 
 def cmd_search(args) -> int:
+    _check_jobs(args)
     sols = dio.search(
         args.bound,
         include_trivial=args.include_trivial,
@@ -308,6 +314,7 @@ def _count_one(job):
 
 
 def cmd_count(args) -> int:
+    _check_jobs(args)
     if args.sweep is not None:
         from .arith import primes_up_to
 
@@ -351,6 +358,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_jobs(args)
     if args.census_bound < 1:
         raise ValueError(f"census bound (--census-bound, CUBESUM_CENSUS_BOUND) must be >= 1, "
                          f"not {args.census_bound}")

@@ -9,21 +9,28 @@ of its powers, built once, make products and powers table lookups and the
 quadratic character the parity of a log. Sums and differences work digit by
 digit. One certificate proves the field: T has order q-1 modulo g, which only
 a field with q-1 units allows, so it also proves g irreducible. The modulus
-search and the tables multiply polynomials modulo g with rings.polymulmod, the
-routine the number fields Q(w) and Q(zeta12) multiply with, reduced mod p. The
-exp table is built by doubling: T^B .. T^(2B-1) is T^0 .. T^(B-1) times T^B,
-and multiplying by T^B is an F_p-linear map on digit vectors, so each block is
+search powers only the tails that pass two cheap prefilters (the norm of T
+must generate F_p^*, and for n >= 2 g must have no root in F_p); it and the
+tables multiply polynomials modulo g with rings.polymulmod, the routine the
+number fields Q(w) and Q(zeta12) multiply with, reduced mod p. The exp table
+is built by doubling: T^B .. T^(2B-1) is T^0 .. T^(B-1) times T^B, and
+multiplying by T^B is an F_p-linear map on digit vectors, so each block is
 one n x n matrix product mod p in numpy.
 
 The surface count N(p, n) = #{(t, x, y) : y^2 = x^3 - c(t)}, with
 c(t) = t^4 (t^2-1)^3, takes O(q) work in count_surface. (x, y) -> (u^2 x, u^3 y)
 maps y^2 = x^3 - c onto y^2 = x^3 - u^6 c, so a fiber's count depends only on
 the class of c(t) in F_q^* / (F_q^*)^6, which is log c(t) mod gcd(6, q-1): one
-fiber per class is counted, and a fiber with c(t) = 0 has q points.
+fiber per class is counted, and a fiber with c(t) = 0 has q points. Both the
+classes and the fibers come from the Zech logarithms Z[s] = log(g^s - 1)
+(Lidl & Niederreiter, *Finite Fields*, 10.2) as index arithmetic and parity
+counts on one table of q-1 integers, so the count does no field arithmetic
+beyond building that table.
 brute_count_surface is its oracle: it visits every (t, x) pair, forming
 x^3 - c(t) for a block of t rows and all x at once with numpy and gathering,
 from a table of square roots counted over every y, how many y solve each
-fiber, with temporaries bounded by one block whatever q is.
+fiber, with temporaries bounded by one block whatever q is. It shares only
+the field tables with count_surface.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .arith import is_prime, legendre
 from .modular import ap_closed_form, closed_form_alpha, prime_power_coefficients
 from .rings import polymulmod
 
-DEFAULT_BUDGET = 10**4
+DEFAULT_BUDGET = 10**6
 
 FROBENIUS_POWER = "frobenius-power"
 MODULAR_COEFFICIENT = "modular-coefficient"
@@ -108,11 +115,14 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
     (c_0, ..., c_{n-1}): the class of T has order q-1 modulo g.
 
     F_p[T]/(g) has q-1 units only when it is a field, so T of order q-1 also
-    certifies that g is irreducible. T's norm (-1)^n c_0 is T^((q-1)/(p-1)),
-    which generates F_p^* if T generates F_q^*, so only the tails with such a
-    c_0 are powered."""
+    certifies that g is irreducible. Two prefilters skip tails whose T cannot
+    have that order before any power is taken: T's norm (-1)^n c_0 is
+    T^((q-1)/(p-1)), which generates F_p^* if T generates F_q^*, and for
+    n >= 2 a g with a root in F_p is reducible."""
+    import numpy as np
+
     order = p**n - 1
-    cofactors = [order // r for r in _prime_factors(order)]
+    primes = _prime_factors(order) or [1]  # q = 2: no prime divides q-1 = 1
     one = [1] + [0] * (n - 1)
     norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
     for c0 in range(1, p):
@@ -120,10 +130,20 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
             continue
         for rest in product(range(p), repeat=n - 1):
             tail = (c0,) + rest
+            if n >= 2:
+                xs = np.arange(p)
+                values = np.ones_like(xs)  # g(x) at every x in F_p, by Horner's rule
+                for c in reversed(tail):
+                    values = (values * xs + c) % p
+                if not values.all():
+                    continue
             t = _polymulmod([0, 1], [1], tail, p)  # T mod g
-            # T has order q-1 iff T^(q-1) = 1 and T^((q-1)/r) != 1 for every prime r | q-1
-            if (_polypowmod(t, order, tail, p) == one
-                    and all(_polypowmod(t, e, tail, p) != one for e in cofactors)):
+            # T has order q-1 iff T^((q-1)/r) != 1 for every prime r | q-1 and
+            # T^(q-1) = 1, which is y^r for the first cofactor power y
+            y = _polypowmod(t, order // primes[0], tail, p)
+            if ((y != one or order == 1)
+                    and all(_polypowmod(t, order // r, tail, p) != one for r in primes[1:])
+                    and _polypowmod(y, primes[0], tail, p) == one):
                 return tail
     raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
@@ -211,18 +231,9 @@ def make_field(p: int, n: int) -> FiniteField:
 # --- counting ----------------------------------------------------------------
 
 # (t, x) pairs per block of the fiber sum: a block's numpy temporaries hold
-# 2^14 int64s (128 KB) each, or one row of q if q is larger, and the few alive
-# at once stay under 1 MB for every q within the default budget
+# 2^14 int64s (128 KB) each, or one row of q if q is larger, so the few alive
+# at once take a few times max(128 KB, 8q bytes)
 _BLOCK_ELEMENTS = 1 << 14
-
-
-def is_square(field: FiniteField, x) -> int:
-    """Quadratic character: 0 at zero, +1 on even logs, -1 on odd ones."""
-    if field.p == 2:
-        raise ValueError("quadratic character needs odd characteristic")
-    if x == field.zero:
-        return 0
-    return -1 if field.log[x] % 2 else 1
 
 
 def _check_hasse(q: int, t0: int, fibers, over: str = "over t =") -> None:
@@ -264,23 +275,46 @@ def _surface_tables(p: int, n: int, budget: int):
     return F, _root_counts(F), cubes, c
 
 
+def _zech_table(F: FiniteField):
+    """Zech logarithms of F: Z[s] = log(g^s - 1) for 0 < s < q-1, g the
+    generator (Z[0] is log's placeholder for zero)."""
+    return F.log[F.sub(F.exp, F.one)]
+
+
 def count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} in O(q), by sextic twist class.
 
-    The fiber over t has q points if c(t) = 0 and otherwise as many as the
-    fiber y^2 = x^3 - exp[j], j = log c(t) mod gcd(6, q-1), since c(t) is
-    exp[j] times a sixth power. One fiber per class is counted, each checked
-    against the Hasse bound.
+    The fiber over t has q points if c(t) = 0 (t = 0, +-1) and otherwise as
+    many as the fiber y^2 = x^3 - g^j, j = log c(t) mod k, k = gcd(6, q-1),
+    since c(t) is g^j times a sixth power. Both come from the Zech table Z:
+    for t = g^a, log c(t) = 4a + 3 Z[2a], and the class-j fiber has
+    q + chi(-g^j) + sum over x = g^b of chi(g^j) chi(g^(3b-j) - 1) points,
+    where chi(g^s) = (-1)^s and 3b runs g3 = gcd(3, q-1) times over each
+    multiple of g3. One fiber per class is counted, each checked against the
+    Hasse bound.
     """
     import numpy as np
 
-    F, roots, cubes, c = _surface_tables(p, n, budget)
-    k = gcd(6, F.q - 1)
-    nonzero = c[c != 0]
-    sizes = np.bincount(F.log[nonzero] % k, minlength=k)  # t per class
-    fibers = np.array([roots[F.sub(cubes, F.exp[j])].sum() for j in range(k)])
-    _check_hasse(F.q, 0, fibers, over="of class")
-    return F.q * (F.q - nonzero.size) + int(sizes @ fibers)
+    _check_field_size(p, n, budget)
+    F = make_field(p, n)
+    q, order = F.q, F.q - 1
+    zech = _zech_table(F)
+    del F  # frees the exp and log tables before the temporaries below
+    k, g3 = gcd(6, order), gcd(3, order)
+    # t = g^a and -t = g^(a + order/2) share c(t), so each even 0 < s = 2a < q-1
+    # stands for two t, with log c(t) = 2s + 3 Z[s]
+    log_c = zech[2::2] * 3
+    log_c += np.arange(2, order, 2) * 2
+    sizes = 2 * np.bincount(log_c % k, minlength=k)  # t per class
+    # sums[r]: the sum of (-1)^Z[s] over the s = r mod g3 with 0 < s < q-1
+    sums = []
+    for r in range(g3):
+        parities = zech[r or g3::g3] & 1
+        sums.append(parities.size - 2 * int(parities.sum()))
+    chi_minus_one = -1 if order // 2 % 2 else 1
+    fibers = np.array([q + (-1) ** j * (chi_minus_one + g3 * sums[-j % g3]) for j in range(k)])
+    _check_hasse(q, 0, fibers, over="of class")
+    return 3 * q + int(sizes @ fibers)
 
 
 def brute_count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -343,13 +377,6 @@ def formula_count_surface(p: int, n: int, convention: str = FROBENIUS_POWER) -> 
 def _formula_with(p: int, n: int, a_term: int) -> int:
     chi = legendre(-3, p) ** n
     return p ** (2 * n) + p**n + chi * p**n + a_term
-
-
-def trace_alg(p: int, n: int) -> int:
-    """The algebraic-cycle trace 16 p^n + 3 (-3/p)^n p^n + (-4/p)^n p^n."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-    return (16 + 3 * legendre(-3, p) ** n + legendre(-4, p) ** n) * p**n
 
 
 @dataclass(frozen=True)

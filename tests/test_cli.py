@@ -133,6 +133,28 @@ def test_census_bound_below_1_is_a_usage_error(capsys, monkeypatch):
         assert "census bound" in captured.err and "CUBESUM_CENSUS_BOUND" in captured.err
 
 
+def test_jobs_below_1_is_a_usage_error(capsys, monkeypatch):
+    # rejected before any work, from the flag and from the variable; a pool
+    # that raises when called shows that no worker process is started
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for argv in (["search", "--bound", "10"], ["count", "--sweep", "40"],
+                 ["verify", "--skip-census"]):
+        for jobs in ("0", "-5"):
+            for full, env in ((argv + ["--jobs", jobs], None), (argv, jobs)):
+                monkeypatch.delenv("CUBESUM_JOBS", raising=False)
+                if env is not None:
+                    monkeypatch.setenv("CUBESUM_JOBS", env)
+                assert main(full) == 2, (full, env)
+                captured = capsys.readouterr()
+                assert captured.out == "", (full, env)
+                assert "--jobs" in captured.err and "CUBESUM_JOBS" in captured.err, (full, env)
+
+
 def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
     cases = [(["ap", "--max", "10"], ""),
              (["ap", "--max", "10", "--cache-file", ""], None),

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from cubesum import modular as mod
 from cubesum import pointcount as pc
 from cubesum import verifysuite as vs
-from cubesum.arith import primes_up_to
-from cubesum.modular import CUSP_FORM_ETA, eta_quotient, normalize_pi
+from cubesum.arith import legendre, primes_up_to
+from cubesum.modular import CUSP_FORM_ETA, eta_quotient, hecke_expand, normalize_pi
 from cubesum.pointcount import (
     CONVENTIONS,
-    DEFAULT_BUDGET,
     CountReport,
     FROBENIUS_POWER,
     MODULAR_COEFFICIENT,
@@ -28,9 +27,7 @@ from cubesum.pointcount import (
     brute_count_surface,
     count_surface,
     formula_count_surface,
-    is_square,
     make_field,
-    trace_alg,
 )
 from reference_field import count_elliptic as reference_count_elliptic
 from reference_field import count_surface as reference_count_surface
@@ -38,6 +35,19 @@ from reference_field import exp_table as reference_exp_table
 from reference_field import is_square as reference_is_square
 from reference_field import order_of_t
 from reference_field import reference_field
+
+
+def is_square(field, x) -> int:
+    """Quadratic character from the log table: 0 at zero, +1 on even logs,
+    -1 on odd ones."""
+    if x == field.zero:
+        return 0
+    return -1 if field.log[x] % 2 else 1
+
+
+def trace_alg(p: int, n: int) -> int:
+    """The algebraic-cycle trace 16 p^n + 3 (-3/p)^n p^n + (-4/p)^n p^n."""
+    return (16 + 3 * legendre(-3, p) ** n + legendre(-4, p) ** n) * p**n
 
 
 def test_is_square_examples():
@@ -141,6 +151,14 @@ def test_find_primitive_matches_the_order_scan():
             n += 1
 
 
+def test_find_primitive_on_larger_fields():
+    # the tails the scan returned before the root prefilter and the
+    # cofactor-first order test, which change no result
+    assert _find_primitive(1009, 2) == (11, 1)
+    assert _find_primitive(101, 3) == (2, 0, 2)
+    assert _find_primitive(31, 4) == (3, 0, 0, 2)
+
+
 def test_field_certificate_rejects_bad_moduli():
     # the closing certificate of the tables alone rejects a modulus that is
     # reducible (T^2 + 1 over F_5), irreducible but not primitive (T^2 + 1 over
@@ -179,12 +197,32 @@ def test_count_surface_matches_brute_force_on_small_fields(p, n):
 
 
 def test_count_surface_checks_each_class_fiber(monkeypatch):
-    # doubled square-root counts put every class fiber near 2q, far outside
-    # the Hasse bound, so the count raises instead of returning a wrong total
-    real = pc._root_counts
-    monkeypatch.setattr(pc, "_root_counts", lambda F: 2 * real(F))
+    # a doubled Zech table has only even entries, so every (-1)^Z[s] is +1
+    # and each class fiber lands near 2q, far outside the Hasse bound: the
+    # count raises instead of returning a wrong total
+    real = pc._zech_table
+    monkeypatch.setattr(pc, "_zech_table", lambda F: 2 * real(F))
     with pytest.raises(ArithmeticError, match="fiber of class 0 has"):
         count_surface(7, 2)
+
+
+def _check_counts_against_hecke(limit):
+    # N(p, 1) = p^2 + p + (-3/p) p + a_p, a_p from the list `ap --max` prints
+    a = hecke_expand(limit)
+    for p in primes_up_to(limit - 1):
+        if p >= 5:
+            assert count_surface(p, 1) == p * p + p + legendre(-3, p) * p + a[p], p
+
+
+def test_counts_check_every_ap_below_3000():
+    # 426 primes, about 0.07 s on one core of a 2-core x86-64 host
+    _check_counts_against_hecke(3000)
+
+
+@pytest.mark.extended
+def test_counts_check_every_ap_below_1e5():
+    # all 9,590 primes 5 <= p < 10^5: about 12 s on one core of a 2-core x86-64 host
+    _check_counts_against_hecke(10**5)
 
 
 def test_hasse_check_raises():
@@ -204,7 +242,7 @@ def test_brute_count_surface_examples():
 def test_brute_count_surface_budget():
     for count in (brute_count_surface, count_surface):
         with pytest.raises(ValueError):
-            count(101, 2)
+            count(1009, 2)  # q = 1018081, above the default budget of 10^6
         with pytest.raises(ValueError):
             count(4, 1)
 
@@ -334,7 +372,7 @@ def test_recorded_sweep_matches_the_formula_and_the_small_counts():
     assert [(p, n) for p, n, _ in recorded] == SWEEP_FIELDS
     for p, n, count in recorded:
         assert count == formula_count_surface(p, n, FROBENIUS_POWER), (p, n)
-        if p**n <= DEFAULT_BUDGET:
+        if p**n <= 10**4:
             assert count == count_surface(p, n), (p, n)
 
 
