@@ -95,9 +95,12 @@ def _add_format(p: argparse.ArgumentParser):
     )
 
 
+MAX_JOBS = 64  # worker processes; each one holds its own tables
+
+
 def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise ValueError(f"jobs (--jobs, CUBESUM_JOBS) must be >= 1, not {args.jobs}")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        raise ValueError(f"jobs (--jobs, CUBESUM_JOBS) must be from 1 to {MAX_JOBS}, not {args.jobs}")
 
 
 def _progress(done: int, total: int):

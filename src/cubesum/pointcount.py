@@ -44,6 +44,7 @@ from .modular import ap_closed_form, closed_form_alpha, prime_power_coefficients
 from .rings import polymulmod
 
 DEFAULT_BUDGET = 10**6
+BRUTE_BUDGET = 10**4  # brute_count_surface visits q^2 pairs: 10^8 at this q
 
 FROBENIUS_POWER = "frobenius-power"
 MODULAR_COEFFICIENT = "modular-coefficient"
@@ -317,7 +318,7 @@ def count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     return 3 * q + int(sizes @ fibers)
 
 
-def brute_count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
+def brute_count_surface(p: int, n: int = 1, budget: int = BRUTE_BUDGET) -> int:
     """#{(t,x,y) in F_q^3 : y^2 = x^3 - t^4 (t^2-1)^3} by exhaustive enumeration.
 
     Every (t, x) pair is visited: a block of t rows forms x^3 - c(t) for every

@@ -2,8 +2,8 @@
 
 Everything here reduces a polynomial identity to zero in exact arithmetic:
 - the cyclic degree-6 quotient map onto the surface and the coordinate changes
-  identifying the second fibration with the Fermat-like quartic, as MultiPoly
-  normal forms;
+  identifying the second fibration with the Fermat-like quartic, on univariate
+  Polys at sample points (below);
 - the graph construction that recovers the parametric solution family, over
   Q(w)(u);
 - the singular points, lines and line orbits of the quartic
@@ -12,6 +12,15 @@ Everything here reduces a polynomial identity to zero in exact arithmetic:
   and F(t*p + q) is zero exactly when the line through p and q lies on the
   surface. A line is keyed by its normalised Plucker coordinates, so a
   symmetry's image of a line is found by one dict lookup.
+
+The psi and Inose identities are polynomials in a variable v (u, t), a
+coordinate x (x0) and a root y with y^2 = x^3 - c(v) (y0^2 = x0^3 - 1; psi's
+s^2 = u^6 - 1 has no x0). Modulo the relations each is A + B*y, A and B
+polynomials in x. Give x weight 2 and y weight 3: rewriting y^2 never raises
+the weight, so at weight at most w the x-degree is at most w//2. x is never
+rewritten, so with x = x_j rational, v a Poly and each root a _Sqrt pair, the
+result is A(x_j) + B(x_j)*y exactly; zero at x_j = 0..w//2 makes A and B zero.
+w is 6 for psi (15 when z keeps y0), 9 for Inose (i) and 16 for (ii).
 
 The quartic's 24 symmetries are the order-8 group of diophantine's t1, t2, t3
 (signs and the swap of x and y) times the rescaling z -> w^k*z, k = 0, 1, 2,
@@ -22,12 +31,10 @@ them from symmetry_group().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .diophantine import SymmetryElement, symmetry_group
 from .elliptic import add, curve_over_omega, curve_sextic_twist, point_over_omega, section_tau
-from .multipoly import MultiPoly, normal_form
 from .polynomials import Poly, RationalFunction
 from .rings import (
     QOMEGA,
@@ -39,35 +46,91 @@ from .rings import (
     W_Z12,
 )
 
+# --- identities at sample points ------------------------------------------
+
+
+class _Sqrt:
+    """a + b*r with r^2 = f, for a, b and f in one ring R: Polys, or _Sqrt over
+    a smaller ring. An operand of smaller depth (a Poly, a scalar) is an
+    element of R; one of larger depth takes this one as its scalar."""
+
+    __slots__ = ("a", "b", "f", "depth")
+
+    def __init__(self, a, b, f):
+        self.a, self.b, self.f = a, b, f
+        self.depth = getattr(a, "depth", 0) + 1
+
+    def is_zero(self) -> bool:
+        return self.a.is_zero() and self.b.is_zero()
+
+    def __add__(self, other):
+        depth = getattr(other, "depth", 0)
+        if depth > self.depth:
+            return other + self
+        if depth < self.depth:
+            return _Sqrt(self.a + other, self.b, self.f)
+        return _Sqrt(self.a + other.a, self.b + other.b, self.f)
+
+    def __mul__(self, other):
+        depth = getattr(other, "depth", 0)
+        if depth > self.depth:
+            return other * self
+        if depth < self.depth:
+            return _Sqrt(self.a * other, self.b * other, self.f)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return _Sqrt(a * c + b * d * self.f, a * d + b * c, self.f)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _Sqrt(-self.a, -self.b, self.f)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        half = (self * self) ** (n // 2) if n > 1 else 1
+        return half * self if n % 2 else half
+
+
+class SampledResidual(tuple):
+    """A residual's values at x_j = 0, 1, ..., w//2: zero iff every value is."""
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self)
+
+
 # --- quotient map psi ------------------------------------------------------
 
-_QVARS = ("u", "s", "x0", "y0")
+
+def _psi_numerator(u, s, x0, y0, z_has_denominator: bool):
+    # x*y*(x^2 + y^2 - 1) * y0^3  with x = s/y0, y = u^3:
+    #   = s*u^3 * (s^2 + (u^6 - 1) * y0^2) * y0^(3-3)
+    lhs = s * u**3 * (s**2 + (u**6 - 1) * y0**2)
+    rhs = (u * s * x0) ** 3  # z^3 * y0^3
+    return lhs - (rhs if z_has_denominator else rhs * y0**3)
 
 
-def _qvar(name: str) -> MultiPoly:
-    return MultiPoly.variable(_QVARS, name)
-
-
-def quotient_psi_residual(z_has_denominator: bool = True, with_relations: bool = True) -> MultiPoly:
+def quotient_psi_residual(z_has_denominator: bool = True, with_relations: bool = True) -> SampledResidual:
     """Numerator of x*y*(x^2+y^2-1) - z^3 under the degree-6 quotient map.
 
     The map sends ((u,s), (x0,y0)) to x = s/y0, y = u^3, z = u*s*x0/y0.
     Denominators are cleared by y0^3; the relations s^2 = u^6 - 1 and
     y0^2 = x0^3 - 1 reduce the result. The flags exist for negative controls:
     dropping z's denominator or the relations must break the identity.
+    Without the relations s = 2 and y0 = 3, off both curves, so a nonzero
+    value shows a nonzero numerator.
     """
-    u, s, x0, y0 = map(_qvar, _QVARS)
-    # x*y*(x^2 + y^2 - 1) * y0^3  with x = s/y0, y = u^3:
-    #   = s*u^3 * (s^2 + (u^6 - 1) * y0^2) * y0^(3-3)
-    lhs = s * u**3 * (s**2 + (u**6 - 1) * y0**2)
-    if z_has_denominator:
-        rhs = (u * s * x0) ** 3  # z^3 * y0^3
-    else:
-        rhs = (u * s * x0) ** 3 * y0**3
-    residual = lhs - rhs
+    u = Poly.x()
+    s = _Sqrt(0 * u, u**0, u**6 - 1)
+    points = range((6 if z_has_denominator else 15) // 2 + 1)
     if not with_relations:
-        return residual
-    return normal_form(residual, {"s": u**6 - 1, "y0": x0**3 - 1})
+        return SampledResidual(_psi_numerator(u, 2, x0, 3, z_has_denominator) for x0 in points)
+    return SampledResidual(_psi_numerator(u, s, x0, _Sqrt(0 * s, 0 * s + 1, x0**3 - 1), z_has_denominator)
+                           for x0 in points)
 
 
 def verify_quotient_psi() -> bool:
@@ -143,16 +206,30 @@ def verify_pagliani_graph(sign: int = 1, use_pi1: bool = False) -> PaglianiGraph
 
 # --- the two coordinate-change identities ----------------------------------
 
-_TXY = ("t", "x", "y")
+
+def _second_fibration_rhs(t, x, coefficient: int):
+    return x**3 - coefficient * t**2 * (t - 1) ** 2 * (t + 1) ** 2 * (t**2 + 1) ** 2
 
 
-def _txyvar(name: str, zeta: bool) -> MultiPoly:
-    zero = QZETA12.zero() if zeta else Fraction(0)
-    return MultiPoly.variable(_TXY, name, zero=zero)
+def _inose_i(t, x, y):
+    """The (X,Y,Z,W) substitution into the quartic, over Q(zeta12)."""
+    s3, sm3, i = SQRT3_Z12, SQRTM3_Z12, I_Z12
+    X = 72 * s3 * t * (t**2 + 1) ** 2
+    Y = 3 * y - 36 * sm3 * t * (t**4 - 1)
+    Z = -6 * sm3 * (t**2 + 1) * x
+    Wc = -1 * (t * (3 * i * y - 36 * s3 * t * (t**2 + 3) * (t**2 + 1)))
+    return quartic(X, Y, Z, Wc)
 
 
-def _second_fibration_rhs(tv: MultiPoly, xv: MultiPoly, coefficient: int = 432) -> MultiPoly:
-    return xv**3 - coefficient * tv**2 * (tv - 1) ** 2 * (tv + 1) ** 2 * (tv**2 + 1) ** 2
+def _inose_ii(t, x, y, flip_wprime_sign: bool):
+    """X'(X'^3+Y'^3) - Z'(Z'^3+W'^3) under the (X',Y',Z',W') substitution."""
+    Xp = -2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2
+    Yp = -2 * (2 * t**4 - 1) * y + t * x**2 - 12 * t**3 * (t**4 - 1) * x + 72 * t * (t**4 - 1)
+    Zp = t * (-2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2)
+    Wp = 2 * t * (t**4 - 2) * y + t**2 * x**2 + 12 * (t**4 - 1) * x - 72 * t**6 * (t**4 - 1)
+    if flip_wprime_sign:
+        Wp = -Wp
+    return Xp * (Xp**3 + Yp**3) - Zp * (Zp**3 + Wp**3)
 
 
 def inose_substitution_residuals(coefficient: int = 432, flip_wprime_sign: bool = False):
@@ -161,30 +238,16 @@ def inose_substitution_residuals(coefficient: int = 432, flip_wprime_sign: bool 
     (i) the (X,Y,Z,W) substitution satisfies X*Y*(X^2+Y^2-W^2) = Z^3*W over
     Q(zeta12); (ii) the (X',Y',Z',W') substitution satisfies
     X'(X'^3+Y'^3) = Z'(Z'^3+W'^3) over Q. Both are taken modulo
-    y^2 = x^3 - 432 t^2(t-1)^2(t+1)^2(t^2+1)^2. The keyword arguments exist
-    for negative controls.
+    y^2 = x^3 - 432 t^2(t-1)^2(t+1)^2(t^2+1)^2, at x = 0..4 for (i) and
+    x = 0..8 for (ii). The keyword arguments exist for negative controls.
     """
-    # (i): coefficients involve sqrt3, sqrt(-3), i
-    t, x, y = (_txyvar(n, zeta=True) for n in _TXY)
-    s3, sm3, i = SQRT3_Z12, SQRTM3_Z12, I_Z12
-    X = 72 * s3 * t * (t**2 + 1) ** 2
-    Y = 3 * y - 36 * sm3 * t * (t**4 - 1)
-    Z = -6 * sm3 * (t**2 + 1) * x
-    Wc = -1 * (t * (3 * i * y - 36 * s3 * t * (t**2 + 3) * (t**2 + 1)))
-    fi = X * Y * (X**2 + Y**2 - Wc**2) - Z**3 * Wc
-    r1 = normal_form(fi, {"y": _second_fibration_rhs(t, x, coefficient)})
+    def sampled(identity, weight, zero):
+        t = Poly.x(zero=zero)
+        return SampledResidual(identity(t, x, _Sqrt(0 * t, t**0, _second_fibration_rhs(t, x, coefficient)))
+                               for x in range(weight // 2 + 1))
 
-    # (ii): rational coefficients
-    t, x, y = (_txyvar(n, zeta=False) for n in _TXY)
-    Xp = -2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2
-    Yp = -2 * (2 * t**4 - 1) * y + t * x**2 - 12 * t**3 * (t**4 - 1) * x + 72 * t * (t**4 - 1)
-    Zp = t * (-2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2)
-    Wp = 2 * t * (t**4 - 2) * y + t**2 * x**2 + 12 * (t**4 - 1) * x - 72 * t**6 * (t**4 - 1)
-    if flip_wprime_sign:
-        Wp = -Wp
-    gii = Xp * (Xp**3 + Yp**3) - Zp * (Zp**3 + Wp**3)
-    r2 = normal_form(gii, {"y": _second_fibration_rhs(t, x, coefficient)})
-    return r1, r2
+    return (sampled(_inose_i, 9, QZETA12.zero()),
+            sampled(lambda t, x, y: _inose_ii(t, x, y, flip_wprime_sign), 16, None))
 
 
 def verify_inose_and_eps2(coefficient: int = 432, flip_wprime_sign: bool = False) -> bool:

@@ -1,8 +1,9 @@
-"""Sparse multivariate polynomials and square-eliminating normal forms.
+"""Sparse multivariate polynomials: the reference for cubesum.surface_checks.
 
-Just enough machinery for two surface identity checks, the quotient map psi
-and the Inose coordinate changes: a MultiPoly is a dict from exponent tuples
-to exact scalars over a fixed variable list. normal_form rewrites
+This is the MultiPoly that cubesum used to check the quotient map psi and the
+Inose coordinate changes before it sampled them on univariate Polys, kept
+unchanged as a test oracle. A MultiPoly is a dict from exponent tuples to
+exact scalars over a fixed variable list. normal_form rewrites
 var^2 -> replacement for relation sets whose replacements mention no
 eliminated variable, such as psi's {s: u^6 - 1, y0: x0^3 - 1} and the Inose
 check's {y: x^3 - c(t)}; any other set raises ValueError (no Groebner bases).
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import NumberFieldElement, coerce_scalar, scalar_zero
+from cubesum.rings import NumberFieldElement, coerce_scalar, scalar_zero
 
 
 class MultiPoly:

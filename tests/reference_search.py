@@ -12,6 +12,8 @@ in int64 without overflow for any x < 3*10^9.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 from functools import cache
 
 import numpy as np
@@ -59,6 +61,13 @@ def box_solutions(bound: int, include_trivial: bool = False,
     y_min = 1 if include_trivial else 2
     if jobs <= 1:
         return tuple(_strip((1, bound + 1, y_min)))
+    # spawned workers re-run __main__ from its file; with none (a script read
+    # from stdin is '<stdin>') each one fails and the pool restarts them forever
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is None and path is not None and not os.path.isfile(path):
+        raise RuntimeError(f"box_solutions(jobs={jobs}) needs a __main__ that spawned workers can "
+                           f"re-import, and {path!r} is no file: run it from a file or with jobs=1")
     # a row costs about x, so many narrow strips keep the workers even
     width = max(1, bound // (jobs * 64))
     strips = [(lo, min(lo + width, bound + 1), y_min) for lo in range(1, bound + 1, width)]

@@ -10,7 +10,7 @@ import pytest
 
 import cubesum
 from cubesum.cache import default_cache_path
-from cubesum.cli import build_parser, main
+from cubesum.cli import MAX_JOBS, build_parser, main
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 GOLDEN = DOCS / "golden"
@@ -133,7 +133,7 @@ def test_census_bound_below_1_is_a_usage_error(capsys, monkeypatch):
         assert "census bound" in captured.err and "CUBESUM_CENSUS_BOUND" in captured.err
 
 
-def test_jobs_below_1_is_a_usage_error(capsys, monkeypatch):
+def test_jobs_outside_1_to_the_cap_is_a_usage_error(capsys, monkeypatch):
     # rejected before any work, from the flag and from the variable; a pool
     # that raises when called shows that no worker process is started
     import multiprocessing
@@ -144,7 +144,7 @@ def test_jobs_below_1_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for argv in (["search", "--bound", "10"], ["count", "--sweep", "40"],
                  ["verify", "--skip-census"]):
-        for jobs in ("0", "-5"):
+        for jobs in ("0", "-5", str(MAX_JOBS + 1)):
             for full, env in ((argv + ["--jobs", jobs], None), (argv, jobs)):
                 monkeypatch.delenv("CUBESUM_JOBS", raising=False)
                 if env is not None:

@@ -193,6 +193,24 @@ def test_search_numpy_x_strips_match_serial():
         assert _triples(serial) == list(box_solutions(3000, include_trivial))
 
 
+def test_box_oracle_refuses_workers_that_cannot_reimport_main(monkeypatch):
+    # a script read from stdin has the __file__ '<stdin>': spawned workers could
+    # not re-import it, so the oracle must raise before it makes a pool
+    import multiprocessing
+    import sys
+    import types
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    main = types.ModuleType("__main__")
+    main.__file__ = "<stdin>"
+    monkeypatch.setitem(sys.modules, "__main__", main)
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    with pytest.raises(RuntimeError, match="<stdin>"):
+        box_solutions(50, jobs=2)
+
+
 def test_search_numpy_at_1e4_matches_the_pinned_census():
     assert list(box_solutions(10**4)) == SOLUTIONS_1E4
     assert _triples(search(10**4, method="numpy")) == SOLUTIONS_1E4

@@ -245,6 +245,10 @@ def test_brute_count_surface_budget():
             count(1009, 2)  # q = 1018081, above the default budget of 10^6
         with pytest.raises(ValueError):
             count(4, 1)
+    # the enumeration visits q^2 pairs, so its own default stops at q = 10^4
+    with pytest.raises(ValueError, match="budget"):
+        brute_count_surface(211, 2)  # q = 44521
+    assert count_surface(211, 2) == formula_count_surface(211, 2)
 
 
 def test_brute_count_elliptic_examples():

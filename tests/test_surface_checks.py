@@ -1,9 +1,10 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from cubesum import surface_checks
-from cubesum.multipoly import MultiPoly
+from cubesum.polynomials import Poly
 from cubesum.rings import QZETA12
 from cubesum.elliptic import (
     add,
@@ -27,6 +28,7 @@ from cubesum.surface_checks import (
     verify_pagliani_graph,
     verify_quotient_psi,
 )
+from reference_multipoly import MultiPoly, normal_form
 
 
 def test_quotient_psi_holds():
@@ -90,6 +92,79 @@ def test_inose_identities_hold():
 def test_inose_negative_controls():
     assert verify_inose_and_eps2(coefficient=431) is False
     assert verify_inose_and_eps2(flip_wprime_sign=True) is False
+    r1, r2 = inose_substitution_residuals(coefficient=431)
+    assert not r1.is_zero() and not r2.is_zero()
+    r1, r2 = inose_substitution_residuals(flip_wprime_sign=True)
+    assert r1.is_zero() and not r2.is_zero()
+
+
+def _components(value):
+    """A sampled value's Polys, lowest power of the outermost root first."""
+    if isinstance(value, surface_checks._Sqrt):
+        return _components(value.a) + _components(value.b)
+    return (value,)
+
+
+def _reference_components(mp, roots):
+    """A reference normal form free of the sample coordinate, as the Polys in
+    its first variable that _components lists for roots (outermost first)."""
+    idx = [mp.vars.index(r) for r in roots]
+    out = []
+    for powers in product((0, 1), repeat=len(roots)):
+        coeffs = {e[0]: c for e, c in mp.terms.items() if all(e[i] == k for i, k in zip(idx, powers))}
+        out.append(Poly([coeffs.get(i, mp.zero) for i in range(max(coeffs, default=-1) + 1)], zero=mp.zero))
+    return tuple(out)
+
+
+def _reference_psi(x0, z_has_denominator, with_relations):
+    """The psi residual on MultiPoly and its roots; x0 is a value, or None for
+    the variable."""
+    names = ("u", "s", "x0", "y0")
+    u, s, x0v, y0 = (MultiPoly.variable(names, n) for n in names)
+    if x0 is not None:
+        x0v = MultiPoly.const(names, x0)
+    if not with_relations:
+        return surface_checks._psi_numerator(u, 2, x0v, 3, z_has_denominator), ()
+    expr = surface_checks._psi_numerator(u, s, x0v, y0, z_has_denominator)
+    return normal_form(expr, {"s": u**6 - 1, "y0": x0v**3 - 1}), ("y0", "s")
+
+
+def _reference_inose(k, x, coefficient, flip_wprime_sign):
+    """Inose residual (i) (k = 0) or (ii) (k = 1) on MultiPoly; x is a value, or
+    None for the variable."""
+    if k == 0:
+        zero, identity = QZETA12.zero(), surface_checks._inose_i
+    else:
+        zero, identity = Fraction(0), lambda t, x, y: surface_checks._inose_ii(t, x, y, flip_wprime_sign)
+    names = ("t", "x", "y")
+    t, xv, y = (MultiPoly.variable(names, n, zero=zero) for n in names)
+    if x is not None:
+        xv = MultiPoly.const(names, x, zero=zero)
+    return normal_form(identity(t, xv, y), {"y": surface_checks._second_fibration_rhs(t, xv, coefficient)})
+
+
+@pytest.mark.parametrize("z_has_denominator, with_relations", list(product((True, False), repeat=2)))
+def test_psi_residual_matches_the_multipoly_normal_form(z_has_denominator, with_relations):
+    # each sampled value is the reference with x0 = x_j, and the reference's
+    # x0-degree is below the number of points, so the points decide it
+    sampled = quotient_psi_residual(z_has_denominator, with_relations)
+    for x0, value in enumerate(sampled):
+        mp, roots = _reference_psi(x0, z_has_denominator, with_relations)
+        assert _components(value) == _reference_components(mp, roots), x0
+    full, _ = _reference_psi(None, z_has_denominator, with_relations)
+    assert full.degree_in("x0") < len(sampled)
+    assert full.is_zero() == sampled.is_zero()
+
+
+@pytest.mark.parametrize("coefficient, flip_wprime_sign", [(432, False), (431, False), (432, True)])
+def test_inose_residuals_match_the_multipoly_normal_form(coefficient, flip_wprime_sign):
+    for k, sampled in enumerate(inose_substitution_residuals(coefficient, flip_wprime_sign)):
+        for x, value in enumerate(sampled):
+            mp = _reference_inose(k, x, coefficient, flip_wprime_sign)
+            assert _components(value) == _reference_components(mp, ("y",)), (k, x)
+        full = _reference_inose(k, None, coefficient, flip_wprime_sign)
+        assert full.degree_in("x") < len(sampled), k
+        assert full.is_zero() == sampled.is_zero(), k
 
 
 def test_singular_points_annihilate_quartic_and_partials():
