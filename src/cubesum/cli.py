@@ -103,6 +103,12 @@ def _check_jobs(args) -> None:
         raise ValueError(f"jobs (--jobs, CUBESUM_JOBS) must be from 1 to {MAX_JOBS}, not {args.jobs}")
 
 
+def _check_bound(value: int, name: str) -> None:
+    if not 1 <= value <= dio.MAX_BOUND:
+        raise ValueError(f"{name} must be from 1 to {dio.MAX_BOUND} (the census tables are int32), "
+                         f"not {value}")
+
+
 def _progress(done: int, total: int):
     print(f"progress: {done}/{total} chunks", file=sys.stderr, flush=True)
 
@@ -112,6 +118,7 @@ def _progress(done: int, total: int):
 
 def cmd_search(args) -> int:
     _check_jobs(args)
+    _check_bound(args.bound, "bound (--bound)")
     sols = dio.search(
         args.bound,
         include_trivial=args.include_trivial,
@@ -362,9 +369,7 @@ def cmd_count(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_jobs(args)
-    if args.census_bound < 1:
-        raise ValueError(f"census bound (--census-bound, CUBESUM_CENSUS_BOUND) must be >= 1, "
-                         f"not {args.census_bound}")
+    _check_bound(args.census_bound, "census bound (--census-bound, CUBESUM_CENSUS_BOUND)")
     report = run_suite(census_bound=args.census_bound, jobs=args.jobs, skip_slow=args.skip_census)
     if args.format == "json":
         print(json.dumps(_stringify(report.to_dict()), indent=2, sort_keys=True))

@@ -434,6 +434,10 @@ def _search_chunk(args):
     return _search_x_range(*args, sieve=_worker_sieve)
 
 
+# the largest bound: the census tables are int32 and run to index bound + 1
+MAX_BOUND = 2**31 - 2
+
+
 def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=None,
            method: str = "numpy") -> list[SolutionXYZ]:
     """All solutions with 0 < y <= x <= bound and z >= 0, sorted by (x, y).
@@ -451,8 +455,8 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
     they finish; results are merged and sorted, so the output is
     deterministic either way.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    if not 1 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be from 1 to {MAX_BOUND}, not {bound}")
     if method != "numpy":
         raise ValueError(f"unknown search method {method!r}")
     triples: list[tuple[int, int, int]] = []

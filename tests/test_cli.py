@@ -155,6 +155,43 @@ def test_jobs_outside_1_to_the_cap_is_a_usage_error(capsys, monkeypatch):
                 assert "--jobs" in captured.err and "CUBESUM_JOBS" in captured.err, (full, env)
 
 
+def test_bound_above_the_int32_tables_is_a_usage_error(capsys, monkeypatch):
+    # rejected before any table is built or any worker starts, from the flag
+    # and from the variable; the largest bound passes the check and reaches
+    # the table build, which raises here
+    import multiprocessing
+
+    from cubesum import arith, diophantine
+
+    class Refused(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    for module in (arith, diophantine):
+        monkeypatch.setattr(module, "smallest_prime_factors", refuse)
+    for big in (str(diophantine.MAX_BOUND + 1), str(2**31), str(10**12)):
+        cases = [(["search", "--bound", big], None, "--bound"),
+                 (["search", "--bound", big, "--jobs", "2"], None, "--bound"),
+                 (["verify", "--census-bound", big], None, "CUBESUM_CENSUS_BOUND"),
+                 (["verify"], big, "CUBESUM_CENSUS_BOUND")]
+        for argv, env, name in cases:
+            monkeypatch.delenv("CUBESUM_CENSUS_BOUND", raising=False)
+            if env is not None:
+                monkeypatch.setenv("CUBESUM_CENSUS_BOUND", env)
+            assert main(argv) == 2, (argv, env)
+            captured = capsys.readouterr()
+            assert captured.out == "", (argv, env)
+            assert name in captured.err and str(diophantine.MAX_BOUND) in captured.err, (argv, env)
+    monkeypatch.delenv("CUBESUM_CENSUS_BOUND", raising=False)
+    with pytest.raises(Refused):
+        main(["search", "--bound", str(diophantine.MAX_BOUND)])
+    with pytest.raises(ValueError, match="bound must be from 1"):
+        diophantine.search(diophantine.MAX_BOUND + 1)
+
+
 def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
     cases = [(["ap", "--max", "10"], ""),
              (["ap", "--max", "10", "--cache-file", ""], None),

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesum.arith import primes_up_to
@@ -22,6 +22,7 @@ from cubesum.modular import (
     TWO_SQRT_M3,
 )
 from cubesum.rings import EisensteinInt, OMEGA, SQRT_M3, represent_eisenstein
+from reference_eta import eta_coefficients
 
 PUBLISHED_COEFFS = {
     1: 1, 3: 3, 7: -2, 9: 9, 13: -22, 19: -26, 21: -6,
@@ -41,6 +42,28 @@ def test_eta_reproduces_published_expansion():
 def test_eta_delta_like_series():
     series = eta_quotient(EtaQuotientSpec(((1, 24),)), 5)
     assert series.coeffs == (1, -24, 252, -1472, 4830)
+
+
+def test_eta_matches_the_dense_reference_at_every_n_to_30_and_at_2000():
+    for n in [*range(1, 31), 2000]:
+        assert list(eta_quotient(CUSP_FORM_ETA, n).coeffs) == eta_coefficients(CUSP_FORM_ETA.factors, n), n
+
+
+@st.composite
+def eta_specs(draw):
+    """Factors (d, e) with d in 1..24 and e in -9..9 nonzero; the last one is
+    drawn among those that make sum d*e divisible by 24."""
+    exponents = [e for e in range(-9, 10) if e]
+    factors = draw(st.lists(st.tuples(st.integers(1, 24), st.sampled_from(exponents)), max_size=4))
+    total = sum(d * e for d, e in factors)
+    last = [(d, e) for d in range(1, 25) for e in exponents if (total + d * e) % 24 == 0]
+    return EtaQuotientSpec((*factors, draw(st.sampled_from(last))))
+
+
+@settings(deadline=None)
+@given(eta_specs(), st.integers(1, 300))
+def test_eta_matches_the_dense_reference_on_random_specs(spec, n):
+    assert list(eta_quotient(spec, n).coeffs) == eta_coefficients(spec.factors, n)
 
 
 def test_eta_spec_requires_integral_prefix():
@@ -105,11 +128,17 @@ def test_hecke_expand_recurrence_examples():
     assert h[2] == 0 and h[4] == 0 and h[8] == 0
 
 
-def test_hecke_expand_equals_the_eta_product_to_2000():
-    # reaches prime powers up to 2^10 = 1024 and composites such as 2 * 3^6 and
-    # 3 * 5^4 with a large prime-power part, which the multiplicativity pass
+def test_hecke_expand_equals_the_eta_product_to_10000():
+    # reaches prime powers up to 2^13 = 8192 and composites such as 2 * 3^7 and
+    # 3 * 5^5 with a large prime-power part, which the multiplicativity pass
     # splits off by sieve lookup
-    assert hecke_expand(2000) == eta_quotient(CUSP_FORM_ETA, 2000)
+    assert hecke_expand(10**4) == eta_quotient(CUSP_FORM_ETA, 10**4)
+
+
+@pytest.mark.extended
+def test_hecke_expand_equals_the_eta_product_to_50000():
+    # the Hecke precision of the benchmark's modular workload
+    assert hecke_expand(5 * 10**4) == eta_quotient(CUSP_FORM_ETA, 5 * 10**4)
 
 
 def test_triple_agreement():
