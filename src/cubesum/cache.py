@@ -83,6 +83,8 @@ class CoefficientCache:
 
     def get(self, max_n: int) -> dict[int, int]:
         """Coefficients a_1..a_max_n, regenerating the file when needed."""
+        if max_n < 1:
+            raise ValueError(f"coefficient count (--max) must be at least 1, not {max_n}")
         cached = self.load()
         if cached is not None and len(cached) >= max_n:
             return {n: cached[n] for n in range(1, max_n + 1)}

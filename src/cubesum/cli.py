@@ -306,8 +306,8 @@ def cmd_ap(args) -> int:
         rec = {"p": p, "closed_form": mod.ap_closed_form(p)}
         if p % 3 == 1:
             rec["via_characters"] = mod.surface_ap_via_characters(p)
-            pi = mod.normalize_pi(p, "plus")
-            rec["pi_plus"] = str(pi.pi)
+            a, b = mod.normalize_pi(p, "plus").pi.num  # b != 0: the norm p is prime
+            rec["pi_plus"] = f"{a}{b:+d}w"
         rows = [tuple(rec.values())]
         _emit({"prime": rec}, rows, tuple(rec.keys()), args.format)
         return 0
@@ -328,6 +328,9 @@ def cmd_count(args) -> int:
     if args.sweep is not None:
         from .arith import primes_up_to
 
+        if args.sweep < 5:
+            raise ValueError(f"sweep bound (--sweep MAX_P) must be at least 5, the first prime "
+                             f"of the range 5..MAX_P, not {args.sweep}")
         ps = [p for p in primes_up_to(args.sweep) if p >= 5]
         jobs_list = [(p, args.n, args.convention, args.budget) for p in ps]
         reports = []

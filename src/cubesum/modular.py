@@ -1,8 +1,9 @@
 """The weight-3 cusp form three ways: eta quotient, Hecke recurrence, lattice sum.
 
 All series arithmetic is exact integer arithmetic truncated at a fixed
-precision. Sixth roots of unity are tracked symbolically (exponent mod 6),
-never as floats.
+precision. An Eisenstein integer m + nw is the Q(w) element QOMEGA(m, n) with
+denominator 1, and the sixth root of unity zeta6^k, zeta6 = 1 + w, is
+ZETA6_POWERS[k]: chi2 returns the exponent k mod 6, never a float.
 
 An eta quotient is built from sparse factors. eta(dz)^e is the Euler product
 prod (1 - q^(dm)) to the power e, times q^(de/24). When 3 | e that product is
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import is_prime, legendre, smallest_prime_factors
-from .rings import EisensteinInt, SQRT_M3, represent_eisenstein
+from .rings import NumberFieldElement, QOMEGA, W, represent_eisenstein
 
 # --- integer q-series -------------------------------------------------------
 
@@ -48,7 +49,12 @@ class QSeries:
         return {n: c for n, c in enumerate(self.coeffs, start=1) if c}
 
     def agrees_with(self, other: "QSeries", up_to: int | None = None) -> bool:
-        n = min(self.precision, other.precision) if up_to is None else up_to
+        """Equal coefficients a_1..a_up_to, by default up to the lower precision."""
+        common = min(self.precision, other.precision)
+        n = common if up_to is None else up_to
+        if n > common:
+            raise ValueError(f"cannot compare {n} coefficients: the precisions are "
+                             f"{self.precision} and {other.precision}")
         return self.coeffs[:n] == other.coeffs[:n]
 
 
@@ -129,66 +135,48 @@ def eta_quotient(spec: EtaQuotientSpec, N: int) -> QSeries:
     return QSeries(N, tuple(coeffs))
 
 
-# --- sixth roots of unity, symbolically -------------------------------------
+# --- units and the character at 2 ------------------------------------------
 
-_ZETA6_VALUES = {
-    0: EisensteinInt(1, 0),
-    1: EisensteinInt(1, 1),  # -w^2
-    2: EisensteinInt(0, 1),  # w
-    3: EisensteinInt(-1, 0),
-    4: EisensteinInt(-1, -1),  # w^2
-    5: EisensteinInt(0, -1),  # -w
-}
+# the six units of Z[w]: ZETA6_POWERS[k] = zeta6^k with zeta6 = 1 + w = -w^2,
+# so ZETA6_POWERS[2] = w and ZETA6_POWERS[3] = -1
+ZETA6_POWERS = tuple((1 + W) ** k for k in range(6))
 
 
-@dataclass(frozen=True)
-class SixthRoot:
-    """zeta6^exponent with zeta6 = 1 + w, kept as an exponent mod 6."""
-
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 6)
-
-    def __mul__(self, other: "SixthRoot") -> "SixthRoot":
-        return SixthRoot(self.exponent + other.exponent)
-
-    def inverse(self) -> "SixthRoot":
-        return SixthRoot(-self.exponent)
-
-    def value(self) -> EisensteinInt:
-        return _ZETA6_VALUES[self.exponent]
-
-    def __repr__(self):
-        names = {0: "1", 1: "zeta6", 2: "w", 3: "-1", 4: "w^2", 5: "-w"}
-        return names[self.exponent]
-
-
-def chi2(u: EisensteinInt, variant: str) -> SixthRoot:
-    """The unit character at 2: u mod 2 identified with {1, w, w^2}.
+def chi2(u: NumberFieldElement, variant: str) -> int:
+    """The unit character at 2, as the exponent k of zeta6^k: u mod 2
+    identified with {1, w, w^2}.
 
     The minus variant multiplies by (-1)^((norm(u)-1)/2).
     """
-    a, b = u.a % 2, u.b % 2
+    a, b = (c % 2 for c in u.num)
     if (a, b) == (0, 0):
         raise ValueError("chi2 needs a unit mod 2 (odd norm)")
     plus = {(1, 0): 0, (0, 1): 2, (1, 1): 4}[(a, b)]
     if variant == "plus":
-        return SixthRoot(plus)
+        return plus
     if variant == "minus":
         twist = 3 if ((u.norm() - 1) // 2) % 2 else 0
-        return SixthRoot(plus + twist)
+        return (plus + twist) % 6
     raise ValueError(f"unknown variant {variant}")
+
+
+def divides(x: NumberFieldElement, y: NumberFieldElement) -> bool:
+    """x | y in Z[w], for Eisenstein integers: every coordinate of y conj(x)
+    is divisible by norm(x)."""
+    n = x.norm()
+    if n == 0:
+        return not y
+    return all(c % n == 0 for c in (y * (x.trace() - x)).num)
 
 
 # --- normalized Frobenius generators ----------------------------------------
 
-TWO_SQRT_M3 = 2 * SQRT_M3  # 2 + 4w
+TWO_SQRT_M3 = 2 + 4 * W  # sqrt(-3) = 1 + 2w
 
 
 @dataclass(frozen=True)
 class NormalizedPi:
-    pi: EisensteinInt
+    pi: NumberFieldElement
     p: int
     variant: str
 
@@ -196,11 +184,11 @@ class NormalizedPi:
         return self.pi.trace()
 
 
-def _variant_target(p: int, variant: str) -> EisensteinInt:
+def _variant_target(p: int, variant: str) -> int:
     if variant == "plus":
-        return EisensteinInt(1)
+        return 1
     if variant == "minus":
-        return EisensteinInt(1) if p % 12 == 1 else EisensteinInt(-1)
+        return 1 if p % 12 == 1 else -1
     raise ValueError(f"unknown variant {variant}")
 
 
@@ -214,14 +202,14 @@ def normalize_pi(p: int, variant: str) -> NormalizedPi:
     if p % 3 != 1 or p < 5 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 3")
     m, n = represent_eisenstein(p)
-    beta = EisensteinInt(m, n)
+    beta = QOMEGA(m, n)
     target = _variant_target(p, variant)
     found = []
-    for z in (beta, beta.conj()):
-        for cand in z.associates():
-            if TWO_SQRT_M3.divides(cand - target):
+    for z in (beta, beta.trace() - beta):
+        for cand in (u * z for u in ZETA6_POWERS):
+            if divides(TWO_SQRT_M3, cand - target):
                 found.append(cand)
-    found = sorted(set(found), key=lambda z: (z.b < 0, z.a, z.b))
+    found = sorted(set(found), key=lambda z: (z.num[1] < 0, z.num))
     if not found:
         raise RuntimeError(f"no normalized generator for p={p}")  # pragma: no cover
     traces = {z.trace() for z in found}
@@ -230,11 +218,12 @@ def normalize_pi(p: int, variant: str) -> NormalizedPi:
     return NormalizedPi(found[0], p, variant)
 
 
-def _minus_partner(pi_plus: NormalizedPi) -> EisensteinInt:
+def _minus_partner(pi_plus: NormalizedPi) -> NumberFieldElement:
     """The minus-normalized generator of the *same* prime ideal."""
     p = pi_plus.p
     target = _variant_target(p, "minus")
-    hits = [c for c in pi_plus.pi.associates() if TWO_SQRT_M3.divides(c - target)]
+    associates = (u * pi_plus.pi for u in ZETA6_POWERS)
+    hits = [c for c in associates if divides(TWO_SQRT_M3, c - target)]
     if len(hits) != 1:
         raise RuntimeError(f"minus partner not unique for p={p}")  # pragma: no cover
     return hits[0]
@@ -243,26 +232,20 @@ def _minus_partner(pi_plus: NormalizedPi) -> EisensteinInt:
 # --- the prime coefficients, three ways --------------------------------------
 
 
-def closed_form_alpha(p: int) -> EisensteinInt:
+def closed_form_alpha(p: int) -> NumberFieldElement:
     """alpha = (-4/p) w^a (m+nw)^2 with a chosen so m+nw = w^a mod 2."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"{p} is not a prime >= 5")
     if p % 3 == 2:
         raise ValueError("alpha exists only for split primes (p = 1 mod 3)")
     m, n = represent_eisenstein(p)
-    return alpha_from_beta(EisensteinInt(m, n), p)
+    return alpha_from_beta(QOMEGA(m, n), p)
 
 
-def alpha_from_beta(beta: EisensteinInt, p: int) -> EisensteinInt:
-    """(-4/p) w^a beta^2 with w^a = beta mod 2, for beta of norm p."""
-    w = EisensteinInt(0, 1)
-    for a in range(3):
-        d = beta - w**a
-        if d.a % 2 == 0 and d.b % 2 == 0:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("no unit congruent to beta mod 2")
-    return legendre(-4, p) * (w**a) * beta * beta
+def alpha_from_beta(beta: NumberFieldElement, p: int) -> NumberFieldElement:
+    """(-4/p) w^a beta^2 with w^a = beta mod 2, for beta of norm p: w^a is
+    zeta6^chi2(beta, "plus")."""
+    return legendre(-4, p) * ZETA6_POWERS[chi2(beta, "plus")] * beta * beta
 
 
 def ap_closed_form(p: int) -> int:
@@ -346,7 +329,7 @@ def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
-    sums = [EisensteinInt(0) for _ in range(N + 1)]
+    sums = [QOMEGA.zero()] * (N + 1)
     bound = isqrt(4 * N // 3) + 2
     for m in range(-bound, bound + 1):
         for n in range(-bound, bound + 1):
@@ -355,19 +338,19 @@ def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
             q = m * m - m * n + n * n
             if q > N:
                 continue
-            u = EisensteinInt(m, n)
-            arg = u if argument_order == "mn" else EisensteinInt(n, m)
-            chi = chi2(arg, "plus") * chi2(arg, "minus")
-            sums[q] = sums[q] + u * u * chi.inverse().value()
+            u = QOMEGA(m, n)
+            arg = u if argument_order == "mn" else QOMEGA(n, m)
+            chi = chi2(arg, "plus") + chi2(arg, "minus")
+            sums[q] = sums[q] + u * u * ZETA6_POWERS[-chi % 6]
     coeffs = []
     for q in range(1, N + 1):
-        v = sums[q]
-        if v.b != 0 or v.a % 6:
+        a, b = sums[q].num
+        if b != 0 or a % 6:
             raise LatticeSumAmbiguityError(
-                f"coefficient of q^{q} is {v}/6, not a rational integer "
+                f"coefficient of q^{q} is ({a}{b:+d}w)/6, not a rational integer "
                 f"(argument order {argument_order!r})"
             )
-        coeffs.append(v.a // 6)
+        coeffs.append(a // 6)
     return QSeries(N, tuple(coeffs))
 
 

@@ -1,6 +1,8 @@
-"""Eisenstein integers Z[w] and the two number fields Q(w), Q(zeta12).
+"""The two number fields Q(w), Q(zeta12), and norm-p Eisenstein integers.
 
-w is a primitive cube root of unity (w^2 + w + 1 = 0). Q(zeta12) is the degree-4
+w is a primitive cube root of unity (w^2 + w + 1 = 0). An Eisenstein integer
+m + nw is the element QOMEGA(m, n) of Q(w) with denominator 1; its conjugate is
+x.trace() - x, and its norm m^2 - mn + n^2 is x.norm(). Q(zeta12) is the degree-4
 cyclotomic field with defining polynomial x^4 - x^2 + 1; it contains i, w, sqrt(3)
 and sqrt(-3), which is everything the quartic surface's lines and the second
 fibration's coordinate changes need.
@@ -10,7 +12,9 @@ one positive common denominator, kept with no common factor (Cohen, A Course
 in Computational Algebraic Number Theory, 4.2.1). Products go through
 polymulmod on the integer numerators, the same routine F_{p^n} multiplies with.
 An inverse is the adjugate over the norm (NumberField.adjugate), all in
-integers. The Fraction coordinates are derived on demand, for printing and
+integers; the trace is read off the traces of the powers of the generator, and
+the norm is the constant term of the characteristic polynomial that adjugate
+builds. The Fraction coordinates are derived on demand, for printing and
 sorting.
 """
 
@@ -21,114 +25,6 @@ from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
 
 from .arith import is_prime
-
-
-class EisensteinInt:
-    """a + b*w with a, b integers, w^2 = -1 - w."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = int(a)
-        self.b = int(b)
-
-    def __repr__(self):
-        return f"EisensteinInt({self.a}, {self.b})"
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}{self.b:+d}w"
-
-    @staticmethod
-    def _wrap(other):
-        """other as an EisensteinInt, or None if it is neither that nor an int."""
-        if isinstance(other, int):
-            return EisensteinInt(other)
-        return other if isinstance(other, EisensteinInt) else None
-
-    def __eq__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __add__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else EisensteinInt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else EisensteinInt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        return NotImplemented if o is None else EisensteinInt(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return EisensteinInt(self.a * other, self.b * other)
-        if not isinstance(other, EisensteinInt):
-            return NotImplemented
-        # (a + bw)(c + dw) = ac + (ad + bc)w + bd(-1 - w)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("EisensteinInt is a ring, not a field")
-        out = EisensteinInt(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conj(self) -> "EisensteinInt":
-        """Complex conjugate: a + b*w -> (a - b) - b*w."""
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        """a^2 - ab + b^2 = self * conj(self)."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def trace(self) -> int:
-        """self + conj(self) = 2a - b."""
-        return 2 * self.a - self.b
-
-    def divides(self, other: "EisensteinInt") -> bool:
-        """True iff self divides other in Z[w]."""
-        n = self.norm()
-        if n == 0:
-            return other == EisensteinInt(0)
-        w = other * self.conj()
-        return w.a % n == 0 and w.b % n == 0
-
-    def associates(self) -> list["EisensteinInt"]:
-        """The six unit multiples of self."""
-        return [u * self for u in EISENSTEIN_UNITS]
-
-
-OMEGA = EisensteinInt(0, 1)
-SQRT_M3 = EisensteinInt(1, 2)  # 1 + 2w, squares to -3
-EISENSTEIN_UNITS = (
-    EisensteinInt(1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(-1, -1),
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, -1),
-    EisensteinInt(1, 1),
-)
 
 
 def represent_eisenstein(p: int) -> tuple[int, int]:
@@ -168,6 +64,8 @@ class NumberField:
         padded with zeros up to the degree."""
         if len(coords) > self.degree:
             raise ValueError(f"{self.name} has degree {self.degree}, got {len(coords)} coordinates")
+        if all(type(c) is int for c in coords):  # no denominator to clear
+            return NumberFieldElement(self, coords + (0,) * (self.degree - len(coords)))
         vals = [c if isinstance(c, int) else Fraction(c) for c in coords]
         den = lcm(*[v.denominator for v in vals])
         num = [v.numerator * (den // v.denominator) for v in vals]
@@ -182,11 +80,13 @@ class NumberField:
         characteristic polynomial of c, c (c^(d-1) + s_(d-1) c^(d-2) + ... + s_1)
         = -s_0, and Faddeev-LeVerrier gives the s_k from traces, exactly in Z.
         """
-        e, s = [0] * self.degree, 1
-        for k in range(1, self.degree + 1):  # e = c^(k-1) + ... + s_(d-k+1), s = s_(d-k)
-            e = polymulmod(c, e, self.defining)
+        e, ce = [1] + [0] * (self.degree - 1), list(c)  # step k = 1, and ce = c e
+        s = -sum(map(mul, ce, self.traces))
+        for k in range(2, self.degree + 1):  # e = c^(k-1) + ... + s_(d-k+1), s = s_(d-k)
+            e = ce
             e[0] += s
-            s = -sum(map(mul, polymulmod(c, e, self.defining), self.traces)) // k
+            ce = polymulmod(c, e, self.defining)
+            s = -sum(map(mul, ce, self.traces)) // k
         return [-x for x in e], s
 
     def zero(self) -> "NumberFieldElement":
@@ -288,6 +188,8 @@ class NumberFieldElement:
         return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scale the coordinates: no reduction mod g
+            return NumberFieldElement(self.field, tuple(a * other for a in self.num), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -323,6 +225,17 @@ class NumberFieldElement:
             base = base * base
             n >>= 1
         return out
+
+    def trace(self) -> int | Fraction:
+        """The trace to Q, the sum of the conjugates: an int when den is 1."""
+        t = sum(map(mul, self.num, self.field.traces))
+        return t if self.den == 1 else Fraction(t, self.den)
+
+    def norm(self) -> int | Fraction:
+        """The norm to Q, the product of the conjugates: an int when den is 1."""
+        d = self.field.degree
+        n = self.field.adjugate(self.num)[1] * (-1) ** d  # s_0 = (-1)^d N(num)
+        return n if self.den == 1 else Fraction(n, self.den**d)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

@@ -33,7 +33,7 @@ from .elliptic import (
     sextic_section_to_xyz,
 )
 from .polynomials import Poly, RationalFunction
-from .rings import EisensteinInt, represent_eisenstein
+from .rings import QOMEGA, represent_eisenstein
 
 PUBLISHED_COEFFS = {
     1: 1, 3: 3, 7: -2, 9: 9, 13: -22, 19: -26, 21: -6,
@@ -278,11 +278,11 @@ def check_character_machinery():
         if p < 5 or p % 3 != 1:
             continue
         m, n = represent_eisenstein(p)
-        base = EisensteinInt(m, n)
+        base = QOMEGA(m, n)
         traces = {
-            mod.alpha_from_beta(b, p).trace()
-            for z in (base, base.conj())
-            for b in z.associates()
+            mod.alpha_from_beta(u * z, p).trace()
+            for z in (base, base.trace() - base)
+            for u in mod.ZETA6_POWERS
         }
         if traces != {mod.ap_closed_form(p)}:
             bad.append(("associate-invariance", p, sorted(traces)))

@@ -3,9 +3,10 @@
 An element here is a tuple of Fractions in the power basis, one per
 coordinate. A product is the product of the two coefficient polynomials reduced
 modulo the defining polynomial with the Fraction-coefficient reference_poly.Poly
-over Q, and an inverse solves the linear system "x times y = 1" by Gaussian
-elimination over Q. No integer numerators, common denominators, adjugates or
-multiply-mod-g loop are involved.
+over Q. An inverse solves the linear system "x times y = 1" by Gaussian
+elimination over Q, and the trace and norm are the trace and determinant of
+the matrix of "multiply by x". No integer numerators, common denominators,
+adjugates or multiply-mod-g loop are involved.
 Tests compare the fraction-free elements of cubesum.rings against this code.
 """
 
@@ -54,13 +55,38 @@ class RefElement:
         prod = (Poly(self.coords) * Poly(other.coords)) % modulus
         return self._new(prod.coeffs)
 
+    def _matrix(self) -> list[list[Fraction]]:
+        """The matrix of "multiply by self" on the power basis: column j is
+        self * gen^j."""
+        d = len(self.tail)
+        cols = [(self * self._new([0] * j + [1])).coords for j in range(d)]
+        return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+    def trace(self) -> Fraction:
+        """The trace of the multiplication matrix."""
+        return sum(row[i] for i, row in enumerate(self._matrix()))
+
+    def norm(self) -> Fraction:
+        """The determinant of the multiplication matrix, by elimination to
+        upper triangular form."""
+        rows, det = self._matrix(), Fraction(1)
+        for c in range(len(rows)):
+            p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+            if p is None:
+                return Fraction(0)
+            if p != c:
+                rows[c], rows[p], det = rows[p], rows[c], -det
+            det *= rows[c][c]
+            for r in range(c + 1, len(rows)):
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+        return det
+
     def inverse(self) -> "RefElement":
         if not self:
             raise ZeroDivisionError("inverse of zero")
         d = len(self.tail)
-        # column j of the matrix of "multiply by self" is self * gen^j
-        cols = [(self * self._new([0] * j + [1])).coords for j in range(d)]
-        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        rows = [row + [Fraction(int(i == 0))] for i, row in enumerate(self._matrix())]
         for c in range(d):
             p = next(r for r in range(c, d) if rows[r][c])
             rows[c], rows[p] = rows[p], rows[c]

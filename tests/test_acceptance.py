@@ -36,7 +36,7 @@ from cubesum.elliptic import (
     sextic_section_to_xyz,
 )
 from cubesum.polynomials import Poly, RationalFunction
-from cubesum.rings import EisensteinInt, represent_eisenstein
+from cubesum.rings import QOMEGA, represent_eisenstein
 from reference_search import box_solutions
 
 
@@ -302,10 +302,10 @@ def test_criterion_12_character_machinery():
             if p < 5 or p % 3 != 1:
                 continue
             m, n = represent_eisenstein(p)
-            base = EisensteinInt(m, n)
+            base = QOMEGA(m, n)
             traces = {
-                mod.alpha_from_beta(b, p).trace()
-                for z in (base, base.conj())
-                for b in z.associates()
+                mod.alpha_from_beta(u * z, p).trace()
+                for z in (base, base.trace() - base)
+                for u in mod.ZETA6_POWERS
             }
             assert traces == {mod.ap_closed_form(p)}, p

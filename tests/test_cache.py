@@ -23,6 +23,15 @@ def test_cache_file_format(tmp_path):
     assert len(lines) == 11
 
 
+def test_fewer_than_one_coefficient_is_refused_before_reading(tmp_path):
+    cache = CoefficientCache(tmp_path / "c.txt")
+    cache.get(10)
+    cache.load = None  # calling it would raise TypeError
+    for max_n in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            cache.get(max_n)
+
+
 def test_cache_version_mismatch_forces_regeneration(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("cubesum-cache v0 convention=hecke max=5\n1 1\n2 9\n3 9\n4 9\n5 9\n")

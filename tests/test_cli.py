@@ -259,6 +259,19 @@ def test_ap_table_uses_cache(capsys, tmp_path):
     assert json.loads(first)["coefficients"]["13"] == "-22"
 
 
+def test_max_below_1_is_a_usage_error_with_or_without_a_cache(capsys, tmp_path):
+    cache_file = str(tmp_path / "c.txt")
+    for prebuilt in (False, True):
+        if prebuilt:
+            assert main(["cache", "build", "--max", "10", "--cache-file", cache_file]) == 0
+        for max_n in ("0", "-4"):
+            for argv in (["ap", "--max", max_n], ["cache", "build", "--max", max_n]):
+                assert main(argv + ["--cache-file", cache_file]) == 2, (argv, prebuilt)
+                captured = capsys.readouterr()
+                assert captured.out == "" and "--max" in captured.err, (argv, prebuilt)
+    assert (tmp_path / "c.txt").read_text().splitlines()[0].endswith("max=10")
+
+
 def test_ap_table_nonzero_json_drops_zeros(capsys, tmp_path):
     cache_file = str(tmp_path / "c.txt")
     argv = ["ap", "--max", "30", "--cache-file", cache_file, "--format", "json"]
@@ -342,6 +355,14 @@ def test_count_sweep(capsys):
     doc = json.loads(out)
     assert doc["all_match"] is True
     assert len(doc["reports"]) == 15
+
+
+def test_count_sweep_below_5_is_a_usage_error(capsys):
+    for max_p in ("4", "2", "0", "-7"):
+        assert main(["count", "--sweep", max_p, "--format", "json"]) == 2, max_p
+        captured = capsys.readouterr()
+        assert captured.out == "", max_p
+        assert "--sweep" in captured.err and "5..MAX_P" in captured.err, max_p
 
 
 def test_count_sweep_parallel_matches_serial(capsys):

@@ -2,9 +2,11 @@
 import is used, and every private name they define at module level or as a
 method of a class is read: an import or a helper that nothing references is
 dead code that still costs a load and misleads the reader about what the code
-depends on. No package module reads another one's private name: what a module
-shares is public. The census and field oracles import nothing from cubesum, so
-a fault in the code they check cannot reach them."""
+depends on. Every public module-level name of the package is read by the
+package, a script or a bench file, not by the tests alone. No package module
+reads another one's private name: what a module shares is public. The census
+and field oracles import nothing from cubesum, so a fault in the code they
+check cannot reach them."""
 
 import ast
 from pathlib import Path
@@ -28,22 +30,26 @@ def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in imported.items() if name not in used)
 
 
-def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """The private names a module binds: module-level functions, classes and
-    assigned names, and the methods of its classes, that start with one
-    underscore and are not dunders."""
+def _module_level_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """The functions, classes and assigned names a module binds at its top level."""
     found = []
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            found += [(m.name, m.lineno) for m in node.body
-                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.id, node.lineno) for target in targets
                       for t in ast.walk(target) if isinstance(t, ast.Name)]
-    return [(name, line) for name, line in found if _is_private(name)]
+    return found
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The private names a module binds: module-level functions, classes and
+    assigned names, and the methods of its classes, that start with one
+    underscore and are not dunders."""
+    found = [(m.name, m.lineno) for node in tree.body if isinstance(node, ast.ClassDef)
+             for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, line) for name, line in found + _module_level_names(tree) if _is_private(name)]
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -59,6 +65,15 @@ def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
                   for name, tree in trees.items()
                   for private, line in _private_definitions(tree)
                   if private not in read)
+
+
+def _unread_public_names(trees: dict[str, ast.Module], readers: dict[str, ast.Module]) -> list[str]:
+    """The public module-level names of trees that none of readers reads."""
+    read = set().union(*map(_reads, readers.values()))
+    return sorted(f"{name}:{line} {public}"
+                  for name, tree in trees.items()
+                  for public, line in _module_level_names(tree)
+                  if not public.startswith("_") and public not in read)
 
 
 def _is_private(name: str) -> bool:
@@ -128,6 +143,24 @@ def test_detector_flags_an_unread_private_method():
                           "    def __len__(self):\n        return self._norm()\n"),
     }
     assert _unread_private_names(trees) == ["a.py:4 _unused"]
+
+
+def test_package_scripts_or_bench_read_every_public_name():
+    # a public name only the tests read is an API kept for the tests alone
+    repo = TESTS.parent
+    readers = {**_package_trees(), **_trees(repo / "scripts", "*.py"), **_trees(repo / "bench", "*.py")}
+    found = _unread_public_names(_package_trees(), readers)
+    assert not found, f"public names in src/cubesum that no module, script or bench file reads: {found}"
+
+
+def test_detector_flags_an_unread_public_name():
+    trees = {
+        "a.py": ast.parse("ONE = 1\nTWO: int = 2\ndef used():\n    return ONE\n"
+                          "def unused():\n    pass\nclass Gone:\n    pass\n_private = 3\n"),
+    }
+    readers = {**trees, "run.py": ast.parse("import a\nprint(a.used(), a.TWO)\n")}
+    assert _unread_public_names(trees, readers) == ["a.py:5 unused", "a.py:7 Gone"]
+    assert _unread_public_names(trees, trees) == ["a.py:2 TWO", "a.py:3 used", "a.py:5 unused", "a.py:7 Gone"]
 
 
 def test_package_reads_no_private_name_of_another_module():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubesum.rings import QOMEGA, QZETA12, NumberField, polymulmod
+from cubesum.rings import I_Z12, QOMEGA, QZETA12, SQRT3_Z12, SQRTM3_Z12, ZETA, NumberField, polymulmod
 from reference_numberfield import RefElement
 
 FIELDS = [QOMEGA, QZETA12]
@@ -54,6 +54,11 @@ def check_operations(field, ca, cb):
     assert_agrees(a - b, ra - rb)
     assert_agrees(-a, -ra)
     assert_agrees(a * b, ra * rb)
+    for k in (0, 1, -3, 10**12):
+        assert_agrees(a * k, ra * RefElement(field.defining, [k]))
+    for got, want in ((a.trace(), ra.trace()), (a.norm(), ra.norm())):
+        assert got == want
+        assert type(got) is (int if a.den == 1 else Fraction)
     assert (a == b) == (ra == rb)
     assert a == field(*ra.coords)
     if rb:
@@ -88,6 +93,16 @@ def test_seeded_elements_agree_with_reference(field):
 def test_drawn_elements_agree_with_reference(field, data):
     coords = st.lists(rationals, min_size=0, max_size=field.degree)
     check_operations(field, data.draw(coords), data.draw(coords))
+
+
+def test_trace_and_norm_of_known_elements():
+    # the norm to Q from degree 4 is the square of the norm from Q(sqrt3),
+    # Q(sqrt-3) or Q(i): (-3)^2 for sqrt3, 3^2 for sqrt-3, 2^2 for 1 + i
+    assert QZETA12.one().trace() == 4 and ZETA.trace() == 0 and ZETA.norm() == 1
+    assert SQRT3_Z12.trace() == 0 and SQRT3_Z12.norm() == 9 and SQRTM3_Z12.norm() == 9
+    assert (1 + I_Z12).trace() == 4 and (1 + I_Z12).norm() == 4
+    assert QZETA12(Fraction(1, 2)).norm() == Fraction(1, 16)
+    assert QOMEGA(3, 1).norm() == 7 and QOMEGA(Fraction(1, 3), 1).trace() == Fraction(-1, 3)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesum.polynomials import INFINITY, Poly, RationalFunction
-from cubesum.rings import QOMEGA, W, ZETA, EisensteinInt, NumberField
+from cubesum.rings import QOMEGA, W, ZETA, NumberField
 from reference_multipoly import MultiPoly, normal_form
 
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -351,8 +351,7 @@ _OPERATORS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b
     (RationalFunction(_T + 1, _T * _T + 2), (None, 1.5, object())),
     (W, (None, 1.5, object())),
     (MultiPoly.variable(("x", "y"), "x"), (None, 1.5, object())),
-    (EisensteinInt(1, 2), (None, 1.5, object(), Fraction(1, 2))),
-], ids=["Poly", "RationalFunction", "NumberFieldElement", "MultiPoly", "EisensteinInt"])
+], ids=["Poly", "RationalFunction", "NumberFieldElement", "MultiPoly"])
 def test_unsupported_operand_error_names_the_operator(value, foreign):
     # each operator returns NotImplemented for an operand it cannot take, so
     # Python's TypeError names the operator that was used, in either order

@@ -6,15 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubesum.arith import primes_up_to
+from cubesum.modular import TWO_SQRT_M3, ZETA6_POWERS, divides
 from cubesum.pointcount import _polymulmod, make_field
 from cubesum.polynomials import Poly
 from cubesum.rings import (
-    EISENSTEIN_UNITS,
-    EisensteinInt,
-    OMEGA,
     QOMEGA,
     QZETA12,
-    SQRT_M3,
     I_Z12,
     SQRT3_Z12,
     SQRTM3_Z12,
@@ -25,33 +22,72 @@ from cubesum.rings import (
     represent_eisenstein,
 )
 
-eins = st.builds(EisensteinInt, st.integers(-50, 50), st.integers(-50, 50))
+# Eisenstein integers a + bw as coordinate pairs, checked against integer
+# formulas written out here from w^2 = -1 - w
+pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
 
-@given(eins, eins)
-def test_norm_multiplicative(z, w):
+def _norm(a, b):
+    return a * a - a * b + b * b
+
+
+def _quotient(x, y):
+    """(e, f) with (a + bw)(e + fw) = c + dw, or None when it is not integral.
+
+    The product is (ae - bf) + (be + (a - b) f) w; Cramer's rule on that system,
+    whose determinant is the norm, gives e and f."""
+    (a, b), (c, d) = x, y
+    n = _norm(a, b)
+    if n == 0:
+        return (0, 0) if c == d == 0 else None
+    e, f = c * (a - b) + b * d, a * d - b * c
+    return (e // n, f // n) if e % n == 0 and f % n == 0 else None
+
+
+@given(pairs, pairs)
+def test_norm_multiplicative(x, y):
+    z, w = QOMEGA(*x), QOMEGA(*y)
+    assert z.norm() == _norm(*x) and type(z.norm()) is int
     assert (z * w).norm() == z.norm() * w.norm()
 
 
-@given(eins)
-def test_conj_involution_and_norm(z):
-    assert z.conj().conj() == z
-    assert z * z.conj() == EisensteinInt(z.norm())
-    assert z.trace() == (z + z.conj()).a
+@given(pairs)
+def test_conj_involution_and_norm(x):
+    a, b = x
+    z = QOMEGA(a, b)
+    conj = z.trace() - z
+    assert z.trace() == 2 * a - b and type(z.trace()) is int
+    assert conj == QOMEGA(a - b, -b)
+    assert conj.trace() - conj == z
+    assert z * conj == _norm(a, b)
 
 
 def test_units_and_sqrt_m3():
-    assert SQRT_M3**2 == EisensteinInt(-3)
-    assert len(set(EISENSTEIN_UNITS)) == 6
-    for u in EISENSTEIN_UNITS:
-        assert u.norm() == 1
-    assert OMEGA**3 == EisensteinInt(1)
-    assert OMEGA**2 + OMEGA + 1 == EisensteinInt(0)
+    sqrt_m3 = 1 + 2 * W
+    assert sqrt_m3**2 == -3
+    assert TWO_SQRT_M3 == 2 * sqrt_m3
+    assert len(set(ZETA6_POWERS)) == 6
+    for u in ZETA6_POWERS:
+        assert u.norm() == 1 and u.den == 1
+    assert W**3 == 1
+    assert W**2 + W + 1 == 0
 
 
 def test_divides():
-    assert EisensteinInt(1, 2).divides(EisensteinInt(-3))
-    assert not EisensteinInt(2).divides(EisensteinInt(1, 0))
+    assert divides(QOMEGA(1, 2), QOMEGA(-3))
+    assert not divides(QOMEGA(2), QOMEGA(1))
+    assert divides(TWO_SQRT_M3, QOMEGA(6)) and not divides(TWO_SQRT_M3, QOMEGA(4))
+    assert divides(QOMEGA(0), QOMEGA(0)) and not divides(QOMEGA(0), QOMEGA(1))
+
+
+@given(pairs, pairs)
+def test_divides_matches_the_integer_quotient(x, y):
+    assert divides(QOMEGA(*x), QOMEGA(*y)) == (_quotient(x, y) is not None)
+    # a random pair is rarely divisible: the multiples of x always are
+    product = QOMEGA(*x) * QOMEGA(*y)
+    assert divides(QOMEGA(*x), product)
+    if x != (0, 0):
+        assert _quotient(x, product.num) == y
 
 
 def test_represent_eisenstein_examples():
