@@ -8,7 +8,6 @@ Run from the repository root after any intentional output-schema change:
 import contextlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 

@@ -158,6 +158,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_pagliani(args) -> int:
+    if args.range is not None and args.range[0] > args.range[1]:
+        raise ValueError(f"pagliani range (--range LO HI) is empty: LO = {args.range[0]} "
+                         f"> HI = {args.range[1]}")
     us = [args.u] if args.u is not None else [
         u for u in range(args.range[0], args.range[1] + 1) if u % 3 and u not in (-1, 0, 1)
     ]
@@ -306,7 +309,7 @@ def cmd_ap(args) -> int:
         rec = {"p": p, "closed_form": mod.ap_closed_form(p)}
         if p % 3 == 1:
             rec["via_characters"] = mod.surface_ap_via_characters(p)
-            a, b = mod.normalize_pi(p, "plus").pi.num  # b != 0: the norm p is prime
+            a, b = mod.normalize_pi(p, "plus").num  # b != 0: the norm p is prime
             rec["pi_plus"] = f"{a}{b:+d}w"
         rows = [tuple(rec.values())]
         _emit({"prime": rec}, rows, tuple(rec.keys()), args.format)

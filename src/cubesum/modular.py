@@ -5,6 +5,13 @@ precision. An Eisenstein integer m + nw is the Q(w) element QOMEGA(m, n) with
 denominator 1, and the sixth root of unity zeta6^k, zeta6 = 1 + w, is
 ZETA6_POWERS[k]: chi2 returns the exponent k mod 6, never a float.
 
+A split a_p is read off the generator pi = a + bw, b > 0, of a prime above p
+with pi = +-1 (mod 2 sqrt(-3)), the primary normalisation. As 2 sqrt(-3) =
+2(1 + 2w) and w = 1 mod sqrt(-3) = 1 + 2w, x = t there exactly when a - t and
+b are even and 3 | a - t + b. The six units map one to one onto those of
+Z[w]/(2 sqrt(-3)) = F4 x F3, so exactly one associate of a norm-p element
+passes, and its conjugate passes too: conj(2 sqrt(-3)) = -2 sqrt(-3).
+
 An eta quotient is built from sparse factors. eta(dz)^e is the Euler product
 prod (1 - q^(dm)) to the power e, times q^(de/24). When 3 | e that product is
 |e|/3 copies of Jacobi's cube sum_k (-1)^k (2k+1) q^(d k(k+1)/2); otherwise it
@@ -81,6 +88,8 @@ class EtaQuotientSpec:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if any(d < 1 for d, _ in self.factors):
+            raise ValueError(f"eta scales must be at least 1: {self.factors}")
         if self.prefix_numerator % 24:
             raise ValueError(
                 f"non-integral leading power: sum d*e = {self.prefix_numerator} not divisible by 24"
@@ -148,85 +157,46 @@ def chi2(u: NumberFieldElement, variant: str) -> int:
 
     The minus variant multiplies by (-1)^((norm(u)-1)/2).
     """
-    a, b = (c % 2 for c in u.num)
-    if (a, b) == (0, 0):
+    a, b = u.num
+    if a % 2 == 0 and b % 2 == 0:
         raise ValueError("chi2 needs a unit mod 2 (odd norm)")
-    plus = {(1, 0): 0, (0, 1): 2, (1, 1): 4}[(a, b)]
+    plus = {(1, 0): 0, (0, 1): 2, (1, 1): 4}[(a % 2, b % 2)]
     if variant == "plus":
         return plus
     if variant == "minus":
-        twist = 3 if ((u.norm() - 1) // 2) % 2 else 0
+        twist = 3 if (a * a - a * b + b * b) % 4 == 3 else 0  # (norm - 1)/2 odd
         return (plus + twist) % 6
     raise ValueError(f"unknown variant {variant}")
 
 
-def divides(x: NumberFieldElement, y: NumberFieldElement) -> bool:
-    """x | y in Z[w], for Eisenstein integers: every coordinate of y conj(x)
-    is divisible by norm(x)."""
-    n = x.norm()
-    if n == 0:
-        return not y
-    return all(c % n == 0 for c in (y * (x.trace() - x)).num)
-
-
 # --- normalized Frobenius generators ----------------------------------------
-
-TWO_SQRT_M3 = 2 + 4 * W  # sqrt(-3) = 1 + 2w
-
-
-@dataclass(frozen=True)
-class NormalizedPi:
-    pi: NumberFieldElement
-    p: int
-    variant: str
-
-    def trace(self) -> int:
-        return self.pi.trace()
 
 
 def _variant_target(p: int, variant: str) -> int:
-    if variant == "plus":
-        return 1
-    if variant == "minus":
-        return 1 if p % 12 == 1 else -1
-    raise ValueError(f"unknown variant {variant}")
+    if variant not in ("plus", "minus"):
+        raise ValueError(f"unknown variant {variant}")
+    return 1 if variant == "plus" or p % 12 == 1 else -1
 
 
-def normalize_pi(p: int, variant: str) -> NormalizedPi:
-    """The generator of a prime above p fixed by its congruence mod 2*sqrt(-3).
+def _congruent(x: NumberFieldElement, t: int) -> bool:
+    """x = t (mod 2 sqrt(-3)) for x = a + bw: a - t and b even, 6 | a - t + b."""
+    a, b = x.num
+    return (a - t) % 2 == 0 and (a - t + b) % 6 == 0
 
-    Scans the twelve associates and conjugate-associates of one norm-p element;
-    the congruence determines the result up to conjugation, and the b >= 0
-    tie-break picks a single representative.
-    """
+
+def _normalized_associate(z: NumberFieldElement, target: int) -> NumberFieldElement:
+    """The one associate of z, of norm prime to 6, that is = target mod 2 sqrt(-3)."""
+    return next(c for c in (u * z for u in ZETA6_POWERS) if _congruent(c, target))
+
+
+def normalize_pi(p: int, variant: str) -> NumberFieldElement:
+    """The generator a + bw, b > 0, of a prime above p that is +-1 mod 2 sqrt(-3)
+    for the variant: the normalised associate of a norm-p element or its conjugate."""
     if p % 3 != 1 or p < 5 or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod 3")
     m, n = represent_eisenstein(p)
-    beta = QOMEGA(m, n)
-    target = _variant_target(p, variant)
-    found = []
-    for z in (beta, beta.trace() - beta):
-        for cand in (u * z for u in ZETA6_POWERS):
-            if divides(TWO_SQRT_M3, cand - target):
-                found.append(cand)
-    found = sorted(set(found), key=lambda z: (z.num[1] < 0, z.num))
-    if not found:
-        raise RuntimeError(f"no normalized generator for p={p}")  # pragma: no cover
-    traces = {z.trace() for z in found}
-    if len(traces) != 1:
-        raise RuntimeError(f"normalization ambiguous for p={p}")  # pragma: no cover
-    return NormalizedPi(found[0], p, variant)
-
-
-def _minus_partner(pi_plus: NormalizedPi) -> NumberFieldElement:
-    """The minus-normalized generator of the *same* prime ideal."""
-    p = pi_plus.p
-    target = _variant_target(p, "minus")
-    associates = (u * pi_plus.pi for u in ZETA6_POWERS)
-    hits = [c for c in associates if divides(TWO_SQRT_M3, c - target)]
-    if len(hits) != 1:
-        raise RuntimeError(f"minus partner not unique for p={p}")  # pragma: no cover
-    return hits[0]
+    pi = _normalized_associate(QOMEGA(m, n), _variant_target(p, variant))
+    return pi if pi.num[1] > 0 else pi.trace() - pi
 
 
 # --- the prime coefficients, three ways --------------------------------------
@@ -261,9 +231,8 @@ def surface_ap_via_characters(p: int) -> int:
     """a_p as chi+ * chi- evaluated at a prime above p, plus the conjugate."""
     if p % 3 != 1:
         raise ValueError(f"{p} is not split (p = 1 mod 3)")
-    pi_plus = normalize_pi(p, "plus")
-    pi_minus = _minus_partner(pi_plus)
-    return (pi_plus.pi * pi_minus).trace()
+    pi_plus = normalize_pi(p, "plus")  # and the minus generator of the same prime
+    return (pi_plus * _normalized_associate(pi_plus, _variant_target(p, "minus"))).trace()
 
 
 def prime_power_coefficients(p: int, ap: int, N: int) -> list[int]:
@@ -329,6 +298,8 @@ def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
+    if argument_order not in ("mn", "nm"):
+        raise ValueError(f"unknown argument order {argument_order}")
     sums = [QOMEGA.zero()] * (N + 1)
     bound = isqrt(4 * N // 3) + 2
     for m in range(-bound, bound + 1):

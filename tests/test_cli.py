@@ -230,6 +230,18 @@ def test_eta_custom_spec(capsys):
     assert doc["coefficients"]["2"] == "-24"
 
 
+def test_eta_scale_below_1_is_a_usage_error(capsys, monkeypatch):
+    # the spec is refused before any expansion starts: a scale d <= 0 never ends it
+    def refuse(*args):
+        raise AssertionError("eta_quotient ran on a spec with a scale below 1")
+
+    monkeypatch.setattr(cubesum.modular, "eta_quotient", refuse)
+    for spec in ("0:24", "-1:24", "1:24,0:0"):
+        assert main(["eta", "--n", "5", f"--spec={spec}"]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err, spec
+
+
 def test_ap_single_prime(capsys):
     status, out = run_cli(capsys, ["ap", "--p", "7", "--format", "json"])
     assert status == 0
@@ -363,6 +375,16 @@ def test_count_sweep_below_5_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", max_p
         assert "--sweep" in captured.err and "5..MAX_P" in captured.err, max_p
+
+
+def test_pagliani_empty_range_is_a_usage_error(capsys):
+    for lo, hi in (("5", "2"), ("-1", "-4")):
+        assert main(["pagliani", "--range", lo, hi, "--format", "json"]) == 2, (lo, hi)
+        captured = capsys.readouterr()
+        assert captured.out == "", (lo, hi)
+        assert "--range LO HI" in captured.err and f"LO = {lo} > HI = {hi}" in captured.err, (lo, hi)
+    status, out = run_cli(capsys, ["pagliani", "--range", "2", "2", "--format", "json"])
+    assert status == 0 and [m["u"] for m in json.loads(out)["members"]] == ["2"]
 
 
 def test_count_sweep_parallel_matches_serial(capsys):

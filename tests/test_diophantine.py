@@ -23,7 +23,6 @@ from cubesum.diophantine import (
     canonical_form,
     in_pagliani_family,
     mkl_to_xyz,
-    orbit,
     pagliani,
     pagliani_identity_residual,
     search,

@@ -22,7 +22,6 @@ from cubesum import fibration
 from cubesum.fibration import (
     ComponentId,
     HeightMatrix,
-    KodairaFiber,
     classify_fibers,
     component_of,
     det_ns,

@@ -19,8 +19,7 @@ from cubesum.modular import (
     lattice_sum_variant,
     normalize_pi,
     surface_ap_via_characters,
-    TWO_SQRT_M3,
-    divides,
+    _congruent,
 )
 from cubesum.rings import QOMEGA, W, represent_eisenstein
 from reference_eta import eta_coefficients
@@ -70,6 +69,13 @@ def test_eta_matches_the_dense_reference_on_random_specs(spec, n):
 def test_eta_spec_requires_integral_prefix():
     with pytest.raises(ValueError):
         EtaQuotientSpec(((1, 12),))
+
+
+def test_eta_spec_requires_positive_scales():
+    # a scale d <= 0 would make every term of its factor fall below the precision
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            EtaQuotientSpec(((d, 24),))
 
 
 def test_eta_spec_prefix():
@@ -168,6 +174,11 @@ def test_lattice_sum_small_values():
     assert lattice_sum_variant(2, "mn")[2] == 0
 
 
+def test_lattice_sum_unknown_order_is_an_error():
+    with pytest.raises(ValueError, match="unknown argument order"):
+        lattice_sum_variant(30, "xy")
+
+
 def test_lattice_sum_printed_order_loses():
     # the other printed argument order either fails integrality or disagrees
     try:
@@ -179,22 +190,24 @@ def test_lattice_sum_printed_order_loses():
 
 def test_normalize_pi_examples():
     pi7 = normalize_pi(7, "plus")
-    assert pi7.trace() == -4
+    assert pi7 == QOMEGA(-1, 2) and pi7.trace() == -4
     pi13 = normalize_pi(13, "plus")
-    assert pi13.pi * (pi13.trace() - pi13.pi) == 13
-    assert divides(TWO_SQRT_M3, pi13.pi - 1)
+    assert pi13 * (pi13.trace() - pi13) == 13
+    assert _congruent(pi13, 1)
     pi7m = normalize_pi(7, "minus")
-    assert divides(TWO_SQRT_M3, pi7m.pi + 1)  # 7 = 7 mod 12
+    assert pi7m == QOMEGA(3, 2) and _congruent(pi7m, -1)  # 7 = 7 mod 12
     pi13m = normalize_pi(13, "minus")
-    assert divides(TWO_SQRT_M3, pi13m.pi - 1)  # 13 = 1 mod 12
+    assert pi13m == QOMEGA(3, 4) and _congruent(pi13m, 1)  # 13 = 1 mod 12
     with pytest.raises(ValueError):
         normalize_pi(11, "plus")
+    with pytest.raises(ValueError):
+        normalize_pi(7, "zero")
 
 
 def test_normalize_pi_deterministic():
     for p in (7, 13, 19, 31):
         assert normalize_pi(p, "plus") == normalize_pi(p, "plus")
-        assert normalize_pi(p, "plus").pi.num[1] >= 0
+        assert normalize_pi(p, "plus").num[1] > 0
 
 
 def test_chi2_examples():

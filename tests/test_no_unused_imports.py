@@ -1,7 +1,7 @@
-"""Every name the package and the test-only reference modules (tests/reference_*.py)
-import is used, and every private name they define at module level or as a
-method of a class is read: an import or a helper that nothing references is
-dead code that still costs a load and misleads the reader about what the code
+"""Every name the package, the scripts, the tests and the test-only reference
+modules (tests/reference_*.py) import is used. Every private name the package
+and the reference modules define at module level or as a method of a class is
+read: an import or a helper that nothing references is dead code that still costs a load and misleads the reader about what the code
 depends on. Every public module-level name of the package is read by the
 package, a script or a bench file, not by the tests alone. No package module
 reads another one's private name: what a module shares is public. The census
@@ -184,6 +184,15 @@ def test_reference_modules_have_no_unused_imports():
         for imported, line in _unused_imports(tree)
     ]
     assert not found, f"unused imports in tests/reference_*.py: {found}"
+
+
+def test_scripts_and_tests_have_no_unused_imports():
+    found = [
+        f"{name}:{line} {imported}"
+        for name, tree in {**_trees(TESTS.parent / "scripts", "*.py"), **_trees(TESTS, "test_*.py")}.items()
+        for imported, line in _unused_imports(tree)
+    ]
+    assert not found, f"unused imports in scripts/*.py and tests/test_*.py: {found}"
 
 
 def test_reference_modules_read_every_private_name():

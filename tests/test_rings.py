@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubesum.arith import primes_up_to
-from cubesum.modular import TWO_SQRT_M3, ZETA6_POWERS, divides
+from cubesum.modular import ZETA6_POWERS, _congruent, normalize_pi, surface_ap_via_characters
 from cubesum.pointcount import _polymulmod, make_field
 from cubesum.polynomials import Poly
 from cubesum.rings import (
@@ -65,7 +65,6 @@ def test_conj_involution_and_norm(x):
 def test_units_and_sqrt_m3():
     sqrt_m3 = 1 + 2 * W
     assert sqrt_m3**2 == -3
-    assert TWO_SQRT_M3 == 2 * sqrt_m3
     assert len(set(ZETA6_POWERS)) == 6
     for u in ZETA6_POWERS:
         assert u.norm() == 1 and u.den == 1
@@ -73,21 +72,53 @@ def test_units_and_sqrt_m3():
     assert W**2 + W + 1 == 0
 
 
-def test_divides():
-    assert divides(QOMEGA(1, 2), QOMEGA(-3))
-    assert not divides(QOMEGA(2), QOMEGA(1))
-    assert divides(TWO_SQRT_M3, QOMEGA(6)) and not divides(TWO_SQRT_M3, QOMEGA(4))
-    assert divides(QOMEGA(0), QOMEGA(0)) and not divides(QOMEGA(0), QOMEGA(1))
+@given(pairs, st.sampled_from([1, -1]))
+def test_congruent_matches_the_integer_quotient(x, t):
+    # x = t mod 2 sqrt(-3) = 2 + 4w exactly when 2 + 4w divides x - t
+    a, b = x
+    assert _congruent(QOMEGA(a, b), t) == (_quotient((2, 4), (a - t, b)) is not None)
+    # a random pair is congruent one time in twelve: t plus a multiple always is
+    assert _congruent(t + QOMEGA(2, 4) * QOMEGA(a, b), t)
 
 
-@given(pairs, pairs)
-def test_divides_matches_the_integer_quotient(x, y):
-    assert divides(QOMEGA(*x), QOMEGA(*y)) == (_quotient(x, y) is not None)
-    # a random pair is rarely divisible: the multiples of x always are
-    product = QOMEGA(*x) * QOMEGA(*y)
-    assert divides(QOMEGA(*x), product)
-    if x != (0, 0):
-        assert _quotient(x, product.num) == y
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, b * c + (a - b) * d
+
+
+UNITS = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def _target(p, variant):
+    return 1 if variant == "plus" or p % 12 == 1 else -1
+
+
+def _normalized(zs, t):
+    """The elements of zs that are = t mod 2 + 4w, by the integer quotient."""
+    return {z for z in zs if _quotient((2, 4), (z[0] - t, z[1])) is not None}
+
+
+def _twelve_candidate_pi(p, variant):
+    """normalize_pi by the twelve-candidate rule: of the six associates of m + nw
+    and of its conjugate, the normalised ones, the first under the key
+    (b < 0, (a, b))."""
+    m, n = represent_eisenstein(p)
+    found = _normalized([_mul(u, z) for z in ((m, n), (m - n, -n)) for u in UNITS], _target(p, variant))
+    assert len({2 * a - b for a, b in found}) == 1
+    return min(found, key=lambda c: (c[1] < 0, c))
+
+
+def test_normalize_pi_matches_the_twelve_candidate_rule_below_3000():
+    for p in primes_up_to(2999):
+        if p < 5 or p % 3 != 1:
+            continue
+        for variant in ("plus", "minus"):
+            assert normalize_pi(p, variant).num == _twelve_candidate_pi(p, variant), (p, variant)
+        # a_p is pi+ times the minus-normalised associate of pi+, plus the conjugate
+        pi = _twelve_candidate_pi(p, "plus")
+        (partner,) = _normalized([_mul(u, pi) for u in UNITS], _target(p, "minus"))
+        a, b = _mul(pi, partner)
+        assert surface_ap_via_characters(p) == 2 * a - b, p
 
 
 def test_represent_eisenstein_examples():
