@@ -164,6 +164,9 @@ def cmd_pagliani(args) -> int:
     us = [args.u] if args.u is not None else [
         u for u in range(args.range[0], args.range[1] + 1) if u % 3 and u not in (-1, 0, 1)
     ]
+    if not us:
+        raise ValueError(f"pagliani range (--range LO HI) {args.range[0]}..{args.range[1]} holds no "
+                         "family member: every u is 0, +-1 or divisible by 3")
     rows, recs = [], []
     for u in us:
         sol = dio.pagliani(u)

@@ -131,8 +131,9 @@ def double(P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionP
 
 
 def multiply(n: int, P: RationalFunctionPoint, E: FunctionFieldCurve) -> RationalFunctionPoint:
-    """n*P by double-and-add. P is checked on E; the points the group law
-    builds from it are on E by construction and are remembered as such."""
+    """n*P by double-and-add, with n.bit_length() - 1 doublings. P is checked
+    on E; the points the group law builds from it are on E by construction and
+    are remembered as such."""
     if not E.contains(P):
         raise ValueError("point not on curve")
     if n < 0:
@@ -142,8 +143,8 @@ def multiply(n: int, P: RationalFunctionPoint, E: FunctionFieldCurve) -> Rationa
     while n:
         if n & 1:
             R = _chord_tangent(R, base, E)
-        base = _chord_tangent(base, base, E)
         n >>= 1
+        base = _chord_tangent(base, base, E) if n else base
     return R
 
 

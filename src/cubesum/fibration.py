@@ -8,18 +8,20 @@ factors are emitted as one fiber per conjugate root.
 
 The place t = infinity is read in the parameter s = 1/t. There A and B become
 A~ = s^(4k) A(1/s) and B~ = s^(6k) B(1/s) with the least k that makes both
-polynomials, and that model is already minimal. Sections reach it by the same
-f(1/s) s^n twist, with their scalars kept in their own ring.
+polynomials, and that model is already minimal. No section is twisted to it:
+component_of needs only the leading term c s^v of f(1/s) s^n for f = x, y and
+B, and that is v = n + deg den - deg num, c = lead num / lead den. At a finite
+place the leading term comes from the Horner rows of Poly.leading_term_at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .elliptic import FunctionFieldCurve, RationalFunctionPoint, add
-from .polynomials import Poly, RationalFunction
+from .polynomials import INFINITY, Poly, RationalFunction
 from .rings import NumberFieldElement
 
 # type -> (euler, m_t, m_simple, component group)
@@ -334,63 +336,52 @@ class ComponentId:
         return "Theta0" if self.identity else f"Theta({self.branch})"
 
 
-def _section_localized(P: RationalFunctionPoint, E: FunctionFieldCurve, place: PlaceOnBase):
-    """(x, y, B, root) over the section's scalars, with the place at a finite root.
-
-    At infinity x, y and B take the twist of infinity_model in s = 1/t, and
-    the root is s = 0.
-    """
-    zc = P.x.zero_scalar
-    B = E.B.over(zc)
-    if place.is_infinity:
-        k = _twist_at_infinity(E)
-        return (_reciprocal_twist(P.x, 2 * k), _reciprocal_twist(P.y, 3 * k),
-                _reciprocal_twist(B, 6 * k), zc)
-    return P.x, P.y, B, zc + place.root()
-
-
-def _reciprocal_twist(f: RationalFunction, power: int) -> RationalFunction:
-    """f(1/s) * s^power as a rational function of s."""
-    num, den = f.num, f.den
-    s = Poly.x(zero=num.zero)
-    shift = power + den.degree - num.degree
-    # the reversals keep their nonzero constant terms and invert every other
-    # root, so they stay coprime: only the denominator is made monic
-    rden = den.reverse()
-    out = RationalFunction._reduced(num.reverse()._div_lead(rden), rden.monic())
-    if shift >= 0:
-        return out * RationalFunction(s**shift)
-    return out / RationalFunction(s**(-shift))
-
-
 def component_of(P: RationalFunctionPoint, fiber: KodairaFiber, E: FunctionFieldCurve) -> ComponentId:
     """Fiber component met by a section, for the three additive types present.
 
     Identity component iff the section misses the singular point of the local
     Weierstrass model. Non-identity branches carry exact labels: the value of
-    y/pi^2 (type IV*), y/pi (IV), or x/pi (I0*) at the place.
+    y/pi^2 (type IV*), y/pi (IV), or x/pi (I0*) at the place. Each is read off
+    the leading term c pi^v of x, y and B at the place, in the model of
+    infinity_model there.
     """
     if fiber.type not in ("IV", "IV*", "I0*"):
         raise ValueError(f"components not implemented for type {fiber.type}")
     if P.is_infinity():
         return ComponentId(True)
-    if not fiber.place.is_infinity and fiber.place.degree != 1:
+    place = fiber.place
+    if not place.is_infinity and place.degree != 1:
         raise ValueError("components at non-rational places not supported")
-    x, y, B, root = _section_localized(P, E, fiber.place)
-    vx = x.valuation(root) if not x.is_zero() else None
-    vy = y.valuation(root) if not y.is_zero() else None
-    if (vx is not None and vx < 1) or (vy is not None and vy < 1):
+    zc = P.x.zero_scalar
+    at, k = (INFINITY, _twist_at_infinity(E)) if place.is_infinity else (zc + place.root(), 0)
+
+    def term(f: RationalFunction, power: int):
+        """(v, c) with f s^power = c pi^v + ..., or (inf, 0) for f = 0."""
+        if f.is_zero():
+            return inf, zc
+        v, c = f.leading_term_at(at)
+        return v + power, c
+
+    (vx, cx), (vy, cy) = term(P.x, 2 * k), term(P.y, 3 * k)
+    if vx < 1 or vy < 1:
         return ComponentId(True)  # misses the singular point x = y = 0
-    pi = RationalFunction(Poly([-root, 1], zero=x.zero_scalar))
+    vB, cB = term(E.B.over(zc), 6 * k)
+
+    def value(v, c, e):
+        """The value at the place of f / pi^e for f = c pi^v + ...: c, 0 or a pole."""
+        if v < e:
+            raise ArithmeticError(f"{fiber.type} branch equation has a pole at {place}")
+        return c if v == e else zc
+
     if fiber.type == "I0*":  # x/pi is a cube root of -B/pi^3
-        val = (x / pi).evaluate(root)
-        holds = val**3 == -(B / pi**3).evaluate(root)
+        val = value(vx, cx, 1)
+        holds = val**3 == -value(vB, cB, 3)
     else:  # y/pi^e is a square root of B/pi^(2e): e = 2 for IV*, 1 for IV
         e = 2 if fiber.type == "IV*" else 1
-        val = (y / pi**e).evaluate(root)
-        holds = val * val == (B / pi**(2 * e)).evaluate(root)
+        val = value(vy, cy, e)
+        holds = val * val == value(vB, cB, 2 * e)
     if not holds:
-        raise ArithmeticError(f"{fiber.type} branch equation failed at {fiber.place}")
+        raise ArithmeticError(f"{fiber.type} branch equation failed at {place}")
     return ComponentId(False, val)
 
 

@@ -164,8 +164,8 @@ def _polypowmod(a, e: int, tail, p):
     while e:
         if e & 1:
             acc = _polymulmod(acc, base, tail, p)
-        base = _polymulmod(base, base, tail, p)
         e >>= 1
+        base = _polymulmod(base, base, tail, p) if e else base
     return acc
 
 

@@ -218,20 +218,28 @@ class Poly:
 
     def valuation(self, place) -> int:
         """Multiplicity of the root `place` (a scalar), or -degree at INFINITY."""
+        return self.leading_term_at(place)[0]
+
+    def leading_term_at(self, place) -> tuple:
+        """(v, c) with self = c (t - place)^v + higher powers and c != 0; at
+        INFINITY (-degree, leading coefficient), the term c s^v in s = 1/t."""
         if self.is_zero():
             raise ValueError("valuation of the zero polynomial")
         if place is INFINITY:
-            return -self.degree
+            return -self.degree, self.leading()
         v, r = 0, _rational_value(self._field, place)
         if r is None:  # divide by t - place while it is a root
             lin, rem = Poly([-(self.zero + place), self.zero + 1], zero=self.zero), self
-            while not rem.evaluate(place):
+            while not (c := rem.evaluate(place)):
                 v, rem = v + 1, rem // lin
-            return v
-        sums = horner(self._rows, r)
+            return v, c
+        # rows of length n divided by t - r come back times q^(n-2), r = p/q;
+        # den gathers those factors, so the last sums hold c q^(n-1) den
+        q, den, sums = r.denominator, self._den, horner(self._rows, r)
         while not any([b[-1] for b in sums]):
-            v, sums = v + 1, horner([[c * r.denominator**j for j, c in enumerate(b[-2::-1])] for b in sums], r)
-        return v
+            den *= q ** (len(sums[0]) - 2)
+            v, sums = v + 1, horner([[c * q**j for j, c in enumerate(b[-2::-1])] for b in sums], r)
+        return v, _scalar(self._field, [b[-1] for b in sums], den * q ** (len(sums[0]) - 1))
 
     def reverse(self, degree: int | None = None) -> "Poly":
         """Coefficient reversal t -> 1/t, padded to the given degree."""
@@ -422,6 +430,14 @@ class RationalFunction:
         if place is INFINITY:
             return self.den.degree - self.num.degree
         return self.num.valuation(place) - self.den.valuation(place)
+
+    def leading_term_at(self, place) -> tuple:
+        """(v, c) with self = c pi^v + higher powers of pi = t - place, or of
+        pi = 1/t at INFINITY: the quotient of the two Polys' leading terms."""
+        if self.is_zero():
+            raise ValueError("valuation of zero")
+        (v, c), (w, d) = self.num.leading_term_at(place), self.den.leading_term_at(place)
+        return v - w, c / d
 
     def over(self, zero) -> "RationalFunction":
         """The same function with its coefficients in the scalar ring of `zero`:

@@ -222,8 +222,8 @@ class NumberFieldElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            base = base * base if n else base
         return out
 
     def trace(self) -> int | Fraction:

@@ -387,6 +387,16 @@ def test_pagliani_empty_range_is_a_usage_error(capsys):
     assert status == 0 and [m["u"] for m in json.loads(out)["members"]] == ["2"]
 
 
+def test_pagliani_range_without_members_is_a_usage_error(capsys):
+    for lo, hi in (("0", "1"), ("-1", "1"), ("3", "3"), ("-3", "-3"), ("6", "6")):
+        assert main(["pagliani", "--range", lo, hi]) == 2, (lo, hi)
+        captured = capsys.readouterr()
+        assert captured.out == "", (lo, hi)
+        assert f"--range LO HI) {lo}..{hi} holds no family member" in captured.err, (lo, hi)
+    status, out = run_cli(capsys, ["pagliani", "--range", "0", "2", "--format", "json"])
+    assert status == 0 and [m["u"] for m in json.loads(out)["members"]] == ["2"]
+
+
 def test_count_sweep_parallel_matches_serial(capsys):
     _, serial = run_cli(capsys, ["count", "--sweep", "40", "--format", "json"])
     _, parallel = run_cli(capsys, ["count", "--sweep", "40", "--jobs", "2", "--format", "json"])

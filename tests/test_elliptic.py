@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from cubesum import elliptic
 from cubesum.elliptic import (
     FunctionFieldCurve,
     RationalFunctionPoint,
@@ -270,3 +271,24 @@ def test_multiples_lie_on_the_curve_and_equal_repeated_add(over_omega):
         assert fresh.contains(nP)  # a new instance remembers nothing
         assert multiply(-n, P, E) == negate(nP)
         R = add(R, P, E)
+
+
+def test_multiply_doubles_once_per_bit_below_the_top(monkeypatch):
+    # a doubling past the top bit builds a point of about four times the
+    # degree of anything kept, and throws it away
+    doublings = []
+    real = elliptic._chord_tangent
+
+    def counting(P, Q, E):
+        if P is Q:
+            doublings.append(P)
+        return real(P, Q, E)
+
+    monkeypatch.setattr(elliptic, "_chord_tangent", counting)
+    E, P = curve_main(), section_sigma1()
+    for n in [*range(1, 13), -1, -6, -12]:
+        doublings.clear()
+        multiply(n, P, E)
+        assert len(doublings) == abs(n).bit_length() - 1, n
+    doublings.clear()
+    assert multiply(0, P, E).is_infinity() and not doublings

@@ -5,6 +5,7 @@ import pytest
 from cubesum.elliptic import (
     FunctionFieldCurve,
     add,
+    base_change_t_u3,
     cm_omega,
     curve_main,
     curve_over_omega,
@@ -417,20 +418,86 @@ def test_infinity_model_runs_once_per_curve(monkeypatch):
     assert calls == [E]  # classify_fibers' own call
 
 
-def test_reciprocal_twist_equals_the_normalising_constructor():
+def _reciprocal_twist(f, power):
+    """f(1/s) s^power in s = 1/t, by the normalising constructor."""
+    s = RationalFunction(Poly.x(zero=f.zero_scalar))
+    return RationalFunction(f.num.reverse(), f.den.reverse()) * s ** (power + f.den.degree - f.num.degree)
+
+
+def _component_by_division(P, fiber, E):
+    """The oracle for component_of: x, y and B moved to the place as rational
+    functions (twisted at infinity), divided by powers of pi = t - root and
+    evaluated at the root."""
+    if P.is_infinity():
+        return ComponentId(True)
+    if not fiber.place.is_infinity and fiber.place.degree != 1:
+        raise ValueError("components at non-rational places not supported")
+    zc = P.x.zero_scalar
+    x, y, B, root = P.x, P.y, E.B.over(zc), zc
+    if fiber.place.is_infinity:
+        k = infinity_model(E)[2]
+        x, y, B = _reciprocal_twist(x, 2 * k), _reciprocal_twist(y, 3 * k), _reciprocal_twist(B, 6 * k)
+    else:
+        root += fiber.place.root()
+    vx = x.valuation(root) if not x.is_zero() else None
+    vy = y.valuation(root) if not y.is_zero() else None
+    if (vx is not None and vx < 1) or (vy is not None and vy < 1):
+        return ComponentId(True)
+    pi = RationalFunction(Poly([-root, 1], zero=zc))
+    if fiber.type == "I0*":
+        val = (x / pi).evaluate(root)
+        holds = val**3 == -(B / pi**3).evaluate(root)
+    else:
+        e = 2 if fiber.type == "IV*" else 1
+        val = (y / pi**e).evaluate(root)
+        holds = val * val == (B / pi**(2 * e)).evaluate(root)
+    if not holds:
+        raise ArithmeticError("branch equation failed")
+    return ComponentId(False, val)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def test_component_of_equals_the_division_construction():
     E, s1, ws1 = omega_setup()
-    k = infinity_model(E)[2]
-    s = RationalFunction(Poly.x(zero=QOMEGA.zero()))
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            if (a, b) == (0, 0):
-                continue
-            P = add(multiply(a, s1, E), multiply(b, ws1, E), E)
-            for f, power in ((P.x, 2 * k), (P.y, 3 * k)):
-                # equality is syntactic: the reduced pairs themselves agree
-                expected = RationalFunction(f.num.reverse(), f.den.reverse())
-                expected *= s ** (power + f.den.degree - f.num.degree)
-                assert fibration._reciprocal_twist(f, power) == expected
+    Eq, s1q = curve_main(), section_sigma1()
+    Eu, tau = curve_sextic_twist(), section_tau()
+    cases = [(E, add(multiply(a, s1, E), multiply(b, ws1, E), E))
+             for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    cases += [(E, multiply(n, P, E)) for P in (s1, ws1, add(s1, ws1, E)) for n in (-6, -5, -4, -3, 3, 4, 5, 6)]
+    cases += [(Eq, multiply(n, s1q, Eq)) for n in range(-6, 7)]
+    # t -> 1/t swaps the IV* fiber at 0 and the IV fiber at infinity
+    t = Poly.x()
+    flip = FunctionFieldCurve(Poly([]), t**2 * (t**2 - 1) ** 3)
+    flip_w = curve_over_omega(flip)
+    for F, P in [c for c in cases if not c[1].is_infinity()]:
+        G = flip_w if F is E else flip
+        cases.append((G, G.point(_reciprocal_twist(P.x, 4), _reciprocal_twist(P.y, 6))))
+    cases += [(Eu, tau), (Eu, base_change_t_u3(s1q)), (Eu, base_change_t_u3(multiply(2, s1q, Eq)))]
+    # the flexes (0, +-t^e) of y^2 = x^3 + t^(2e) pass through the non-identity
+    # branches of IV and IV* fibers at 0 and at infinity
+    for e in (1, 2):
+        G = FunctionFieldCurve(Poly([]), t ** (2 * e))
+        for F in (G, curve_over_omega(G)):
+            z = F.B.zero_scalar
+            cases += [(F, F.point(Poly([], zero=z), RationalFunction(sign * t**e).over(z))) for sign in (1, -1)]
+    met = set()
+    for F, P in cases:
+        for fiber in classify_fibers(F):
+            got, expected = _outcome(component_of, P, fiber, F), _outcome(_component_by_division, P, fiber, F)
+            assert got == expected, (P, fiber)
+            if isinstance(got, ComponentId):
+                assert type(got.branch) is type(expected.branch)
+                met.add((fiber.type, fiber.place.is_infinity, got.identity))
+    # every branch is read at least once, on a finite place and at infinity
+    assert {(kind, inf, False) for kind in ("IV", "IV*") for inf in (False, True)} <= met
+    assert ("I0*", False, False) in met
+    assert ValueError in {_outcome(component_of, tau, f, Eu) for f in classify_fibers(Eu)}
 
 
 def _squarefree_layers_by_yun(f):
@@ -461,3 +528,26 @@ def test_squarefree_layers_equal_yuns_decomposition():
     assert len(polys) == 27 and any(f.degree > 0 for f in polys[3:])
     for f in polys:
         assert fibration._squarefree_layers(f) == _squarefree_layers_by_yun(f)
+
+
+def test_heights_of_multiples_scale_by_n_squared():
+    # each nP is checked on a fresh curve, which remembers no point, so a ladder
+    # that built a wrong multiple fails the equation or the height
+    E, s1, ws1 = omega_setup()
+    for P in (s1, add(s1, ws1, E)):
+        h = height_pairing(P, P, E)
+        assert h == Fraction(2, 3)
+        for n in range(1, 13):
+            nP = multiply(n, P, E)
+            fresh = curve_over_omega(curve_main())
+            assert fresh.contains(nP)
+            assert height_pairing(nP, nP, fresh) == n * n * h, n
+
+
+@pytest.mark.extended
+def test_twentieth_multiple_of_sigma1():
+    # about 35 s on one core of a 2-vCPU host, most of it in the last add
+    E, s1, _ = omega_setup()
+    P = multiply(20, s1, E)
+    assert height_pairing(P, P, E) == Fraction(800, 3)
+    assert P == add(multiply(16, s1, E), multiply(4, s1, E), E)

@@ -148,6 +148,45 @@ def test_evaluate_and_valuation_match_the_reference(field, data):
         assert a.valuation(INFINITY) == ra.valuation(ref.INFINITY)
 
 
+def _leading_term_by_division(rp, place):
+    """(v, c) on the reference: divide by t - place while it is a root, then
+    evaluate the quotient there."""
+    lin, v = ref.Poly([-place, 1], zero=rp.zero), 0
+    while not rp.evaluate(place):
+        v, rp = v + 1, rp // lin
+    return v, rp.evaluate(place)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_leading_term_matches_division_then_evaluation(field, data):
+    a, ra = both(data.draw(coeff_lists(field).filter(any)), field)
+    # roots p/q with q up to 7, as Fractions and as rational field elements,
+    # and roots with irrational coordinates, each of multiplicity up to 4
+    r = data.draw(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)))
+    for place in (r, zero_of(field) + r, data.draw(scalars(field))):
+        lin, rlin = both([-place, 1], field)
+        k = data.draw(st.integers(0, 4))
+        p, rp = a * lin**k, ra * rlin**k
+        v, c = p.leading_term_at(place)
+        expected = _leading_term_by_division(rp, place)
+        assert v == expected[0] >= k
+        same(c, expected[1])
+        w, d = RationalFunction(p, a).leading_term_at(place)
+        assert w == k and d == c / a.leading_term_at(place)[1]
+    same(a.leading_term_at(INFINITY)[1], ra.leading())
+    assert a.leading_term_at(INFINITY)[0] == -ra.degree
+
+
+def test_leading_term_at_a_root_with_denominator():
+    t = Poly.x()
+    f = (3 * t - 2) ** 3 * (t**2 + 1) * 5  # = 135 (t - 2/3)^3 (t^2 + 1)
+    assert f.leading_term_at(Fraction(2, 3)) == (3, 135 * Fraction(13, 9))
+    assert RationalFunction(f, (3 * t - 2) * t).leading_term_at(Fraction(2, 3)) == (2, 135 * Fraction(13, 9) / 2)
+    assert RationalFunction(f, t**7).leading_term_at(INFINITY) == (2, 135)
+
+
 def rational_functions(field, data):
     num, rnum = both(data.draw(coeff_lists(field, 4)), field)
     den, rden = both(data.draw(coeff_lists(field, 4).filter(any)), field)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubesum import pointcount, rings
 from cubesum.arith import primes_up_to
 from cubesum.modular import ZETA6_POWERS, _congruent, normalize_pi, surface_ap_via_characters
 from cubesum.pointcount import _polymulmod, make_field
@@ -219,3 +220,29 @@ def test_inverse_is_multiplicative(field):
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
 
+
+
+def test_power_ladders_square_once_per_bit_below_the_top(monkeypatch):
+    squarings = []
+
+    def counting(real):
+        def mul(a, b, *rest):
+            if a is b:
+                squarings.append(a)
+            return real(a, b, *rest)
+        return mul
+
+    monkeypatch.setattr(pointcount, "_polymulmod", counting(_polymulmod))
+    monkeypatch.setattr(rings, "polymulmod", counting(polymulmod))
+    tail, p = (2, 4, 0, 1), 5  # T^4 + T^3 + 4T + 2 over F_5
+    x = QZETA12(Fraction(1, 2), 0, -3, 1)
+    t_power, x_power = [1, 0, 0, 0], QZETA12.one()
+    for e in range(1, 70):
+        t_power, x_power = _polymulmod(t_power, [0, 1], tail, p), x_power * x
+        squarings.clear()
+        assert pointcount._polypowmod([0, 1], e, tail, p) == t_power
+        assert len(squarings) == e.bit_length() - 1, e
+        squarings.clear()
+        assert x**e == x_power and len(squarings) == e.bit_length() - 1, e
+        squarings.clear()
+        assert x**-e == x_power.inverse() and len(squarings) == e.bit_length() - 1, e
