@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Extended census: all nontrivial solutions with 0 < y <= x <= 10^6.
 
-The descent search (cubesum.diophantine.search, method "numpy") tests, for
+The descent search (cubesum.diophantine.search) tests, for
 each x row, the smaller of two candidate sets: the y in the CRT classes of
 the lifted kernel of x (4 and 9 included), walked in one numpy walk per strip
 of rows, or the y whose cube-free kernel divides x(x^2 - 1). It takes under
@@ -13,7 +13,10 @@ excludes it and reports both the nontrivial census and the family split.
 
     python scripts/run_extended_census.py [--bound 1000000] [--jobs N] [--out file.json]
 
-Progress goes to stderr; the result table goes to stdout (and --out as JSON).
+--bound runs from 1 to 2^31 - 2 and --jobs from 1 to 64 (default: the core
+count, at most 64), the ranges of `cubesum search`; a value outside them exits
+2 before any table is built. Progress goes to stderr; the result table goes
+to stdout (and --out as JSON).
 """
 
 import argparse
@@ -23,15 +26,16 @@ import resource
 import sys
 import time
 
+from cubesum.cli import BOUND, JOBS, MAX_JOBS
 from cubesum.diophantine import family_in_box, in_pagliani_family, search
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--bound", type=int, default=10**6)
-    ap.add_argument("--jobs", type=int, default=multiprocessing.cpu_count())
+    ap.add_argument("--bound", type=BOUND, default=10**6)
+    ap.add_argument("--jobs", type=JOBS, default=min(multiprocessing.cpu_count(), MAX_JOBS))
     ap.add_argument("--out", help="also write the census as JSON")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.time()
 

@@ -3,7 +3,9 @@
 Output conventions: results go to stdout in plain, json, or csv form; progress
 chatter goes to stderr only. JSON serializes every number as a decimal string
 so arbitrary-precision values survive consumers that truncate 64-bit ints.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success; 1 a verification failure, or a fault inside a
+computation, which keeps its traceback; 2 a usage error: one argparse rejects,
+or a flag, CUBESUM_* variable or input that _validate rejects before any work.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import diophantine as dio
 from . import fibration as fib
 from . import modular as mod
 from . import pointcount as pc
+from .arith import is_prime, primes_up_to
 from .cache import CoefficientCache, default_cache_path
 from .elliptic import (
     add,
@@ -36,28 +39,114 @@ from .elliptic import (
 from .verifysuite import run_suite
 
 
-def _env_default(name: str, fallback, cast=str, choices=None):
-    """The CUBESUM_<name> value, or fallback when unset; a value the matching
-    flag would reject raises ValueError, which main reports as a usage error."""
-    raw = os.environ.get(f"CUBESUM_{name}")
-    if raw is None:
-        return fallback
+class UsageError(Exception):
+    """A flag, a CUBESUM_* variable or an input rejected before any work."""
+
+
+def _ranged(label: str, lo: int, hi: int | None = None):
+    """An argparse type: the int from lo to hi (no upper end when hi is None)
+    that a text names; any other text raises ArgumentTypeError."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            span = f"at least {lo}" if hi is None else f"from {lo} to {hi}"
+            raise argparse.ArgumentTypeError(f"{label} must be an integer {span}, not {text!r}")
+        return value
+
+    return parse
+
+
+MAX_JOBS = 64  # worker processes; each one holds its own tables
+JOBS = _ranged("jobs (--jobs)", 1, MAX_JOBS)
+BOUND = _ranged("bound (--bound)", 1, dio.MAX_BOUND)  # the census tables are int32
+_FORMATS = ("plain", "json", "csv")
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(f"format (--format) must be one of "
+                                         f"{', '.join(_FORMATS)}, not {text!r}")
+    return text
+
+
+# Each checked option by dest: its type, and the CUBESUM_* variable that gives
+# its default. argparse leaves these as text, from the flag or else from the
+# variable, so that one type covers both.
+_TYPES = {
+    "format": (_format, "CUBESUM_FORMAT"),
+    "jobs": (JOBS, "CUBESUM_JOBS"),
+    "bound": (BOUND, None),
+    "census_bound": (_ranged("census bound (--census-bound)", 1, dio.MAX_BOUND), "CUBESUM_CENSUS_BOUND"),
+    "max": (_ranged("coefficient count (--max)", 1), None),
+    "sweep": (_ranged("largest prime of the range 5..MAX_P (--sweep MAX_P)", 5), None),
+    "n": (_ranged("degree or precision (--n)", 1), None),
+    "budget": (_ranged("field size budget (--budget)", 1), "CUBESUM_BUDGET"),
+}
+
+
+def _family_us(lo: int, hi: int):
+    """The u of lo..hi at which the family is defined: not 0, +-1 or divisible by 3."""
+    return (u for u in range(lo, hi + 1) if u % 3 and u not in (-1, 0, 1))
+
+
+def _parse_eta_spec(text: str) -> mod.EtaQuotientSpec:
     try:
-        value = cast(raw)
+        factors = tuple((int(d), int(e)) for d, e in (part.split(":") for part in text.split(",")))
     except ValueError:
-        raise ValueError(f"CUBESUM_{name}={raw!r} is not a valid {cast.__name__}") from None
-    if choices is not None and value not in choices:
-        raise ValueError(f"CUBESUM_{name}={raw!r} is not one of {', '.join(choices)}")
-    return value
+        raise ValueError(f"eta spec (--spec) {text!r} is not of the form 'd:e,d:e,...'") from None
+    return mod.EtaQuotientSpec(factors)
+
+
+def _validate(args) -> None:
+    """The one check of a parsed command line, before any work. Each option
+    of _TYPES goes through its type; each input goes through the library's own
+    check. Raises UsageError, the only exception main reports as exit 2."""
+    for dest, (parse, variable) in _TYPES.items():
+        if getattr(args, dest, None) is not None:
+            try:
+                setattr(args, dest, parse(getattr(args, dest)))
+            except argparse.ArgumentTypeError as exc:
+                where = f" (read from the flag, else from {variable})" if variable else ""
+                raise UsageError(f"{exc}{where}") from None
+    try:
+        if args.command == "map" and args.mkl:
+            dio.SolutionMKL(*args.mkl)
+        elif args.command == "map":
+            dio.xyz_to_mkl(dio.SolutionXYZ(*args.xyz))
+        elif args.command == "pagliani" and args.u is not None:
+            dio.pagliani(args.u)
+        elif args.command == "pagliani":
+            lo, hi = args.range
+            if lo > hi:
+                raise ValueError(f"pagliani range (--range LO HI) is empty: LO = {lo} > HI = {hi}")
+            if next(_family_us(lo, hi), None) is None:
+                raise ValueError(f"pagliani range (--range LO HI) {lo}..{hi} holds no family "
+                                 "member: every u is 0, +-1 or divisible by 3")
+        elif args.command == "eta":
+            args.spec = _parse_eta_spec(args.spec) if args.spec else mod.CUSP_FORM_ETA
+        elif args.command == "ap" and args.p is not None:
+            pc.check_field_size(args.p, 1, args.p)  # only the prime: q = p fits a budget of p
+        elif args.command == "count":
+            # a sweep's largest prime has the largest field
+            p = args.p if args.p is not None else next(q for q in range(args.sweep, 4, -1) if is_prime(q))
+            pc.check_field_size(p, args.n, args.budget)
+        if args.command == "cache" or (args.command == "ap" and args.max is not None):
+            # Path reads an empty path as "."
+            if not args.cache_file or Path(args.cache_file).is_dir():
+                raise ValueError(f"cache file {args.cache_file!r} is empty or a directory")
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def _stringify(obj):
     """Numbers to decimal strings, recursively, for JSON output."""
     if isinstance(obj, bool):
         return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (int, Fraction)):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
@@ -83,30 +172,9 @@ def _emit(payload: dict, rows, headers, fmt: str):
             print("\t".join(str(c) for c in row))
 
 
-_FORMATS = ("plain", "json", "csv")
-
-
 def _add_format(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=_env_default("FORMAT", "plain", choices=_FORMATS),
-        help="output format (default plain; env CUBESUM_FORMAT)",
-    )
-
-
-MAX_JOBS = 64  # worker processes; each one holds its own tables
-
-
-def _check_jobs(args) -> None:
-    if not 1 <= args.jobs <= MAX_JOBS:
-        raise ValueError(f"jobs (--jobs, CUBESUM_JOBS) must be from 1 to {MAX_JOBS}, not {args.jobs}")
-
-
-def _check_bound(value: int, name: str) -> None:
-    if not 1 <= value <= dio.MAX_BOUND:
-        raise ValueError(f"{name} must be from 1 to {dio.MAX_BOUND} (the census tables are int32), "
-                         f"not {value}")
+    p.add_argument("--format", default=os.environ.get("CUBESUM_FORMAT", "plain"),
+                   help="plain, json or csv (default plain; env CUBESUM_FORMAT)")
 
 
 def _progress(done: int, total: int):
@@ -117,26 +185,15 @@ def _progress(done: int, total: int):
 
 
 def cmd_search(args) -> int:
-    _check_jobs(args)
-    _check_bound(args.bound, "bound (--bound)")
-    sols = dio.search(
-        args.bound,
-        include_trivial=args.include_trivial,
-        jobs=args.jobs,
-        progress=_progress if args.jobs > 1 else None,
-    )
-    rows = []
-    recs = []
+    sols = dio.search(args.bound, include_trivial=args.include_trivial, jobs=args.jobs,
+                      progress=_progress if args.jobs > 1 else None)
+    rows, recs = [], []
     for s in sols:
         u = dio.in_pagliani_family(s)
         rows.append((s.x, s.y, s.z, u if u is not None else ""))
         recs.append({"x": s.x, "y": s.y, "z": s.z, "pagliani_u": u})
-    payload = {
-        "bound": args.bound,
-        "include_trivial": args.include_trivial,
-        "count": len(sols),
-        "solutions": recs,
-    }
+    payload = {"bound": args.bound, "include_trivial": args.include_trivial, "count": len(sols),
+               "solutions": recs}
     _emit(payload, rows, ("x", "y", "z", "pagliani_u"), args.format)
     return 0
 
@@ -158,37 +215,20 @@ def cmd_map(args) -> int:
 
 
 def cmd_pagliani(args) -> int:
-    if args.range is not None and args.range[0] > args.range[1]:
-        raise ValueError(f"pagliani range (--range LO HI) is empty: LO = {args.range[0]} "
-                         f"> HI = {args.range[1]}")
-    us = [args.u] if args.u is not None else [
-        u for u in range(args.range[0], args.range[1] + 1) if u % 3 and u not in (-1, 0, 1)
-    ]
-    if not us:
-        raise ValueError(f"pagliani range (--range LO HI) {args.range[0]}..{args.range[1]} holds no "
-                         "family member: every u is 0, +-1 or divisible by 3")
+    us = [args.u] if args.u is not None else _family_us(*args.range)
     rows, recs = [], []
     for u in us:
         sol = dio.pagliani(u)
         xyz = dio.mkl_to_xyz(sol)
         canon = dio.canonical_form(xyz)
         rows.append((u, sol.m, sol.k, sol.l, canon.x, canon.y, canon.z))
-        recs.append(
-            {
-                "u": u,
-                "mkl": {"m": sol.m, "k": sol.k, "l": sol.l},
-                "canonical_xyz": {"x": canon.x, "y": canon.y, "z": canon.z},
-            }
-        )
+        recs.append({"u": u, "mkl": {"m": sol.m, "k": sol.k, "l": sol.l},
+                     "canonical_xyz": {"x": canon.x, "y": canon.y, "z": canon.z}})
     _emit({"members": recs}, rows, ("u", "m", "k", "l", "canon_x", "canon_y", "canon_z"), args.format)
     return 0
 
 
-_CURVES = {
-    "main": curve_main,
-    "sextic": curve_sextic_twist,
-    "second": curve_second_fibration,
-}
+_CURVES = {"main": curve_main, "sextic": curve_sextic_twist, "second": curve_second_fibration}
 
 
 def cmd_fibers(args) -> int:
@@ -200,16 +240,8 @@ def cmd_fibers(args) -> int:
             str(f.place.root()) if f.place.degree == 1 else f"root#{f.place.index} of {f.place.poly!r}"
         )
         rows.append((place, f.type, f.euler, f.m_t, f.m_simple, f.component_group))
-        recs.append(
-            {
-                "place": place,
-                "kodaira_type": f.type,
-                "euler": f.euler,
-                "components": f.m_t,
-                "simple_components": f.m_simple,
-                "component_group": f.component_group,
-            }
-        )
+        recs.append({"place": place, "kodaira_type": f.type, "euler": f.euler, "components": f.m_t,
+                     "simple_components": f.m_simple, "component_group": f.component_group})
     payload = {"curve": args.curve, "fibers": recs, "euler_total": fib.euler_total(fibers)}
     _emit(payload, rows, ("place", "type", "euler", "m_t", "m_simple", "group"), args.format)
     return 0
@@ -255,13 +287,8 @@ def cmd_mw(args) -> int:
         _emit(payload, [(name, "O", "")], ("section", "x", "y"), args.format)
         return 0
     h = fib.height_pairing(P, P, E)
-    payload = {
-        "section": name,
-        "x": repr(P.x),
-        "y": repr(P.y),
-        "height_mw": str(h),
-        "height_canonical": str(h / 2),
-    }
+    payload = {"section": name, "x": repr(P.x), "y": repr(P.y), "height_mw": str(h),
+               "height_canonical": str(h / 2)}
     rows = [(name, repr(P.x), repr(P.y)), ("height (mw / canonical)", str(h), str(h / 2))]
     if args.to_xyz:
         try:
@@ -275,35 +302,18 @@ def cmd_mw(args) -> int:
     return 0
 
 
-def _parse_eta_spec(text: str) -> mod.EtaQuotientSpec:
-    factors = []
-    for part in text.split(","):
-        d, e = part.split(":")
-        factors.append((int(d), int(e)))
-    return mod.EtaQuotientSpec(tuple(factors))
-
-
 def cmd_eta(args) -> int:
-    spec = _parse_eta_spec(args.spec) if args.spec else mod.CUSP_FORM_ETA
-    series = mod.eta_quotient(spec, args.n)
+    series = mod.eta_quotient(args.spec, args.n)
     rows = [(n, c) for n, c in series.nonzero().items()] if args.nonzero else [
         (n, series[n]) for n in range(1, args.n + 1)
     ]
     payload = {
-        "factors": [{"scale": d, "exponent": e} for d, e in spec.factors],
+        "factors": [{"scale": d, "exponent": e} for d, e in args.spec.factors],
         "precision": args.n,
         "coefficients": {str(n): c for n, c in series.nonzero().items()},
     }
     _emit(payload, rows, ("n", "a_n"), args.format)
     return 0
-
-
-def _coefficient_cache(path: str) -> CoefficientCache:
-    """The cache at path; an empty path (which Path reads as ".") or a
-    directory is a usage error."""
-    if not path or Path(path).is_dir():
-        raise ValueError(f"cache file {path!r} is empty or a directory")
-    return CoefficientCache(Path(path))
 
 
 def cmd_ap(args) -> int:
@@ -317,7 +327,7 @@ def cmd_ap(args) -> int:
         rows = [tuple(rec.values())]
         _emit({"prime": rec}, rows, tuple(rec.keys()), args.format)
         return 0
-    coeffs = _coefficient_cache(args.cache_file).get(args.max)
+    coeffs = CoefficientCache(Path(args.cache_file)).get(args.max)
     rows = [(n, a) for n, a in coeffs.items() if a or not args.nonzero]
     payload = {"max": args.max, "coefficients": {str(n): a for n, a in rows}}
     _emit(payload, rows, ("n", "a_n"), args.format)
@@ -330,13 +340,7 @@ def _count_one(job):
 
 
 def cmd_count(args) -> int:
-    _check_jobs(args)
     if args.sweep is not None:
-        from .arith import primes_up_to
-
-        if args.sweep < 5:
-            raise ValueError(f"sweep bound (--sweep MAX_P) must be at least 5, the first prime "
-                             f"of the range 5..MAX_P, not {args.sweep}")
         ps = [p for p in primes_up_to(args.sweep) if p >= 5]
         jobs_list = [(p, args.n, args.convention, args.budget) for p in ps]
         reports = []
@@ -353,13 +357,8 @@ def cmd_count(args) -> int:
                 if len(jobs_list) > 20 and (i + 1) % 10 == 0:
                     _progress(i + 1, len(jobs_list))
         docs = [{k: v for k, v in asdict(r).items() if k != "convention"} for r in reports]
-        payload = {
-            "sweep_max_p": args.sweep,
-            "n": args.n,
-            "convention": args.convention,
-            "all_match": all(r.match for r in reports),
-            "reports": docs,
-        }
+        payload = {"sweep_max_p": args.sweep, "n": args.n, "convention": args.convention,
+                   "all_match": all(r.match for r in reports), "reports": docs}
         rows = [tuple(d.values()) for d in docs]
         _emit(payload, rows, ("p", "n", "brute", "formula", "a_term", "match"), args.format)
         return 0 if all(r.match for r in reports) else 1
@@ -377,8 +376,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_jobs(args)
-    _check_bound(args.census_bound, "census bound (--census-bound, CUBESUM_CENSUS_BOUND)")
     report = run_suite(census_bound=args.census_bound, jobs=args.jobs, skip_slow=args.skip_census)
     if args.format == "json":
         print(json.dumps(_stringify(report.to_dict()), indent=2, sort_keys=True))
@@ -390,7 +387,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    cache = _coefficient_cache(args.cache_file)
+    cache = CoefficientCache(Path(args.cache_file))
     if args.action == "build":
         coeffs = cache.get(args.max)
         print(f"cache at {cache.path}: {len(coeffs)} coefficients", file=sys.stderr)
@@ -420,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
         "the K3 surface behind them, and its point counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_jobs = _env_default("JOBS", 1, int)
-    default_budget = _env_default("BUDGET", pc.DEFAULT_BUDGET, int)
-    cache_file = str(_env_default("CACHE", default_cache_path()))
+    # defaults stay text: _validate checks them with the flags' own types
+    default_jobs = os.environ.get("CUBESUM_JOBS", "1")
+    cache_file = os.environ.get("CUBESUM_CACHE", str(default_cache_path()))
 
     p = sub.add_parser("search", help="exhaustive solution search up to a bound")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", required=True)
     p.add_argument("--include-trivial", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", default=default_jobs)
     _add_format(p)
     p.set_defaults(fn=cmd_search)
 
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mw)
 
     p = sub.add_parser("eta", help="eta quotient q-expansion")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--spec", help="factors as 'd:e,d:e,...' (default: the cusp form)")
     p.add_argument("--nonzero", action="store_true", help="only list nonzero coefficients")
     _add_format(p)
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap", help="cusp form coefficients")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--p", type=int, help="one prime: closed form and character value")
-    g.add_argument("--max", type=int, help="all a_n up to max (cached)")
+    g.add_argument("--max", help="all a_n up to max (cached)")
     p.add_argument("--nonzero", action="store_true")
     p.add_argument("--cache-file", default=cache_file)
     _add_format(p)
@@ -480,29 +477,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="point counts over F_{p^n}: exact count vs formula")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--p", type=int)
-    g.add_argument("--sweep", type=int, metavar="MAX_P",
+    g.add_argument("--sweep", metavar="MAX_P",
                    help="run every prime 5..MAX_P at the given n")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--n", default="1")
+    p.add_argument("--jobs", default=default_jobs)
     p.add_argument(
         "--convention",
         choices=(*pc.CONVENTIONS, "both"),
         default=pc.FROBENIUS_POWER,
     )
-    p.add_argument("--budget", type=int, default=default_budget)
+    p.add_argument("--budget", default=os.environ.get("CUBESUM_BUDGET", str(pc.DEFAULT_BUDGET)))
     _add_format(p)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--census-bound", type=int, default=_env_default("CENSUS_BOUND", 2000, int))
+    p.add_argument("--census-bound", default=os.environ.get("CUBESUM_CENSUS_BOUND", "2000"))
     p.add_argument("--skip-census", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", default=default_jobs)
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("cache", help="manage the coefficient cache")
     p.add_argument("action", choices=("build", "show", "clear", "path"))
-    p.add_argument("--max", type=int, default=1000)
+    p.add_argument("--max", default="1000")
     p.add_argument("--cache-file", default=cache_file)
     _add_format(p)
     p.set_defaults(fn=cmd_cache)
@@ -511,12 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+        _validate(args)
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return args.fn(args)
 
 
 if __name__ == "__main__":

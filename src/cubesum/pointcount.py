@@ -249,7 +249,8 @@ def _check_hasse(q: int, t0: int, fibers, over: str = "over t =") -> None:
                               f"points, outside the Hasse bound {q} +- {bound}")
 
 
-def _check_field_size(p: int, n: int, budget: int) -> None:
+def check_field_size(p: int, n: int, budget: int) -> None:
+    """ValueError unless p is a prime >= 5 and q = p^n is within the budget."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
     if p**n > budget:
@@ -266,7 +267,7 @@ def _root_counts(F: FiniteField):
 def _surface_tables(p: int, n: int, budget: int):
     """(F, roots, cubes, c): F_{p^n}, its square-root counts, x^3 for every x
     and c(t) = t^4 (t^2-1)^3 for every t."""
-    _check_field_size(p, n, budget)
+    check_field_size(p, n, budget)
     import numpy as np
 
     F = make_field(p, n)
@@ -296,7 +297,7 @@ def count_surface(p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """
     import numpy as np
 
-    _check_field_size(p, n, budget)
+    check_field_size(p, n, budget)
     F = make_field(p, n)
     q, order = F.q, F.q - 1
     zech = _zech_table(F)
@@ -336,7 +337,7 @@ def brute_count_surface(p: int, n: int = 1, budget: int = BRUTE_BUDGET) -> int:
 
 def brute_count_elliptic(b_const: int, p: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Projective point count of y^2 = x^3 + b over F_q (affine count plus one)."""
-    _check_field_size(p, n, budget)
+    check_field_size(p, n, budget)
     import numpy as np
 
     F = make_field(p, n)

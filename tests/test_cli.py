@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -192,6 +193,36 @@ def test_bound_above_the_int32_tables_is_a_usage_error(capsys, monkeypatch):
         diophantine.search(diophantine.MAX_BOUND + 1)
 
 
+def _load_census_script():
+    path = DOCS.parent / "scripts" / "run_extended_census.py"
+    spec = importlib.util.spec_from_file_location("run_extended_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_script_takes_the_ranges_of_search(capsys, monkeypatch):
+    # --jobs 0 used to run serial and --bound had no upper end; both now exit
+    # 2 before the search, with the message of `cubesum search`
+    script = _load_census_script()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census search ran")
+
+    monkeypatch.setattr(script, "search", refuse)
+    from cubesum.diophantine import MAX_BOUND
+    for argv, name in ((["--jobs", "0"], "jobs (--jobs)"), (["--jobs", str(MAX_JOBS + 1)], "jobs (--jobs)"),
+                       (["--bound", "0"], "bound (--bound)"), (["--bound", str(MAX_BOUND + 1)], "bound (--bound)"),
+                       (["--bound", "1e6"], "bound (--bound)")):
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err, argv
+    with pytest.raises(AssertionError, match="census search ran"):
+        script.main(["--bound", "10", "--jobs", "1"])
+
+
 def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
     cases = [(["ap", "--max", "10"], ""),
              (["ap", "--max", "10", "--cache-file", ""], None),
@@ -206,6 +237,72 @@ def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp
         captured = capsys.readouterr()
         assert captured.out == "" and "error: cache file" in captured.err, argv
     assert list(tmp_path.iterdir()) == []
+
+
+REJECTED_INPUTS = [
+    (["count", "--p", "4"], "p must be a prime >= 5, got 4"),
+    (["count", "--p", "7", "--n", "0"], "(--n) must be an integer at least 1, not '0'"),
+    (["count", "--p", "7", "--budget", "0"], "(--budget) must be an integer at least 1, not '0'"),
+    (["count", "--sweep", "1100", "--n", "2"], "q = 1097^2 exceeds the budget 1000000"),
+    (["ap", "--p", "9"], "p must be a prime >= 5, got 9"),
+    (["eta", "--n", "0"], "(--n) must be an integer at least 1, not '0'"),
+    (["eta", "--n", "5", "--spec", "1:x"], "eta spec (--spec) '1:x' is not of the form"),
+    (["map", "--xyz", "8", "3", "13"], "(8,3,13) is not on the surface"),
+    (["map", "--mkl", "1", "2", "3"], "(1,2,3) fails the cube-sum identity"),
+    (["map", "--xyz", "0", "0", "0"], "no integral preimage"),
+    (["pagliani", "--u", "3"], "u divisible by 3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED_INPUTS, ids=[" ".join(a) for a, _ in REJECTED_INPUTS])
+def test_rejected_input_exits_2_before_the_command_runs(capsys, monkeypatch, argv, message):
+    # the library's own check of each input, run by cli._validate; every
+    # command refuses to run, so the rejection comes before any work
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran on a rejected command line")
+
+    for name in dir(cubesum.cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cubesum.cli, name, refuse)
+    monkeypatch.delenv("CUBESUM_BUDGET", raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_count_sweep_checks_its_largest_field_before_any_count(capsys, monkeypatch):
+    # the sweep used to count the 168 primes below 1009 first and fail on
+    # 1009^2; 1097, the largest prime to 1100, is checked before any count
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    monkeypatch.setattr(cubesum.pointcount.CountReport, "build", refuse)
+    monkeypatch.delenv("CUBESUM_BUDGET", raising=False)
+    monkeypatch.delenv("CUBESUM_JOBS", raising=False)
+    assert main(["count", "--sweep", "1100", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "q = 1097^2 exceeds the budget 1000000" in captured.err
+    # 997^2 is within the budget, and a larger budget admits 1097^2
+    for argv in (["count", "--sweep", "1000", "--n", "2"],
+                 ["count", "--sweep", "1100", "--n", "2", "--budget", str(1097**2)]):
+        with pytest.raises(AssertionError, match="a count ran"):
+            main(argv)
+
+
+def test_a_fault_inside_a_computation_is_not_a_usage_error(monkeypatch):
+    # main reports only rejected command lines as exit 2; any other exception
+    # keeps its traceback, so the process exits 1
+    monkeypatch.delenv("CUBESUM_JOBS", raising=False)
+    monkeypatch.setattr(cubesum.diophantine, "_search_x_range", lambda *args, **kwargs: [(1, 2, 3)])
+    with pytest.raises(ValueError, match=r"\(1,2,3\) is not on the surface"):
+        main(["search", "--bound", "10"])
+
+    def divide(*args):
+        return 1 // 0
+
+    monkeypatch.setattr(cubesum.modular, "eta_quotient", divide)
+    with pytest.raises(ZeroDivisionError):
+        main(["eta", "--n", "5"])
 
 
 def test_only_the_cli_reads_the_cache_variable(capsys, monkeypatch, tmp_path):

@@ -380,6 +380,31 @@ def test_reference_heights_equal_height_gram_and_det_ns():
     assert reference_height.det_ns_2x2(g, fibers) == -48
 
 
+def twist_setup():
+    # the sextic twist over Q(w), with sigma1 pushed along t = u^3
+    Eu = curve_over_omega(curve_sextic_twist())
+    s1 = point_over_omega(base_change_t_u3(section_sigma1()))
+    return Eu, s1, cm_omega(s1, Eu)
+
+
+def test_reference_gram_on_the_twist_is_three_times_the_main_gram():
+    # a base change of degree 3 multiplies the height pairing by 3
+    Eu, s1, ws1 = twist_setup()
+    E, t1, wt1 = omega_setup()
+    g = reference_height.gram([s1, ws1], Eu)
+    assert g == ((2, -1), (-1, 2))
+    assert g == tuple(tuple(3 * e for e in row) for row in reference_height.gram([t1, wt1], E))
+
+
+def test_height_pairing_on_the_twist_stops_at_its_degree_4_place():
+    # four of the twist's I0* fibers sit at the roots of u^4 + u^2 + 1, which
+    # classify_fibers keeps as one place of degree 4, although its roots
+    # +-w and +-w^2 lie in Q(w); the component code reads rational places only
+    Eu, s1, _ = twist_setup()
+    with pytest.raises(ValueError, match="components at non-rational places not supported"):
+        height_pairing(s1, s1, Eu)
+
+
 def test_fibers_classified_once_per_curve(monkeypatch):
     runs = []
     real = fibration._classify
