@@ -5,22 +5,49 @@ from __future__ import annotations
 
 from math import isqrt
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3,317,044,064,679,887,385,961,981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (A014233(k), k): the smallest odd composite that is a strong pseudoprime to
+# each of the first k primes, for the k at which it grows
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witness set)."""
+    """Primality, proven for every n < 3,317,044,064,679,887,385,961,981.
+
+    Trial division by the primes up to 41 decides every n < 43^2 = 1849.
+    Above that, Miller-Rabin runs on the first k primes as bases, with k the
+    smallest such that n lies below A014233(k) (OEIS): no odd composite below
+    that bound is a strong pseudoprime to all k bases, so the verdict is
+    proven. From the last bound on no fixed set of bases is proven, and
+    is_prime raises ValueError instead of guessing.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), None)
+    if k is None:
+        raise ValueError(f"cannot prove whether {n} is prime: Miller-Rabin on the first "
+                         f"{len(_SMALL_PRIMES)} primes decides only n < {_MR_BOUNDS[-1][0]}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -289,40 +289,64 @@ class LatticeSumAmbiguityError(ValueError):
     """Raised when a lattice-sum variant produces non-integral coefficients."""
 
 
+# lattice points per strip of the box: each int64 temporary of a strip holds
+# about 2^16 entries (512 KB), or one row of the box if that is longer
+_LATTICE_STRIP = 1 << 16
+
+
 def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     """(1/6) sum (m+nw)^2 chi2(arg)^(-1) q^(m^2-mn+n^2) over (m,n) != (0,0) mod 2.
 
     argument_order chooses arg = m+nw ("mn") or n+mw ("nm"); the character is
     the product chi2+ * chi2-. Raises if any coefficient fails to be a rational
-    integer after the division by 6.
+    integer after the division by 6, naming the first such q.
+
+    The box |m|, |n| <= B = isqrt(4N/3) + 2 is evaluated in numpy, in strips
+    of m whose temporaries hold about 2^16 int64s whatever N is. The character
+    is zeta6^k, k = 2 chi2+(arg) + 3 [q = 3 mod 4], read off arg mod 2 and its
+    norm q mod 4 as chi2 reads it; u^2 = (m^2 - n^2) + (2mn - n^2)w is turned
+    by zeta6^(-k) on its integer coordinates and summed per q in int64. A term
+    x + yw has norm q^2, so |x|, |y| <= 2q/sqrt(3) < 2N, and the box holds
+    (2B+1)^2 points: every sum stays below (2B+1)^2 * 2N in absolute value.
+    That is below 2^63 for N up to about 9*10^8; a larger N raises ValueError.
     """
     if N < 1:
         raise ValueError("precision must be >= 1")
     if argument_order not in ("mn", "nm"):
         raise ValueError(f"unknown argument order {argument_order}")
-    sums = [QOMEGA.zero()] * (N + 1)
+    import numpy as np
+
     bound = isqrt(4 * N // 3) + 2
-    for m in range(-bound, bound + 1):
-        for n in range(-bound, bound + 1):
-            if m % 2 == 0 and n % 2 == 0:
-                continue
-            q = m * m - m * n + n * n
-            if q > N:
-                continue
-            u = QOMEGA(m, n)
-            arg = u if argument_order == "mn" else QOMEGA(n, m)
-            chi = chi2(arg, "plus") + chi2(arg, "minus")
-            sums[q] = sums[q] + u * u * ZETA6_POWERS[-chi % 6]
-    coeffs = []
-    for q in range(1, N + 1):
-        a, b = sums[q].num
-        if b != 0 or a % 6:
-            raise LatticeSumAmbiguityError(
-                f"coefficient of q^{q} is ({a}{b:+d}w)/6, not a rational integer "
-                f"(argument order {argument_order!r})"
-            )
-        coeffs.append(a // 6)
-    return QSeries(N, tuple(coeffs))
+    side = 2 * bound + 1
+    if side * side * 2 * N >= 2**63:
+        raise ValueError(f"precision {N} is too large for the int64 lattice sums")
+    units = np.array([z.num for z in ZETA6_POWERS], dtype=np.int64)  # zeta6^k = c + dw
+    re = np.zeros(N + 1, dtype=np.int64)
+    im = np.zeros(N + 1, dtype=np.int64)
+    n_row = np.arange(-bound, bound + 1)
+    rows = max(1, _LATTICE_STRIP // side)
+    for m0 in range(-bound, bound + 1, rows):
+        m_col = np.arange(m0, min(m0 + rows, bound + 1))[:, None]
+        q = m_col * m_col - m_col * n_row + n_row * n_row
+        keep = ((m_col | n_row) & 1 == 1) & (q <= N)  # not both even
+        i, j = np.nonzero(keep)
+        m, n, q = i + m0, j - bound, q[keep]
+        a, b = (m, n) if argument_order == "mn" else (n, m)
+        plus = 2 * (b & 1) * (1 + (a & 1))  # chi2+: (1, 0) -> 0, (0, 1) -> 2, (1, 1) -> 4
+        c, d = units[-(2 * plus + 3 * (q % 4 == 3)) % 6].T
+        x, y = m * m - n * n, 2 * m * n - n * n
+        # (x + yw)(c + dw) = (xc - yd) + (xd + yc - yd)w, as w^2 = -1 - w
+        np.add.at(re, q, x * c - y * d)
+        np.add.at(im, q, x * d + y * c - y * d)
+    bad = np.flatnonzero((im[1:] != 0) | (re[1:] % 6 != 0))
+    if bad.size:
+        q = int(bad[0]) + 1
+        a, b = int(re[q]), int(im[q])
+        raise LatticeSumAmbiguityError(
+            f"coefficient of q^{q} is ({a}{b:+d}w)/6, not a rational integer "
+            f"(argument order {argument_order!r})"
+        )
+    return QSeries(N, tuple((re[1:] // 6).tolist()))
 
 
 @dataclass(frozen=True)

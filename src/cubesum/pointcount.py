@@ -10,12 +10,16 @@ quadratic character the parity of a log. Sums and differences work digit by
 digit. One certificate proves the field: T has order q-1 modulo g, which only
 a field with q-1 units allows, so it also proves g irreducible. The modulus
 search powers only the tails that pass two cheap prefilters (the norm of T
-must generate F_p^*, and for n >= 2 g must have no root in F_p); it and the
-tables multiply polynomials modulo g with rings.polymulmod, the routine the
-number fields Q(w) and Q(zeta12) multiply with, reduced mod p. The exp table
-is built by doubling: T^B .. T^(2B-1) is T^0 .. T^(B-1) times T^B, and
-multiplying by T^B is an F_p-linear map on digit vectors, so each block is
-one n x n matrix product mod p in numpy.
+must generate F_p^*, and for n >= 2 g must have no root in F_p); at n = 1
+T = -c_0 is its own norm, so the first c_0 that passes makes T a primitive
+root.
+For n >= 2 the search and the tables multiply polynomials modulo g with
+rings.polymulmod, the routine the number fields Q(w) and Q(zeta12) multiply
+with, reduced mod p. The exp table is built by doubling: T^B .. T^(2B-1) is
+T^0 .. T^(B-1) times T^B. At n = 1 T^B is a residue and each block is one
+product of residues mod p; for n >= 2 multiplying by T^B is an F_p-linear
+map on digit vectors, so each block is one n x n matrix product mod p in
+numpy.
 
 The surface count N(p, n) = #{(t, x, y) : y^2 = x^3 - c(t)}, with
 c(t) = t^4 (t^2-1)^3, takes O(q) work in count_surface. (x, y) -> (u^2 x, u^3 y)
@@ -119,30 +123,34 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
     certifies that g is irreducible. Two prefilters skip tails whose T cannot
     have that order before any power is taken: T's norm (-1)^n c_0 is
     T^((q-1)/(p-1)), which generates F_p^* if T generates F_q^*, and for
-    n >= 2 a g with a root in F_p is reducible."""
+    n >= 2 a g with a root in F_p is reducible. At n = 1 the norm of T is T
+    itself, -c_0, so the norm test is the order test: the first c_0 that
+    passes it is returned, and no power of a polynomial is taken."""
     import numpy as np
 
-    order = p**n - 1
-    primes = _prime_factors(order) or [1]  # q = 2: no prime divides q-1 = 1
-    one = [1] + [0] * (n - 1)
     norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
-    for c0 in range(1, p):
-        if any(pow((-1) ** n * c0, e, p) == 1 for e in norm_cofactors):
-            continue
+    # the constant terms whose T has a norm that generates F_p^*
+    constants = (c0 for c0 in range(1, p)
+                 if all(pow((-1) ** n * c0, e, p) != 1 for e in norm_cofactors))
+    if n == 1:
+        return (next(constants),)
+    order = p**n - 1
+    primes = _prime_factors(order)
+    one = [1] + [0] * (n - 1)
+    xs = np.arange(p)
+    for c0 in constants:
         for rest in product(range(p), repeat=n - 1):
             tail = (c0,) + rest
-            if n >= 2:
-                xs = np.arange(p)
-                values = np.ones_like(xs)  # g(x) at every x in F_p, by Horner's rule
-                for c in reversed(tail):
-                    values = (values * xs + c) % p
-                if not values.all():
-                    continue
+            values = np.ones_like(xs)  # g(x) at every x in F_p, by Horner's rule
+            for c in reversed(tail):
+                values = (values * xs + c) % p
+            if not values.all():
+                continue
             t = _polymulmod([0, 1], [1], tail, p)  # T mod g
             # T has order q-1 iff T^((q-1)/r) != 1 for every prime r | q-1 and
             # T^(q-1) = 1, which is y^r for the first cofactor power y
             y = _polypowmod(t, order // primes[0], tail, p)
-            if ((y != one or order == 1)
+            if (y != one
                     and all(_polypowmod(t, order // r, tail, p) != one for r in primes[1:])
                     and _polypowmod(y, primes[0], tail, p) == one):
                 return tail
@@ -197,26 +205,39 @@ def _exp_log_tables(p: int, tail: tuple[int, ...]):
     n = len(tail)
     q = p**n
     order = q - 1
-    weights = [p**i for i in range(n)]
-    one = [1] + [0] * (n - 1)
-    t = _polymulmod([0, 1], [1], tail, p)  # T mod g
-    # doubling: exp[B:2B] = exp[:B] * T^B. Row i of the matrix is T^i T^B, so a
-    # row of digit vectors times it is the digit vector of the product
-    digit_weights = np.array(weights, dtype=np.int64)
+    # doubling: exp[B:2B] = exp[:B] * T^B
     exp = np.empty(order, dtype=np.int64)
     exp[0] = 1
-    size, step = 1, t  # step = T^size
-    while size < order:
-        m = min(size, order - size)
-        rows = [step]
-        for _ in range(n - 1):
-            rows.append(_polymulmod(rows[-1], t, tail, p))
-        digits = exp[:m, None] // digit_weights % p
-        exp[size:size + m] = digits @ np.array(rows, dtype=np.int64) % p @ digit_weights
-        step = _polymulmod(step, step, tail, p)
-        size += m
-    last = [int(exp[-1]) // w % p for w in weights]
-    if _polymulmod(last, t, tail, p) != one or _polypowmod(t, order, tail, p) != one:
+    size = 1
+    if n == 1:
+        # T is the residue -c_0 and each block is one product of residues, below
+        # p^2 < 2^63 for any p whose table fits in memory
+        t = -tail[0] % p
+        while size < order:
+            m = min(size, order - size)
+            exp[size:size + m] = exp[:m] * pow(t, size, p) % p
+            size += m
+        closes = int(exp[-1]) * t % p == 1 and pow(t, order, p) == 1
+    else:
+        # row i of the matrix is T^i T^B, so a row of digit vectors times it is
+        # the digit vector of the product
+        weights = [p**i for i in range(n)]
+        one = [1] + [0] * (n - 1)
+        t = _polymulmod([0, 1], [1], tail, p)  # T mod g
+        digit_weights = np.array(weights, dtype=np.int64)
+        step = t  # T^size
+        while size < order:
+            m = min(size, order - size)
+            rows = [step]
+            for _ in range(n - 1):
+                rows.append(_polymulmod(rows[-1], t, tail, p))
+            digits = exp[:m, None] // digit_weights % p
+            exp[size:size + m] = digits @ np.array(rows, dtype=np.int64) % p @ digit_weights
+            step = _polymulmod(step, step, tail, p)
+            size += m
+        last = [int(exp[-1]) // w % p for w in weights]
+        closes = _polymulmod(last, t, tail, p) == one and _polypowmod(t, order, tail, p) == one
+    if not closes:
         raise ArithmeticError(f"T has no order {order} modulo T^{n} + {tail}")
     log = np.zeros(q, dtype=np.int64)
     log[exp] = np.arange(order)

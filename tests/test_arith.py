@@ -89,6 +89,36 @@ def test_is_prime_large():
     assert not is_prime(2**61 + 1)
 
 
+def test_is_prime_matches_the_sieve_across_the_base_bounds():
+    # trial division alone below 43^2 = 1849, one base below 2047, two below
+    # 1,373,653: the sieve checks every n around the first two switches
+    ps = set(primes_up_to(2 * 10**5))
+    for n in range(2 * 10**5):
+        assert is_prime(n) == (n in ps), n
+
+
+# OEIS A014233: the smallest odd composite that is a strong pseudoprime to
+# each of the first k primes, k = 1..13
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_each_strong_pseudoprime_below_its_last_bound():
+    # n = A014233(k) passes the first k bases, so is_prime must use more
+    for n in A014233[:-1]:
+        assert not is_prime(n), n
+    assert is_prime(10**24 + 7) and not is_prime((2**19 - 1) * (2**61 - 1))
+
+
+def test_is_prime_refuses_an_unproven_verdict():
+    for n in (A014233[-1], 2**89 - 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="cannot prove whether"):
+            is_prime(n)
+    # a factor up to 41 still decides any n
+    assert not is_prime(3 * 10**30)
+
+
 def test_cube_sum_range_positive():
     assert cube_sum_range(3, 3) == 3**3 + 4**3 + 5**3 == 216
     assert cube_sum_range(1, 4) == 100

@@ -245,6 +245,9 @@ REJECTED_INPUTS = [
     (["count", "--p", "7", "--budget", "0"], "(--budget) must be an integer at least 1, not '0'"),
     (["count", "--sweep", "1100", "--n", "2"], "q = 1097^2 exceeds the budget 1000000"),
     (["ap", "--p", "9"], "p must be a prime >= 5, got 9"),
+    # no proven primality test above OEIS A014233(13)
+    (["ap", "--p", "3317044064679887385961981"], "cannot prove whether 3317044064679887385961981"),
+    (["count", "--p", "3317044064679887385961981"], "cannot prove whether 3317044064679887385961981"),
     (["eta", "--n", "0"], "(--n) must be an integer at least 1, not '0'"),
     (["eta", "--n", "5", "--spec", "1:x"], "eta spec (--spec) '1:x' is not of the form"),
     (["map", "--xyz", "8", "3", "13"], "(8,3,13) is not on the surface"),

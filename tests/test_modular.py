@@ -21,8 +21,11 @@ from cubesum.modular import (
     surface_ap_via_characters,
     _congruent,
 )
+from cubesum import modular
 from cubesum.rings import QOMEGA, W, represent_eisenstein
 from reference_eta import eta_coefficients
+from reference_lattice import ZETA6_POWERS as REFERENCE_ZETA6_POWERS
+from reference_lattice import lattice_sum as reference_lattice_sum
 
 PUBLISHED_COEFFS = {
     1: 1, 3: 3, 7: -2, 9: 9, 13: -22, 19: -26, 21: -6,
@@ -186,6 +189,41 @@ def test_lattice_sum_printed_order_loses():
     except LatticeSumAmbiguityError:
         return
     assert not series.agrees_with(eta_quotient(CUSP_FORM_ETA, 30))
+
+
+def _lattice_outcome(fn, *args):
+    """The coefficients fn returns, or the text of the ValueError it raises."""
+    try:
+        series = fn(*args)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return series.coeffs if isinstance(series, QSeries) else series
+
+
+@pytest.mark.parametrize("order", ["mn", "nm"])
+def test_lattice_sum_matches_the_pure_python_loop(order):
+    # the numpy kernel against the point-by-point loop over integer pairs:
+    # equal series, or the same error text for the same first q
+    for N in list(range(1, 61)) + [200, 1000]:
+        assert (_lattice_outcome(lattice_sum_variant, N, order)
+                == _lattice_outcome(reference_lattice_sum, N, order)), (N, order)
+
+
+def test_lattice_sum_errors_match_the_pure_python_loop(monkeypatch):
+    # with zeta6^5 read as w instead of -w neither order is integral: "mn"
+    # first fails at q^7 with no w part, "nm" at q^3
+    units = REFERENCE_ZETA6_POWERS[:5] + ((0, 1),)
+    monkeypatch.setattr(modular, "ZETA6_POWERS", tuple(QOMEGA(*u) for u in units))
+    for N, order, first in ((10, "mn", 7), (200, "mn", 7), (10, "nm", 3), (200, "nm", 3)):
+        got = _lattice_outcome(lattice_sum_variant, N, order)
+        assert got.startswith(f"error: coefficient of q^{first} is ("), (N, order, got)
+        assert got == _lattice_outcome(reference_lattice_sum, N, order, units)
+
+
+def test_lattice_sum_refuses_a_precision_past_its_int64_bound():
+    # (2B+1)^2 * 2N reaches 2^63 near N = 9*10^8; the check runs before any table is built
+    with pytest.raises(ValueError, match="too large for the int64 lattice sums"):
+        lattice_sum_variant(10**9, "mn")
 
 
 def test_normalize_pi_examples():

@@ -159,6 +159,22 @@ def test_find_primitive_on_larger_fields():
     assert _find_primitive(31, 4) == (3, 0, 0, 2)
 
 
+def test_prime_field_tables_match_the_reference_below_2000():
+    # at n = 1 each doubling block is one product of residues
+    for p in primes_up_to(1999):
+        F = make_field(p, 1)
+        assert F.exp.tolist() == reference_exp_table(reference_field(p, 1, F.modulus), F.generator), p
+        assert F.log[F.exp].tolist() == list(range(p - 1)) and F.log[0] == 0, p
+
+
+def test_prime_field_certificate_rejects_a_non_primitive_constant():
+    # over F_7 the tail (1,) makes T = -1, of order 2, and (5,) makes T = 2, of
+    # order 3: the powers repeat. With (0,), T = 0 has no order at all
+    for tail in ((1,), (5,), (0,)):
+        with pytest.raises(ArithmeticError):
+            _exp_log_tables(7, tail)
+
+
 def test_field_certificate_rejects_bad_moduli():
     # the closing certificate of the tables alone rejects a modulus that is
     # reducible (T^2 + 1 over F_5), irreducible but not primitive (T^2 + 1 over
