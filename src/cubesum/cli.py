@@ -16,14 +16,12 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
 
 from . import diophantine as dio
 from . import fibration as fib
 from . import modular as mod
 from . import pointcount as pc
 from .arith import is_prime, primes_up_to
-from .cache import CoefficientCache, default_cache_path
 from .elliptic import (
     add,
     cm_omega,
@@ -130,14 +128,12 @@ def _validate(args) -> None:
             args.spec = _parse_eta_spec(args.spec) if args.spec else mod.CUSP_FORM_ETA
         elif args.command == "ap" and args.p is not None:
             pc.check_field_size(args.p, 1, args.p)  # only the prime: q = p fits a budget of p
+        elif args.command == "ap":
+            mod.check_lattice_precision(args.max)
         elif args.command == "count":
             # a sweep's largest prime has the largest field
             p = args.p if args.p is not None else next(q for q in range(args.sweep, 4, -1) if is_prime(q))
             pc.check_field_size(p, args.n, args.budget)
-        if args.command == "cache" or (args.command == "ap" and args.max is not None):
-            # Path reads an empty path as "."
-            if not args.cache_file or Path(args.cache_file).is_dir():
-                raise ValueError(f"cache file {args.cache_file!r} is empty or a directory")
     except ValueError as exc:
         raise UsageError(exc) from None
 
@@ -327,8 +323,9 @@ def cmd_ap(args) -> int:
         rows = [tuple(rec.values())]
         _emit({"prime": rec}, rows, tuple(rec.keys()), args.format)
         return 0
-    coeffs = CoefficientCache(Path(args.cache_file)).get(args.max)
-    rows = [(n, a) for n, a in coeffs.items() if a or not args.nonzero]
+    # the argument order that lattice_sum picks by agreement with the eta product
+    series = mod.lattice_sum_variant(args.max, "mn")
+    rows = [(n, a) for n, a in enumerate(series.coeffs, start=1) if a or not args.nonzero]
     payload = {"max": args.max, "coefficients": {str(n): a for n, a in rows}}
     _emit(payload, rows, ("n", "a_n"), args.format)
     return 0
@@ -386,30 +383,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_cache(args) -> int:
-    cache = CoefficientCache(Path(args.cache_file))
-    if args.action == "build":
-        coeffs = cache.get(args.max)
-        print(f"cache at {cache.path}: {len(coeffs)} coefficients", file=sys.stderr)
-        return 0
-    if args.action == "show":
-        coeffs = cache.load()
-        if coeffs is None:
-            print("no cache", file=sys.stderr)
-            return 0
-        rows = [(n, a) for n, a in sorted(coeffs.items())]
-        _emit({"coefficients": {str(n): a for n, a in coeffs.items()}}, rows, ("n", "a_n"), args.format)
-        return 0
-    if args.action == "clear":
-        removed = cache.clear()
-        print("cleared" if removed else "no cache to clear", file=sys.stderr)
-        return 0
-    if args.action == "path":
-        print(cache.path)
-        return 0
-    raise AssertionError(args.action)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubesum",
@@ -419,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # defaults stay text: _validate checks them with the flags' own types
     default_jobs = os.environ.get("CUBESUM_JOBS", "1")
-    cache_file = os.environ.get("CUBESUM_CACHE", str(default_cache_path()))
 
     p = sub.add_parser("search", help="exhaustive solution search up to a bound")
     p.add_argument("--bound", required=True)
@@ -468,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ap", help="cusp form coefficients")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--p", type=int, help="one prime: closed form and character value")
-    g.add_argument("--max", help="all a_n up to max (cached)")
+    g.add_argument("--max", help="all a_n up to max, from the lattice sum")
     p.add_argument("--nonzero", action="store_true")
-    p.add_argument("--cache-file", default=cache_file)
     _add_format(p)
     p.set_defaults(fn=cmd_ap)
 
@@ -496,13 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", default=default_jobs)
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("cache", help="manage the coefficient cache")
-    p.add_argument("action", choices=("build", "show", "clear", "path"))
-    p.add_argument("--max", default="1000")
-    p.add_argument("--cache-file", default=cache_file)
-    _add_format(p)
-    p.set_defaults(fn=cmd_cache)
 
     return parser
 

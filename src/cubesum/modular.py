@@ -294,6 +294,21 @@ class LatticeSumAmbiguityError(ValueError):
 _LATTICE_STRIP = 1 << 16
 
 
+def _lattice_bound(N: int) -> int:
+    """B of the box |m|, |n| <= B that holds every lattice point of norm <= N."""
+    return isqrt(4 * N // 3) + 2
+
+
+def check_lattice_precision(N: int) -> None:
+    """ValueError unless 1 <= N and the int64 sums of lattice_sum_variant hold
+    to precision N: (2B+1)^2 * 2N < 2^63, true up to N = 929835279."""
+    if N < 1:
+        raise ValueError("precision must be >= 1")
+    side = 2 * _lattice_bound(N) + 1
+    if side * side * 2 * N >= 2**63:
+        raise ValueError(f"precision {N} is too large for the int64 lattice sums")
+
+
 def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     """(1/6) sum (m+nw)^2 chi2(arg)^(-1) q^(m^2-mn+n^2) over (m,n) != (0,0) mod 2.
 
@@ -308,18 +323,15 @@ def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     by zeta6^(-k) on its integer coordinates and summed per q in int64. A term
     x + yw has norm q^2, so |x|, |y| <= 2q/sqrt(3) < 2N, and the box holds
     (2B+1)^2 points: every sum stays below (2B+1)^2 * 2N in absolute value.
-    That is below 2^63 for N up to about 9*10^8; a larger N raises ValueError.
+    check_lattice_precision refuses any N where that reaches 2^63.
     """
-    if N < 1:
-        raise ValueError("precision must be >= 1")
+    check_lattice_precision(N)
     if argument_order not in ("mn", "nm"):
         raise ValueError(f"unknown argument order {argument_order}")
     import numpy as np
 
-    bound = isqrt(4 * N // 3) + 2
+    bound = _lattice_bound(N)
     side = 2 * bound + 1
-    if side * side * 2 * N >= 2**63:
-        raise ValueError(f"precision {N} is too large for the int64 lattice sums")
     units = np.array([z.num for z in ZETA6_POWERS], dtype=np.int64)  # zeta6^k = c + dw
     re = np.zeros(N + 1, dtype=np.int64)
     im = np.zeros(N + 1, dtype=np.int64)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cubesum
-from cubesum.cache import default_cache_path
 from cubesum.cli import MAX_JOBS, build_parser, main
+from cubesum.modular import CUSP_FORM_ETA, eta_quotient, hecke_expand
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 GOLDEN = DOCS / "golden"
@@ -223,22 +223,6 @@ def test_census_script_takes_the_ranges_of_search(capsys, monkeypatch):
         script.main(["--bound", "10", "--jobs", "1"])
 
 
-def test_empty_or_directory_cache_path_is_a_usage_error(capsys, monkeypatch, tmp_path):
-    cases = [(["ap", "--max", "10"], ""),
-             (["ap", "--max", "10", "--cache-file", ""], None),
-             (["ap", "--max", "10", "--cache-file", str(tmp_path)], None),
-             (["cache", "show", "--cache-file", str(tmp_path)], None),
-             (["cache", "clear"], "")]
-    for argv, env in cases:
-        monkeypatch.delenv("CUBESUM_CACHE", raising=False)
-        if env is not None:
-            monkeypatch.setenv("CUBESUM_CACHE", env)
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and "error: cache file" in captured.err, argv
-    assert list(tmp_path.iterdir()) == []
-
-
 REJECTED_INPUTS = [
     (["count", "--p", "4"], "p must be a prime >= 5, got 4"),
     (["count", "--p", "7", "--n", "0"], "(--n) must be an integer at least 1, not '0'"),
@@ -308,13 +292,6 @@ def test_a_fault_inside_a_computation_is_not_a_usage_error(monkeypatch):
         main(["eta", "--n", "5"])
 
 
-def test_only_the_cli_reads_the_cache_variable(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("CUBESUM_CACHE", str(tmp_path / "c.txt"))
-    assert default_cache_path() == Path.home() / ".cache" / "cubesum" / "coefficients.txt"
-    status, out = run_cli(capsys, ["cache", "path"])
-    assert status == 0 and out.strip() == str(tmp_path / "c.txt")
-
-
 def test_good_environment_value_is_used(capsys, monkeypatch):
     monkeypatch.setenv("CUBESUM_FORMAT", "json")
     monkeypatch.setenv("CUBESUM_JOBS", "1")
@@ -350,43 +327,33 @@ def test_ap_single_prime(capsys):
     assert doc["prime"]["via_characters"] == "-2"
 
 
-def test_cache_subcommand(capsys, tmp_path):
-    cache_file = str(tmp_path / "c.txt")
-    status, _ = run_cli(capsys, ["cache", "build", "--max", "25", "--cache-file", cache_file])
+def test_ap_table_equals_the_hecke_and_eta_expansions(capsys):
+    status, out = run_cli(capsys, ["ap", "--max", "2000", "--format", "json"])
     assert status == 0
-    status, out = run_cli(capsys, ["cache", "show", "--cache-file", cache_file, "--format", "json"])
-    assert status == 0
-    assert json.loads(out)["coefficients"]["7"] == "-2"
-    status, out = run_cli(capsys, ["cache", "path", "--cache-file", cache_file])
-    assert out.strip() == cache_file
-    status, _ = run_cli(capsys, ["cache", "clear", "--cache-file", cache_file])
-    assert status == 0
+    table = {int(n): int(a) for n, a in json.loads(out)["coefficients"].items()}
+    assert sorted(table) == list(range(1, 2001))
+    hecke, eta = hecke_expand(2000), eta_quotient(CUSP_FORM_ETA, 2000)
+    assert all(table[n] == hecke[n] == eta[n] for n in table)
 
 
-def test_ap_table_uses_cache(capsys, tmp_path):
-    cache_file = str(tmp_path / "c.txt")
-    _, first = run_cli(capsys, ["ap", "--max", "30", "--cache-file", cache_file, "--format", "json"])
-    _, second = run_cli(capsys, ["ap", "--max", "30", "--cache-file", cache_file, "--format", "json"])
-    assert first == second
-    assert json.loads(first)["coefficients"]["13"] == "-22"
+def test_max_outside_the_lattice_range_is_a_usage_error(capsys, monkeypatch):
+    # below 1, or past the int64 bound of the lattice sums, ap --max exits 2
+    # before the sum starts
+    def refuse(*args):
+        raise AssertionError("lattice_sum_variant ran on a rejected --max")
+
+    monkeypatch.setattr(cubesum.modular, "lattice_sum_variant", refuse)
+    for max_n, message in (("0", "--max"), ("-4", "--max"),
+                           ("1000000000", "too large for the int64 lattice sums")):
+        assert main(["ap", "--max", max_n]) == 2, max_n
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, max_n
+    with pytest.raises(AssertionError, match="lattice_sum_variant ran"):
+        main(["ap", "--max", "929835279"])
 
 
-def test_max_below_1_is_a_usage_error_with_or_without_a_cache(capsys, tmp_path):
-    cache_file = str(tmp_path / "c.txt")
-    for prebuilt in (False, True):
-        if prebuilt:
-            assert main(["cache", "build", "--max", "10", "--cache-file", cache_file]) == 0
-        for max_n in ("0", "-4"):
-            for argv in (["ap", "--max", max_n], ["cache", "build", "--max", max_n]):
-                assert main(argv + ["--cache-file", cache_file]) == 2, (argv, prebuilt)
-                captured = capsys.readouterr()
-                assert captured.out == "" and "--max" in captured.err, (argv, prebuilt)
-    assert (tmp_path / "c.txt").read_text().splitlines()[0].endswith("max=10")
-
-
-def test_ap_table_nonzero_json_drops_zeros(capsys, tmp_path):
-    cache_file = str(tmp_path / "c.txt")
-    argv = ["ap", "--max", "30", "--cache-file", cache_file, "--format", "json"]
+def test_ap_table_nonzero_json_drops_zeros(capsys):
+    argv = ["ap", "--max", "30", "--format", "json"]
     _, full = run_cli(capsys, argv)
     _, nonzero = run_cli(capsys, argv + ["--nonzero"])
     full_map = json.loads(full)["coefficients"]
@@ -434,6 +401,7 @@ GOLDEN_ARGVS = {
     "eta.json": ["eta", "--n", "20", "--format", "json"],
     "ap.json": ["ap", "--p", "7", "--format", "json"],
     "count.json": ["count", "--p", "7", "--n", "1", "--format", "json"],
+    "ap_max.json": ["ap", "--max", "30", "--format", "json"],
 }
 
 
@@ -452,13 +420,6 @@ def test_golden_verify(capsys):
         check["elapsed_s"] = "0.000"
     expected = json.loads((GOLDEN / "verify.json").read_text())
     assert got == expected
-
-
-def test_golden_cache(capsys, tmp_path):
-    cache_file = str(tmp_path / "c.txt")
-    run_cli(capsys, ["cache", "build", "--max", "30", "--cache-file", cache_file])
-    _, out = run_cli(capsys, ["cache", "show", "--cache-file", cache_file, "--format", "json"])
-    assert out == (GOLDEN / "cache.json").read_text()
 
 
 def test_count_sweep(capsys):

@@ -11,6 +11,7 @@ from cubesum.modular import (
     ZETA6_POWERS,
     alpha_from_beta,
     ap_closed_form,
+    check_lattice_precision,
     chi2,
     closed_form_alpha,
     eta_quotient,
@@ -161,6 +162,12 @@ def test_hecke_expand_equals_the_eta_product_to_50000():
     assert hecke_expand(5 * 10**4) == eta_quotient(CUSP_FORM_ETA, 5 * 10**4)
 
 
+@pytest.mark.extended
+def test_lattice_sum_equals_the_eta_product_to_100000():
+    # the series `ap --max` prints, at the size docs/cli.md times it at
+    assert lattice_sum_variant(10**5, "mn") == eta_quotient(CUSP_FORM_ETA, 10**5)
+
+
 def test_triple_agreement():
     n = 200
     eta = eta_quotient(CUSP_FORM_ETA, n)
@@ -221,7 +228,13 @@ def test_lattice_sum_errors_match_the_pure_python_loop(monkeypatch):
 
 
 def test_lattice_sum_refuses_a_precision_past_its_int64_bound():
-    # (2B+1)^2 * 2N reaches 2^63 near N = 9*10^8; the check runs before any table is built
+    # (2B+1)^2 * 2N reaches 2^63 just past N = 929835279; the check runs before any table is built
+    check_lattice_precision(929835279)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        check_lattice_precision(0)
+    for N in (929835280, 10**9):
+        with pytest.raises(ValueError, match="too large for the int64 lattice sums"):
+            check_lattice_precision(N)
     with pytest.raises(ValueError, match="too large for the int64 lattice sums"):
         lattice_sum_variant(10**9, "mn")
 

@@ -223,7 +223,7 @@ def test_count_surface_checks_each_class_fiber(monkeypatch):
 
 
 def _check_counts_against_hecke(limit):
-    # N(p, 1) = p^2 + p + (-3/p) p + a_p, a_p from the list `ap --max` prints
+    # N(p, 1) = p^2 + p + (-3/p) p + a_p, a_p from the Hecke expansion
     a = hecke_expand(limit)
     for p in primes_up_to(limit - 1):
         if p >= 5:
