@@ -151,22 +151,13 @@ def eta_quotient(spec: EtaQuotientSpec, N: int) -> QSeries:
 ZETA6_POWERS = tuple((1 + W) ** k for k in range(6))
 
 
-def chi2(u: NumberFieldElement, variant: str) -> int:
-    """The unit character at 2, as the exponent k of zeta6^k: u mod 2
-    identified with {1, w, w^2}.
-
-    The minus variant multiplies by (-1)^((norm(u)-1)/2).
-    """
+def chi2(u: NumberFieldElement) -> int:
+    """The unit character at 2, chi2+, as the exponent k of zeta6^k: u mod 2
+    identified with {1, w, w^2}."""
     a, b = u.num
     if a % 2 == 0 and b % 2 == 0:
         raise ValueError("chi2 needs a unit mod 2 (odd norm)")
-    plus = {(1, 0): 0, (0, 1): 2, (1, 1): 4}[(a % 2, b % 2)]
-    if variant == "plus":
-        return plus
-    if variant == "minus":
-        twist = 3 if (a * a - a * b + b * b) % 4 == 3 else 0  # (norm - 1)/2 odd
-        return (plus + twist) % 6
-    raise ValueError(f"unknown variant {variant}")
+    return {(1, 0): 0, (0, 1): 2, (1, 1): 4}[(a % 2, b % 2)]
 
 
 # --- normalized Frobenius generators ----------------------------------------
@@ -214,8 +205,8 @@ def closed_form_alpha(p: int) -> NumberFieldElement:
 
 def alpha_from_beta(beta: NumberFieldElement, p: int) -> NumberFieldElement:
     """(-4/p) w^a beta^2 with w^a = beta mod 2, for beta of norm p: w^a is
-    zeta6^chi2(beta, "plus")."""
-    return legendre(-4, p) * ZETA6_POWERS[chi2(beta, "plus")] * beta * beta
+    zeta6^chi2(beta)."""
+    return legendre(-4, p) * ZETA6_POWERS[chi2(beta)] * beta * beta
 
 
 def ap_closed_form(p: int) -> int:
@@ -313,13 +304,14 @@ def lattice_sum_variant(N: int, argument_order: str) -> QSeries:
     """(1/6) sum (m+nw)^2 chi2(arg)^(-1) q^(m^2-mn+n^2) over (m,n) != (0,0) mod 2.
 
     argument_order chooses arg = m+nw ("mn") or n+mw ("nm"); the character is
-    the product chi2+ * chi2-. Raises if any coefficient fails to be a rational
+    the product chi2+ * chi2-, with chi2+ = chi2 and chi2- its twist by
+    (-1)^((norm - 1)/2). Raises if any coefficient fails to be a rational
     integer after the division by 6, naming the first such q.
 
     The box |m|, |n| <= B = isqrt(4N/3) + 2 is evaluated in numpy, in strips
     of m whose temporaries hold about 2^16 int64s whatever N is. The character
-    is zeta6^k, k = 2 chi2+(arg) + 3 [q = 3 mod 4], read off arg mod 2 and its
-    norm q mod 4 as chi2 reads it; u^2 = (m^2 - n^2) + (2mn - n^2)w is turned
+    is zeta6^k, k = 2 chi2+(arg) + 3 [q = 3 mod 4], read off arg mod 2 as chi2
+    reads it and off its norm q mod 4; u^2 = (m^2 - n^2) + (2mn - n^2)w is turned
     by zeta6^(-k) on its integer coordinates and summed per q in int64. A term
     x + yw has norm q^2, so |x|, |y| <= 2q/sqrt(3) < 2N, and the box holds
     (2B+1)^2 points: every sum stays below (2B+1)^2 * 2N in absolute value.

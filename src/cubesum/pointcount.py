@@ -13,13 +13,13 @@ search powers only the tails that pass two cheap prefilters (the norm of T
 must generate F_p^*, and for n >= 2 g must have no root in F_p); at n = 1
 T = -c_0 is its own norm, so the first c_0 that passes makes T a primitive
 root.
-For n >= 2 the search and the tables multiply polynomials modulo g with
-rings.polymulmod, the routine the number fields Q(w) and Q(zeta12) multiply
-with, reduced mod p. The exp table is built by doubling: T^B .. T^(2B-1) is
-T^0 .. T^(B-1) times T^B. At n = 1 T^B is a residue and each block is one
-product of residues mod p; for n >= 2 multiplying by T^B is an F_p-linear
-map on digit vectors, so each block is one n x n matrix product mod p in
-numpy.
+For n >= 2 the search and the tables multiply only by matrices: times T is
+an F_p-linear map on digit vectors, the companion matrix of g (Lidl &
+Niederreiter, *Finite Fields*, ch. 2), so T^k is its k-th power and T^k = 1
+exactly when that power is I. The exp table is built by doubling: T^B ..
+T^(2B-1) is T^0 .. T^(B-1) times T^B, one product of digit rows with the
+matrix of T^B mod p in numpy, squared for the next block. At n = 1 T^B is a
+residue and each block is one product of residues mod p.
 
 The surface count N(p, n) = #{(t, x, y) : y^2 = x^3 - c(t)}, with
 c(t) = t^4 (t^2-1)^3, takes O(q) work in count_surface. (x, y) -> (u^2 x, u^3 y)
@@ -45,7 +45,6 @@ from math import gcd, isqrt
 
 from .arith import is_prime, legendre
 from .modular import ap_closed_form, closed_form_alpha, prime_power_coefficients
-from .rings import polymulmod
 
 DEFAULT_BUDGET = 10**6
 BRUTE_BUDGET = 10**4  # brute_count_surface visits q^2 pairs: 10^8 at this q
@@ -125,7 +124,7 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
     T^((q-1)/(p-1)), which generates F_p^* if T generates F_q^*, and for
     n >= 2 a g with a root in F_p is reducible. At n = 1 the norm of T is T
     itself, -c_0, so the norm test is the order test: the first c_0 that
-    passes it is returned, and no power of a polynomial is taken."""
+    passes it is returned, and no matrix is built."""
     import numpy as np
 
     norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
@@ -136,7 +135,7 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
         return (next(constants),)
     order = p**n - 1
     primes = _prime_factors(order)
-    one = [1] + [0] * (n - 1)
+    one = np.identity(n, dtype=np.int64)
     xs = np.arange(p)
     for c0 in constants:
         for rest in product(range(p), repeat=n - 1):
@@ -146,34 +145,39 @@ def _find_primitive(p: int, n: int) -> tuple[int, ...]:
                 values = (values * xs + c) % p
             if not values.all():
                 continue
-            t = _polymulmod([0, 1], [1], tail, p)  # T mod g
-            # T has order q-1 iff T^((q-1)/r) != 1 for every prime r | q-1 and
-            # T^(q-1) = 1, which is y^r for the first cofactor power y
-            y = _polypowmod(t, order // primes[0], tail, p)
-            if (y != one
-                    and all(_polypowmod(t, order // r, tail, p) != one for r in primes[1:])
-                    and _polypowmod(y, primes[0], tail, p) == one):
+            t = _times_t(tail, p)
+            # T has order q-1 iff T^((q-1)/r) != I for every prime r | q-1 and
+            # T^(q-1) = I, which is y^r for the first cofactor power y
+            y = _matpow(t, order // primes[0], p)
+            if ((y != one).any()
+                    and all((_matpow(t, order // r, p) != one).any() for r in primes[1:])
+                    and (_matpow(y, primes[0], p) == one).all()):
                 return tail
     raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
 
-def _polymulmod(a, b, tail, p):
-    """a*b mod the monic g = T^n + tail over F_p; coefficient lists, low to high.
+def _times_t(tail, p: int):
+    """The n x n int64 matrix of multiplication by T on digit vectors modulo
+    T^n + tail: row i is the digits of T^(i+1), so the last row is -tail mod p.
+    Products of such matrices mod p are exact in int64 while n p^2 < 2^63,
+    which for n >= 2 holds in every field whose tables fit in memory."""
+    import numpy as np
 
-    The product is reduced over Z and then mod p, which gives the same
-    coefficients because reduction mod p is a ring map Z -> F_p."""
-    return [c % p for c in polymulmod(a, b, tail)]
+    t = np.eye(len(tail), k=1, dtype=np.int64)
+    t[-1] = [-c % p for c in tail]
+    return t
 
 
-def _polypowmod(a, e: int, tail, p):
-    """a^e mod g by square-and-multiply on the exponent."""
-    acc = [1] + [0] * (len(tail) - 1)
-    base = list(a)
+def _matpow(a, e: int, p: int):
+    """a^e mod p by square-and-multiply, squaring once per bit of e below its top."""
+    import numpy as np
+
+    acc = np.identity(len(a), dtype=np.int64)
     while e:
         if e & 1:
-            acc = _polymulmod(acc, base, tail, p)
+            acc = acc @ a % p
         e >>= 1
-        base = _polymulmod(base, base, tail, p) if e else base
+        a = a @ a % p if e else a
     return acc
 
 
@@ -219,24 +223,18 @@ def _exp_log_tables(p: int, tail: tuple[int, ...]):
             size += m
         closes = int(exp[-1]) * t % p == 1 and pow(t, order, p) == 1
     else:
-        # row i of the matrix is T^i T^B, so a row of digit vectors times it is
-        # the digit vector of the product
-        weights = [p**i for i in range(n)]
-        one = [1] + [0] * (n - 1)
-        t = _polymulmod([0, 1], [1], tail, p)  # T mod g
-        digit_weights = np.array(weights, dtype=np.int64)
-        step = t  # T^size
+        # row i of step is the digit vector of T^i T^size, so a row of digits
+        # times it is the digit vector of the product
+        weights = np.array([p**i for i in range(n)], dtype=np.int64)
+        t = step = _times_t(tail, p)
         while size < order:
             m = min(size, order - size)
-            rows = [step]
-            for _ in range(n - 1):
-                rows.append(_polymulmod(rows[-1], t, tail, p))
-            digits = exp[:m, None] // digit_weights % p
-            exp[size:size + m] = digits @ np.array(rows, dtype=np.int64) % p @ digit_weights
-            step = _polymulmod(step, step, tail, p)
+            digits = exp[:m, None] // weights % p
+            exp[size:size + m] = digits @ step % p @ weights
+            step = step @ step % p
             size += m
-        last = [int(exp[-1]) // w % p for w in weights]
-        closes = _polymulmod(last, t, tail, p) == one and _polypowmod(t, order, tail, p) == one
+        closes = (exp[-1] // weights % p @ t % p @ weights == 1
+                  and (_matpow(t, order, p) == np.identity(n, dtype=np.int64)).all())
     if not closes:
         raise ArithmeticError(f"T has no order {order} modulo T^{n} + {tail}")
     log = np.zeros(q, dtype=np.int64)

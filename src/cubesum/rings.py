@@ -10,12 +10,11 @@ fibration's coordinate changes need.
 A number field element is fraction-free: integer power-basis coordinates over
 one positive common denominator, kept with no common factor (Cohen, A Course
 in Computational Algebraic Number Theory, 4.2.1). Products go through
-polymulmod on the integer numerators, the same routine F_{p^n} multiplies with.
-An inverse is the adjugate over the norm (NumberField.adjugate), all in
-integers; the trace is read off the traces of the powers of the generator, and
-the norm is the constant term of the characteristic polynomial that adjugate
-builds. The Fraction coordinates are derived on demand, for printing and
-sorting.
+polymulmod on the integer numerators. An inverse is the adjugate over the norm
+(NumberField.adjugate), all in integers; the trace is read off the traces of
+the powers of the generator, and the norm is the constant term of the
+characteristic polynomial that adjugate builds. The Fraction coordinates are
+derived on demand, for printing and sorting.
 """
 
 from __future__ import annotations
@@ -246,14 +245,14 @@ class NumberFieldElement:
         return Fraction(self.num[0], self.den)
 
 
-def polymulmod(a, b, tail, zero=0):
-    """a*b modulo the monic T^n + tail, over any exact ring.
+def polymulmod(a, b, tail):
+    """a*b modulo the monic T^n + tail, over Z.
 
-    a, b and tail are coefficient sequences, lowest degree first; zero is the
-    ring's zero. Returns the n coefficients of the remainder as a list.
+    a, b and tail are integer coefficient sequences, lowest degree first.
+    Returns the n coefficients of the remainder as a list.
     """
     n = len(tail)
-    out = [zero] * max(n, len(a) + len(b) - 1)
+    out = [0] * max(n, len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

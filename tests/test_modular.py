@@ -262,17 +262,15 @@ def test_normalize_pi_deterministic():
 
 
 def test_chi2_examples():
-    assert ZETA6_POWERS[chi2(W, "plus")] == W
-    assert chi2(QOMEGA(-1), "minus") == 0
-    assert ZETA6_POWERS[chi2(1 + 2 * W, "minus")] == -1
+    assert ZETA6_POWERS[chi2(W)] == W
     with pytest.raises(ValueError):
-        chi2(QOMEGA(2), "plus")
+        chi2(QOMEGA(2))
 
 
-@given(odd_norm, odd_norm, st.sampled_from(["plus", "minus"]))
-def test_chi2_multiplicative(u, v, variant):
-    assert chi2(u, variant) in range(6)
-    assert chi2(u * v, variant) == (chi2(u, variant) + chi2(v, variant)) % 6
+@given(odd_norm, odd_norm)
+def test_chi2_multiplicative(u, v):
+    assert chi2(u) in range(6)
+    assert chi2(u * v) == (chi2(u) + chi2(v)) % 6
 
 
 def test_sixth_root_arithmetic():

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubesum import pointcount, rings
+from cubesum import rings
 from cubesum.arith import primes_up_to
 from cubesum.modular import ZETA6_POWERS, _congruent, normalize_pi, surface_ap_via_characters
-from cubesum.pointcount import _polymulmod, make_field
+from cubesum.pointcount import _matpow, _times_t, make_field
 from cubesum.polynomials import Poly
 from cubesum.rings import (
     QOMEGA,
@@ -182,19 +183,21 @@ def test_polymulmod_matches_poly_remainder_over_q(field):
     for _ in range(60):
         # up to degree 2n - 1 on each side, so the product needs more than one
         # reduction pass below T^n
-        a = _random_rationals(rng, rng.randint(1, 2 * len(tail)))
-        b = _random_rationals(rng, rng.randint(1, 2 * len(tail)))
-        got = polymulmod(a, b, tail, Fraction(0))
+        a = [rng.randint(-30, 30) for _ in range(rng.randint(1, 2 * len(tail)))]
+        b = [rng.randint(-30, 30) for _ in range(rng.randint(1, 2 * len(tail)))]
+        got = polymulmod(a, b, tail)
         want = list(((Poly(a) * Poly(b)) % modulus).coeffs)
-        want += [Fraction(0)] * (len(tail) - len(want))
-        assert got == want
-        assert all(type(c) is Fraction for c in got)
+        want += [0] * (len(tail) - len(want))
+        assert got == want  # exact over Z: the modulus is monic
+        assert all(type(c) is int for c in got)
 
 
 @pytest.mark.parametrize("p, n", [(7, 2), (5, 3), (5, 4), (11, 3)])
 def test_polymulmod_matches_poly_remainder_for_field_moduli(p, n):
     tail = make_field(p, n).modulus
     modulus = Poly(tail + (1,))
+    t = Poly([0, 1])
+    times_t = _times_t(tail, p)
     rng = random.Random(p * 100 + n)
     for _ in range(60):
         a = [rng.randrange(p) for _ in range(n)]
@@ -203,7 +206,13 @@ def test_polymulmod_matches_poly_remainder_for_field_moduli(p, n):
         want = list(((Poly(a) * Poly(b)) % modulus).coeffs)
         want += [0] * (n - len(want))
         assert got == want  # exact over Z: the modulus is monic
-        assert _polymulmod(a, b, tail, p) == [int(c) % p for c in want]
+        # a row of digits times the e-th power of the companion matrix is the
+        # digits of a T^e mod g, read mod p
+        e = rng.randrange(3 * p**n)
+        want = [int(c) % p for c in ((Poly(a) * t**e) % modulus).coeffs]
+        want += [0] * (n - len(want))
+        assert (np.array(a) @ _matpow(times_t, e, p) % p).tolist() == want, e
+    assert (_matpow(times_t, p**n - 1, p) == np.identity(n)).all()
 
 
 @pytest.mark.parametrize("field", [QOMEGA, QZETA12], ids=lambda f: f.name)
@@ -225,6 +234,13 @@ def test_inverse_is_multiplicative(field):
 def test_power_ladders_square_once_per_bit_below_the_top(monkeypatch):
     squarings = []
 
+    class Counting(np.ndarray):
+        # a matrix times itself is a squaring
+        def __matmul__(self, other):
+            if other is self:
+                squarings.append(self)
+            return super().__matmul__(other)
+
     def counting(real):
         def mul(a, b, *rest):
             if a is b:
@@ -232,15 +248,15 @@ def test_power_ladders_square_once_per_bit_below_the_top(monkeypatch):
             return real(a, b, *rest)
         return mul
 
-    monkeypatch.setattr(pointcount, "_polymulmod", counting(_polymulmod))
     monkeypatch.setattr(rings, "polymulmod", counting(polymulmod))
     tail, p = (2, 4, 0, 1), 5  # T^4 + T^3 + 4T + 2 over F_5
+    times_t = _times_t(tail, p)
     x = QZETA12(Fraction(1, 2), 0, -3, 1)
-    t_power, x_power = [1, 0, 0, 0], QZETA12.one()
+    t_power, x_power = np.identity(4, dtype=np.int64), QZETA12.one()
     for e in range(1, 70):
-        t_power, x_power = _polymulmod(t_power, [0, 1], tail, p), x_power * x
+        t_power, x_power = t_power @ times_t % p, x_power * x
         squarings.clear()
-        assert pointcount._polypowmod([0, 1], e, tail, p) == t_power
+        assert (_matpow(times_t.view(Counting), e, p) == t_power).all()
         assert len(squarings) == e.bit_length() - 1, e
         squarings.clear()
         assert x**e == x_power and len(squarings) == e.bit_length() - 1, e
