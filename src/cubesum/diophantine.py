@@ -202,12 +202,27 @@ def _masks() -> tuple[bytes, ...]:
 # pieces that start in one window of _BLOCK: under 2*_BLOCK pairs, so each
 # temporary stays under 256 KB
 _BLOCK = 1 << 14
-# rows a strip walks at once
-_STRIP = 2048
+# rows a strip walks at once. Each strip pays a fixed numpy set-up (walk
+# classes, CRT inverses, the heavy-row choice, the mirror call, two block
+# streams); larger strips pay it less often but hold larger temporaries.
+# Measured with jobs = 1 on a 2-core x86-64 host, in one session:
+#
+#   strip   census wall_s (ms)   census RSS (MB)   search 2*10^5 (ms)   its RSS (MB)
+#   2048    26.9, 27.2, 26.3     34.1-34.5         239, 245             37.5
+#   4096    28.3, 26.4, 27.1     34.4-34.5         208, 230             37.7
+#   8192    24.8, 23.7, 25.1     35.3-35.5         205, 216             37.9
+#   16384   23.8, 22.2, 23.8     36.2-36.5         206, 205             40.3
+#   32768                                          224, 210             43.5
+#
+# (census: bench/run.py --seconds 10, seeds 11-13, peak RSS; search: best of
+# 5, two rounds). The time levels off at 8192 while the memory keeps rising
+_STRIP = 8192
 # rows whose walk is longer than this count their mirror set too; the count
-# costs a few microseconds of Python per row. With jobs = 1 on a 2-core
-# x86-64 host the search at 2*10^4 took 9.2-9.5 ms with cut-offs from 400 to
-# 1000 and 10.1 ms with 2000; at 10^6 it took 468 ms with 600, 433 ms with 2000
+# costs a few microseconds of Python per row. With 8192-row strips and
+# jobs = 1, on the host and in the session above, the best of 40 searches at
+# 2*10^4 took 20.6-21.2 ms with 400, 21.3-22.5 ms with 600, 22.5-24.0 ms with
+# 1000 and 22.3-24.7 ms with 2000 (three rounds); the best of 3 at 10^6 took
+# 1356-1369, 1231-1307, 1297-1396 and 1232-1318 ms. No value wins at both bounds
 _MIRROR_MIN = 600
 
 

@@ -225,7 +225,7 @@ def _inose_ii(t, x, y, flip_wprime_sign: bool):
     """X'(X'^3+Y'^3) - Z'(Z'^3+W'^3) under the (X',Y',Z',W') substitution."""
     Xp = -2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2
     Yp = -2 * (2 * t**4 - 1) * y + t * x**2 - 12 * t**3 * (t**4 - 1) * x + 72 * t * (t**4 - 1)
-    Zp = t * (-2 * (t**4 + 1) * y - t * x**2 + 12 * t**3 * x - 72 * t * (t**4 - 1) ** 2)
+    Zp = t * Xp
     Wp = 2 * t * (t**4 - 2) * y + t**2 * x**2 + 12 * (t**4 - 1) * x - 72 * t**6 * (t**4 - 1)
     if flip_wprime_sign:
         Wp = -Wp

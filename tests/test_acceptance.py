@@ -37,7 +37,7 @@ from cubesum.elliptic import (
 )
 from cubesum.polynomials import Poly, RationalFunction
 from cubesum.rings import QOMEGA, represent_eisenstein
-from reference_search import box_solutions
+from reference_search import box_solutions, walk_solutions
 
 
 class Criterion:
@@ -253,6 +253,16 @@ def test_box_oracle_reproduces_the_recorded_census_to_1e5():
     assert len(expected) == 34
     assert list(box_solutions(10**5, jobs=2)) == expected
     assert [s.as_tuple() for s in dio.search(10**5)] == expected
+
+
+@pytest.mark.extended
+def test_walk_oracle_reproduces_the_recorded_census_to_1e6():
+    # the lemma's classes without the descent's mirror index, masks or integer
+    # cube root: about 1.85e8 pairs, each tested by a float cube root mod 2^64
+    recorded = [(int(r["x"]), int(r["y"]), int(r["z"]))
+                for r in json.loads(CENSUS_1E6.read_text())["solutions"]]
+    assert len(recorded) == 51
+    assert list(walk_solutions(10**6, jobs=2)) == recorded
 
 
 def test_criterion_10_recorded_census():

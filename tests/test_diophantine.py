@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubesum import diophantine
 from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
     _BLOCK,
@@ -29,7 +30,7 @@ from cubesum.diophantine import (
     symmetry_group,
     xyz_to_mkl,
 )
-from reference_search import box_solutions, row_solutions
+from reference_search import WALK_MAX, box_solutions, row_solutions, walk_solutions
 
 family_u = st.integers(-50, 50).filter(lambda u: u % 3 != 0 and u not in (-1, 0, 1))
 
@@ -192,6 +193,17 @@ def test_search_numpy_x_strips_match_serial():
         assert _triples(serial) == list(box_solutions(3000, include_trivial))
 
 
+@pytest.mark.parametrize("strip, bound", [(1, 300), (7, 3000), (64, 3000)])
+def test_search_numpy_strip_boundaries(monkeypatch, strip, bound):
+    # a strip of _STRIP rows holds the bounds above whole, so narrow strips
+    # put many boundaries in one box: rows walked or mirrored, the trivial
+    # family and the solutions must not depend on where a strip ends
+    monkeypatch.setattr(diophantine, "_STRIP", strip)
+    for include_trivial in (False, True):
+        box = [t for t in box_solutions(3000, include_trivial) if t[0] <= bound]
+        assert _triples(search(bound, include_trivial=include_trivial)) == box
+
+
 def test_box_oracle_refuses_workers_that_cannot_reimport_main(monkeypatch):
     # a script read from stdin has the __file__ '<stdin>': spawned workers could
     # not re-import it, so the oracle must raise before it makes a pool
@@ -213,6 +225,19 @@ def test_box_oracle_refuses_workers_that_cannot_reimport_main(monkeypatch):
 def test_search_numpy_at_1e4_matches_the_pinned_census():
     assert list(box_solutions(10**4)) == SOLUTIONS_1E4
     assert _triples(search(10**4, method="numpy")) == SOLUTIONS_1E4
+
+
+def test_walk_oracle_matches_the_box_oracle_at_1e4():
+    # the lemma's classes hold every solution the whole box holds: this checks
+    # the lemma as well as the walk oracle the extended census tests lean on
+    assert list(walk_solutions(10**4)) == list(box_solutions(10**4)) == SOLUTIONS_1E4
+
+
+def test_walk_oracle_refuses_bounds_past_its_exact_cube_test():
+    for bound in (0, WALK_MAX + 1):
+        with pytest.raises(ValueError, match="bound"):
+            walk_solutions(bound)
+    assert walk_solutions(1) == ()
 
 
 def _valuation(n, p):
