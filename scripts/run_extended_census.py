@@ -5,8 +5,9 @@ The descent search (cubesum.diophantine.search) tests, for
 each x row, the smaller of two candidate sets: the y in the CRT classes of
 the lifted kernel of x (4 and 9 included), walked in one numpy walk per strip
 of rows, or the y whose cube-free kernel divides x(x^2 - 1). With --jobs 2
-on a 2-core host running at about half its quiet speed it took 1.3-1.6 s at
-10^6 and about 15 s at 10^7 (docs/extended_census.md); it scales with --jobs.
+on a 2-core host running at half to four fifths of its quiet speed it took
+0.9-1.0 s at 10^6 and 9-10 s at 10^7 (docs/extended_census.md); it scales
+with --jobs.
 The reproduction targets are 32 nontrivial solutions of which 15 lie in the one-parameter
 polynomial family. The trivial family (x, 1, x) alone would
 contribute 10^6 triples, so it cannot have been counted; this script always

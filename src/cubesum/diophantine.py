@@ -145,7 +145,10 @@ def canonical_form(sol: SolutionXYZ) -> SolutionXYZ:
 
 # Residue filters: a cube must be a cubic residue modulo these. Small coprime
 # tables keep memory low; together they reject all but ~1e-4 of non-cubes.
-_FILTER_MODULI = (63 * 13 * 19, 31 * 37 * 43, 61 * 67)
+# They run in order of selectivity: of the 70,204 pairs that reach them at
+# 20,025, each alone keeps 8.1%, 14.6% and 25.1%. 63 is weak here because the
+# lemma below already fixes y mod 9 and mod 7 (alone they keep 100% and 87%)
+_FILTER_MODULI = (31 * 37 * 43, 61 * 67, 63 * 13 * 19)
 
 
 @cache
@@ -187,7 +190,7 @@ def _masks() -> tuple[bytes, ...]:
 #   about 73% of rows. The other rows of a strip walk, in one numpy walk,
 #   y = c + jP up to x over the 9 CRT classes c of 0, +-1 modulo M and modulo
 #   M2 (3 when M2 = 1, the class 0 when M = 1), P = M M2, and keep the y with
-#   y(y^2 - 1) = 0 mod R; then K(y) | x(x^2 - 1) is tested.
+#   K(y) | x(x^2 - 1) and y(y^2 - 1) = 0 mod R.
 # - the mirror set. K(y) is squarefree and made of primes p >= 5, each of
 #   which divides one of x - 1, x, x + 1, so the y are those with K(y) = d for
 #   the squarefree products d <= x of the primes p >= 5 of (x - 1)x(x + 1):
@@ -205,24 +208,30 @@ _BLOCK = 1 << 14
 # rows a strip walks at once. Each strip pays a fixed numpy set-up (walk
 # classes, CRT inverses, the heavy-row choice, the mirror call, two block
 # streams); larger strips pay it less often but hold larger temporaries.
-# Measured with jobs = 1 on a 2-core x86-64 host, in one session:
+# Measured with jobs = 1 on a 2-core x86-64 host, in one session, as the best
+# of 40 searches at 2*10^4 and the best of 3 at 10^6, in three rounds, with
+# the peak RSS of one search at 10^6:
 #
-#   strip   census wall_s (ms)   census RSS (MB)   search 2*10^5 (ms)   its RSS (MB)
-#   2048    26.9, 27.2, 26.3     34.1-34.5         239, 245             37.5
-#   4096    28.3, 26.4, 27.1     34.4-34.5         208, 230             37.7
-#   8192    24.8, 23.7, 25.1     35.3-35.5         205, 216             37.9
-#   16384   23.8, 22.2, 23.8     36.2-36.5         206, 205             40.3
-#   32768                                          224, 210             43.5
+#   strip   2*10^4 (ms)          10^6 (ms)           RSS at 10^6 (MB)
+#   2048    19.4, 19.4, 18.4     1390, 1305, 1214    61.1
+#   4096    22.5, 18.1, 17.2     1273, 1248, 1165    61.1
+#   8192    23.6, 16.7, 16.8     1175, 1177, 1081    61.1
+#   16384   16.8, 16.3, 16.4     1090, 1058, 993     61.6
+#   32768   22.7, 17.2, 15.3     1265, 1057, 1032    61.7
 #
-# (census: bench/run.py --seconds 10, seeds 11-13, peak RSS; search: best of
-# 5, two rounds). The time levels off at 8192 while the memory keeps rising
+# The host was slow and drifting (bench/hostspeed.calibrate() 12-17 ms), so
+# 8192 and 16384 ran four more rounds head to head: 17.0, 17.6, 15.9, 17.4
+# against 16.8, 15.8, 16.5, 18.6 ms, and 1091, 1201, 1086, 1115 against 1076,
+# 1096, 1145, 1082 ms. 16384 does not win at both bounds, and its temporaries
+# are larger, so 8192 stays
 _STRIP = 8192
 # rows whose walk is longer than this count their mirror set too; the count
 # costs a few microseconds of Python per row. With 8192-row strips and
-# jobs = 1, on the host and in the session above, the best of 40 searches at
-# 2*10^4 took 20.6-21.2 ms with 400, 21.3-22.5 ms with 600, 22.5-24.0 ms with
-# 1000 and 22.3-24.7 ms with 2000 (three rounds); the best of 3 at 10^6 took
-# 1356-1369, 1231-1307, 1297-1396 and 1232-1318 ms. No value wins at both bounds
+# jobs = 1, on the host above, in one session (calibrate() 8.1-8.5 ms in
+# the first two rounds, 11.6-14.9 ms in the third), the best of 40 searches
+# at 2*10^4 took 15.3-16.5 ms with 400, 14.6-15.0 ms with 600, 14.8-19.7 ms
+# with 1000 and 16.5-19.2 ms with 2000; the best of 3 at 10^6 took 976-1174,
+# 932-999, 874-944 and 839-880 ms. No value wins at both bounds
 _MIRROR_MIN = 600
 
 
@@ -325,14 +334,14 @@ class _Sieve:
         e = M * _inverse(M, M2)
         a, b = np.array((0, 1, -1) * 3)[:, None], np.repeat((0, 1, -1), 3)[:, None]
         c = (a + (b - a) * e) % P
-        used = np.arange(9)[:, None] < np.where(M == 1, 1, np.where(M2 == 1, 3, 9))
-        w = np.nonzero(used)[1]
-        c, x, P, R = c[used], x[w], P[w], R[w]
-        # each class walks start, start + P, ... up to x from its least y >= 2
+        # each class walks start, start + P, ... up to x from its least y >= 2;
+        # on the (9, rows) layout, with n = 0 for the classes a row does not keep
         start = c - P * ((c - 2) // P)
-        n = (x - start) // P + 1
-        w = n > 0
-        return x[w], P[w], R[w], start[w], n[w]
+        used = np.arange(9)[:, None] < np.where(M == 1, 1, np.where(M2 == 1, 3, 9))
+        n = np.where(used, (x - start) // P + 1, 0)
+        i = np.flatnonzero(n > 0)
+        w = i % x.size
+        return x[w], P[w], R[w], start.ravel()[i], n.ravel()[i]
 
     def mirror(self, rows):
         """The mirror sets of the rows, as the int64 arrays (x, 1, K2(x),
@@ -362,9 +371,10 @@ class _Sieve:
 
 
 def _blocks(x, P, R, start, n, table=None):
-    """The y = start, start + P, ... (n terms) of each row x with
-    y(y^2 - 1) = 0 mod R, as int64 arrays X, Y of fewer than 2*_BLOCK pairs
-    each; with a table, each such y is the low 32 bits of table[start + jP]."""
+    """The y = start, start + P, ... (n terms) of each row x, as int64 arrays
+    X, Y, R of fewer than 2*_BLOCK pairs each, R the row's R repeated; with a
+    table, each such y is the low 32 bits of table[start + jP]. _candidates
+    applies each side's filter."""
     import numpy as np
 
     # walks longer than a block are cut into pieces of at most _BLOCK
@@ -384,13 +394,43 @@ def _blocks(x, P, R, start, n, table=None):
         np.cumsum(Y, out=Y)
         if table is not None:
             Y = table[Y] & 0xFFFFFFFF
-        X = np.repeat(x[u:v], n[u:v])
-        Rp = np.repeat(R[u:v], n[u:v])
-        big = Rp > 1
-        if big.any():
-            big[big] = ~_divides(Rp[big], Y[big])
-            X, Y = X[~big], Y[~big]
-        yield X, Y
+        yield np.repeat(x[u:v], n[u:v]), Y, np.repeat(R[u:v], n[u:v])
+
+
+def _candidates(sieve: _Sieve, lo: int, hi: int):
+    """The pairs of the rows lo <= x < hi that pass both conditions, as blocks
+    X, Y of _blocks: each row's walk or mirror set, whichever is smaller.
+
+    Each filter compresses X and Y once, by one index. The walk keeps the y
+    with K(y) | x(x^2 - 1) and, where R(x) > 1, y(y^2 - 1) = 0 mod R(x),
+    both tests filling one array; the mirror set keeps the y with
+    y(y^2 - 1) = 0 mod K2(x). Over the rows 1..20,025 the walks generate
+    124,656 pairs (26,965 of them with R(x) > 1) and keep 22,622; the mirror
+    sets generate 101,365 and keep 47,582; of those 70,204 pairs the
+    cubic-residue masks pass 246 to the exact cube test.
+    """
+    import numpy as np
+
+    # each side is (x, step, R, start, n); a row's size is its sum of n
+    walk = sieve.walks(lo, hi)
+    walked = np.bincount(walk[0] - lo, walk[4], hi - lo)
+    heavy = np.flatnonzero(walked > _MIRROR_MIN)
+    if heavy.size:
+        mirror = sieve.mirror(heavy + lo)
+        mirrored = np.zeros(hi - lo, dtype=bool)
+        mirrored[heavy] = np.bincount(mirror[0] - lo, mirror[4], hi - lo)[heavy] < walked[heavy]
+        i = np.flatnonzero(mirrored[mirror[0] - lo])
+        for X, Y, K2 in _blocks(*(a[i] for a in mirror), table=sieve.index):
+            i = np.flatnonzero(_divides(K2, Y))
+            yield X[i], Y[i]
+        i = np.flatnonzero(~mirrored[walk[0] - lo])
+        walk = [a[i] for a in walk]
+    for X, Y, R in _blocks(*walk):
+        ok = _divides(sieve.kern[Y], X)
+        i = np.flatnonzero(R > 1)
+        ok[i] &= _divides(R[i], Y[i])
+        i = np.flatnonzero(ok)
+        yield X[i], Y[i]
 
 
 def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
@@ -404,33 +444,16 @@ def _search_x_range(bound: int, x_lo: int, x_hi: int, include_trivial: bool,
     sieve = sieve or _Sieve(bound)
     masks = [np.frombuffer(m, dtype=np.uint8) for m in _masks()]
     out = [(x, 1, x) for x in range(x_lo, x_hi)] if include_trivial else []
-
-    def cubes(X, Y):
-        for m, mask in zip(_FILTER_MODULI, masks):
-            xm, ym = X % m, Y % m
-            keep = mask[(xm * ym % m) * ((xm * xm + ym * ym - 1) % m) % m] != 0
-            X, Y = X[keep], Y[keep]
-        for x, y in zip(X.tolist(), Y.tolist()):
-            r, exact = icbrt(x * y * (x * x + y * y - 1))
-            if exact:
-                out.append((x, y, r))
-
     for lo in range(x_lo, x_hi, _STRIP):
-        hi = min(lo + _STRIP, x_hi)
-        # each side is (x, step, R, start, n); a row's size is its sum of n
-        walk = sieve.walks(lo, hi)
-        walked = np.bincount(walk[0] - lo, walk[4], hi - lo)
-        heavy = np.flatnonzero(walked > _MIRROR_MIN)
-        if heavy.size:
-            mirror = sieve.mirror(heavy + lo)
-            mirrored = np.zeros(hi - lo, dtype=bool)
-            mirrored[heavy] = np.bincount(mirror[0] - lo, mirror[4], hi - lo)[heavy] < walked[heavy]
-            for X, Y in _blocks(*(a[mirrored[mirror[0] - lo]] for a in mirror), table=sieve.index):
-                cubes(X, Y)
-            walk = [a[~mirrored[walk[0] - lo]] for a in walk]
-        for X, Y in _blocks(*walk):
-            keep = _divides(sieve.kern[Y], X)
-            cubes(X[keep], Y[keep])
+        for X, Y in _candidates(sieve, lo, min(lo + _STRIP, x_hi)):
+            for m, mask in zip(_FILTER_MODULI, masks):
+                xm, ym = X % m, Y % m
+                i = np.flatnonzero(mask[(xm * ym % m) * ((xm * xm + ym * ym - 1) % m) % m])
+                X, Y = X[i], Y[i]
+            for x, y in zip(X.tolist(), Y.tolist()):
+                r, exact = icbrt(x * y * (x * x + y * y - 1))
+                if exact:
+                    out.append((x, y, r))
     out.sort()
     return out
 

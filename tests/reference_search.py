@@ -28,7 +28,7 @@ from math import isqrt
 import numpy as np
 
 # the moduli of the search's masks; the masks themselves are rebuilt here
-_MODULI = (63 * 13 * 19, 31 * 37 * 43, 61 * 67)
+_MODULI = (31 * 37 * 43, 61 * 67, 63 * 13 * 19)
 _MASKS = [np.isin(np.arange(m), np.arange(m, dtype=np.int64) ** 3 % m) for m in _MODULI]
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -11,13 +12,16 @@ from cubesum import diophantine
 from cubesum.arith import primes_up_to
 from cubesum.diophantine import (
     _BLOCK,
+    _FILTER_MODULI,
     _STRIP,
     SolutionMKL,
     SolutionXYZ,
     SymmetryElement,
     _blocks,
+    _candidates,
     _divides,
     _inverse,
+    _masks,
     _search_x_range,
     _Sieve,
     apply_symmetry,
@@ -227,6 +231,20 @@ def test_search_numpy_at_1e4_matches_the_pinned_census():
     assert _triples(search(10**4, method="numpy")) == SOLUTIONS_1E4
 
 
+def test_cube_masks_are_the_cubic_residues():
+    # each mask marks exactly {r^3 mod m}, in Python integers; the moduli are
+    # pairwise coprime, so no mask repeats another's test; and every pinned
+    # solution passes every mask
+    assert len(_masks()) == len(_FILTER_MODULI)
+    for m, mask in zip(_FILTER_MODULI, _masks()):
+        assert len(mask) == m
+        assert {r for r in range(m) if mask[r]} == {r**3 % m for r in range(m)}, m
+    assert all(gcd(a, b) == 1 for a, b in combinations(_FILTER_MODULI, 2))
+    for x, y, _ in SOLUTIONS_1E4:
+        n = x * y * (x * x + y * y - 1)
+        assert all(mask[n % m] for m, mask in zip(_FILTER_MODULI, _masks())), (x, y)
+
+
 def test_walk_oracle_matches_the_box_oracle_at_1e4():
     # the lemma's classes hold every solution the whole box holds: this checks
     # the lemma as well as the walk oracle the extended census tests lean on
@@ -336,10 +354,20 @@ def _brute_row(x):
     return out
 
 
+def _filtered(blocks):
+    """The pairs of the blocks of _blocks with y(y^2 - 1) = 0 mod R, the
+    condition the search applies to each side: R(x) on a walk, K2(x) on a
+    mirror set."""
+    for X, Y, R in blocks:
+        keep = _divides(R, Y)
+        yield X[keep], Y[keep]
+
+
 def _walk(sieve, x_lo, x_hi):
-    """The blocks of pairs the sieve walks for x_lo <= x < x_hi, strip by strip."""
+    """The blocks of pairs the sieve walks for x_lo <= x < x_hi, strip by strip,
+    filtered by R(x)."""
     for lo in range(x_lo, x_hi, _STRIP):
-        yield from _blocks(*sieve.walks(lo, min(lo + _STRIP, x_hi)))
+        yield from _filtered(_blocks(*sieve.walks(lo, min(lo + _STRIP, x_hi))))
 
 
 def _rows(pairs):
@@ -426,7 +454,7 @@ def _mirror_rows(sieve, rows, filtered):
     """The mirror sets of the rows, {x: sorted y}, filtered by
     y(y^2 - 1) = 0 mod K2(x) as the search filters them, or not."""
     x, P, K2, start, n = sieve.mirror(np.array(rows))
-    return _rows(_blocks(x, P, K2 if filtered else np.ones_like(K2), start, n, table=sieve.index))[0]
+    return _rows(_filtered(_blocks(x, P, K2 if filtered else np.ones_like(K2), start, n, table=sieve.index)))[0]
 
 
 def test_mirror_sets_match_trial_division():
@@ -454,6 +482,25 @@ def test_mirror_sets_match_trial_division():
         if n > 3000:
             # the walk takes all x - 1 values of y, so the search takes the mirror set
             assert all(len(mirror[x]) < x - 1 for x in rows)
+
+
+def test_candidates_are_the_pairs_of_both_conditions():
+    # the pairs the descent sends to the cubic-residue masks are exactly the
+    # 2 <= y <= x with y(y^2 - 1) = 0 mod K2(x) and K(y) | x(x^2 - 1), each
+    # once, by trial division reading no sieve; 1000-row strips at 3000, so
+    # each strip both walks rows and takes mirror sets
+    n, strip = 3000, 1000
+    sieve, kern = _Sieve(n), _kernels(n)
+    got = sorted((x, y) for lo in range(1, n + 1, strip)
+                 for X, Y in _candidates(sieve, lo, min(lo + strip, n + 1))
+                 for x, y in zip(X.tolist(), Y.tolist()))
+    expected = []
+    for x in range(2, n + 1):
+        ys = np.arange(2, x + 1, dtype=np.int64)
+        keep = (ys * (ys * ys - 1) % prod(_lifted(x)[1]) == 0) & (x * (x * x - 1) % kern[2 : x + 1] == 0)
+        expected += [(x, y) for y in ys[keep].tolist()]
+    assert got == expected
+    assert len(expected) >= 5000
 
 
 def test_divides_is_exact():

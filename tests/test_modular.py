@@ -24,6 +24,7 @@ from cubesum.modular import (
 )
 from cubesum import modular
 from cubesum.rings import QOMEGA, W, represent_eisenstein
+from reference_ecount import ap_from_curve, curve_order
 from reference_eta import eta_coefficients
 from reference_lattice import ZETA6_POWERS as REFERENCE_ZETA6_POWERS
 from reference_lattice import lattice_sum as reference_lattice_sum
@@ -154,6 +155,25 @@ def test_hecke_expand_equals_the_eta_product_to_10000():
     # 3 * 5^5 with a large prime-power part, which the multiplicativity pass
     # splits off by sieve lookup
     assert hecke_expand(10**4) == eta_quotient(CUSP_FORM_ETA, 10**4)
+
+
+def test_curve_oracle_counts_points():
+    # the numpy count against a double loop over F_p^2; at p = 2 mod 3, cubing
+    # permutes F_p, so E is supersingular there with p + 1 points
+    for p in primes_up_to(200)[1:]:
+        pairs = sum((y * y - x**3 - 1) % p == 0 for x in range(p) for y in range(p))
+        assert curve_order(p) == pairs + 1, p
+        if p % 3 == 2:
+            assert curve_order(p) == p + 1, p
+
+
+def test_split_ap_matches_the_curve_oracle():
+    # a_p = (-1/p)(a_E^2 - 2p) for E: y^2 = x^3 + 1 at every split p < 10^4,
+    # an oracle that shares nothing with the Eisenstein representation
+    series = hecke_expand(10**4)
+    split = [p for p in primes_up_to(10**4) if p % 3 == 1]
+    assert len(split) == 611
+    assert [series[p] for p in split] == [ap_from_curve(p) for p in split]
 
 
 @pytest.mark.extended
