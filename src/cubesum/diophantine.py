@@ -100,9 +100,6 @@ class SymmetryElement:
             x, y, z = _GENERATORS[g](x, y, z)
         return (x, y, z)
 
-    def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        return SymmetryElement(self.word + other.word)
-
 
 @cache
 def symmetry_group() -> tuple[SymmetryElement, ...]:
@@ -513,7 +510,7 @@ def search(bound: int, include_trivial: bool = False, jobs: int = 1, progress=No
                 triples.extend(part)
                 if progress is not None:
                     progress(i + 1, len(chunks))
-    return [SolutionXYZ(x, y, z) for (x, y, z) in sorted(set(triples), key=lambda t: (t[0], t[1], t[2]))]
+    return [SolutionXYZ(x, y, z) for (x, y, z) in sorted(triples)]
 
 
 # --- the parametric family ------------------------------------------------

@@ -36,8 +36,7 @@ class FunctionFieldCurve:
         self.A = _rf(A)
         self.B = _rf(B)
         self.name = name
-        disc = self.A**3 * 4 + self.B**2 * 27
-        if disc.is_zero():
+        if self.discriminant().is_zero():
             raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
         self._on_curve: set[RationalFunctionPoint] = set()
         self._fibers = None  # filled by fibration.classify_fibers

@@ -8,10 +8,13 @@ factors are emitted as one fiber per conjugate root.
 
 The place t = infinity is read in the parameter s = 1/t. There A and B become
 A~ = s^(4k) A(1/s) and B~ = s^(6k) B(1/s) with the least k that makes both
-polynomials, and that model is already minimal. No section is twisted to it:
-component_of needs only the leading term c s^v of f(1/s) s^n for f = x, y and
-B, and that is v = n + deg den - deg num, c = lead num / lead den. At a finite
-place the leading term comes from the Horner rows of Poly.leading_term_at.
+polynomials, and that model is already minimal. No model is built there: its
+valuations at s = 0 are 4k - deg A, 6k - deg B and 12k - deg Delta, so every
+place, infinity included, goes through one step (minimality check, Kodaira
+lookup, records). Nor is a section twisted: component_of needs only the
+leading term c s^v of f(1/s) s^n for f = x, y and B, and that is
+v = n + deg den - deg num, c = lead num / lead den. At a finite place the
+leading term comes from the Horner rows of Poly.leading_term_at.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from .elliptic import FunctionFieldCurve, RationalFunctionPoint, add
 from .polynomials import INFINITY, Poly, RationalFunction
 from .rings import NumberFieldElement
 
-# type -> (euler, m_t, m_simple, component group)
+# the additive types without cancellation, by v(Delta):
+# v(Delta) -> (type, euler, m_t, m_simple, component group)
 _KODAIRA_DATA = {
-    "II": (2, 1, 1, "1"),
-    "III": (3, 2, 2, "Z/2"),
-    "IV": (4, 3, 3, "Z/3"),
-    "I0*": (6, 5, 4, "(Z/2)^2"),
-    "IV*": (8, 7, 3, "Z/3"),
-    "III*": (9, 8, 2, "Z/2"),
-    "II*": (10, 9, 1, "1"),
+    2: ("II", 2, 1, 1, "1"),
+    3: ("III", 3, 2, 2, "Z/2"),
+    4: ("IV", 4, 3, 3, "Z/3"),
+    6: ("I0*", 6, 5, 4, "(Z/2)^2"),
+    8: ("IV*", 8, 7, 3, "Z/3"),
+    9: ("III*", 9, 8, 2, "Z/2"),
+    10: ("II*", 10, 9, 1, "1"),
 }
 
 
@@ -208,18 +212,13 @@ def _poly_of(rf: RationalFunction) -> Poly:
     return p
 
 
-def infinity_model(E: FunctionFieldCurve) -> tuple[Poly, Poly, int]:
-    """Minimal Weierstrass data (A~, B~, k) at infinity in the parameter s=1/t.
-
-    The twist (x, y) -> (x/t^(2k), y/t^(3k)) turns A, B into polynomials in s
-    of valuation < 4 resp. < 6 at s = 0.
-    """
-    A, B, k = _poly_of(E.A), _poly_of(E.B), _twist_at_infinity(E)
-    return A.reverse(4 * k), B.reverse(6 * k), k
-
-
 def _twist_at_infinity(E: FunctionFieldCurve) -> int:
-    """The k of infinity_model, read off the degrees of A and B alone."""
+    """The least k that makes A~ = s^(4k) A(1/s) and B~ = s^(6k) B(1/s)
+    polynomials in s = 1/t, read off the degrees of A and B alone.
+
+    In that model v(A~) = 4k - deg A, v(B~) = 6k - deg B and v(Delta~) =
+    12k - deg Delta at s = 0, and the model is minimal there.
+    """
     if not (E.A.is_polynomial() and E.B.is_polynomial()):
         raise ValueError("expected a polynomial coefficient")
     # k is the least integer with deg A <= 4k and deg B <= 6k, so at k - 1 one
@@ -227,42 +226,18 @@ def _twist_at_infinity(E: FunctionFieldCurve) -> int:
     return max(0, -(-E.A.num.degree // 4), -(-E.B.num.degree // 6))
 
 
-def _kodaira_from_valuations(vA, vB, vD: int) -> str:
-    """Char-0 Kodaira lookup from (v(c4), v(c6), v(Delta)) = (v(A), v(B), vD)."""
-    if vD == 0:
-        return "I0"
+def _kodaira_from_valuations(vA, vB, vD: int) -> tuple[str, int, int, int, str]:
+    """Char-0 Kodaira lookup from (v(c4), v(c6), v(Delta)) = (v(A), v(B), vD),
+    with inf for a zero coefficient: (type, euler, m_t, m_simple, group)."""
     if vA == 0:
-        return f"I{vD}"
-    # additive
-    if vD == 2:
-        return "II"
-    if vD == 3:
-        return "III"
-    if vD == 4:
-        return "IV"
-    if vD == 6:
-        return "I0*"
-    if vD == 8 and (vB is None or vB == 4):
-        return "IV*"
-    if vD == 9:
-        return "III*"
-    if vD == 10:
-        return "II*"
-    if vD > 6 and (vA == 2 or (vB is not None and vB == 3)):
-        return f"I{vD - 6}*"
-    raise ValueError(f"unclassifiable valuations (vA={vA}, vB={vB}, vD={vD})")
-
-
-def _fiber_record(place: PlaceOnBase, ftype: str) -> KodairaFiber:
-    if ftype.startswith("I") and ftype[1:].rstrip("*").isdigit():
-        n = int(ftype[1:].rstrip("*"))
-        if ftype.endswith("*"):
-            data = (6 + n, 5 + n, 4, "Z/4" if n % 2 else "(Z/2)^2")
-        else:
-            data = (n, n, n, f"Z/{n}")
-    else:
-        data = _KODAIRA_DATA[ftype]
-    return KodairaFiber(place, ftype, *data)
+        return f"I{vD}", vD, vD, vD, f"Z/{vD}"
+    if (vA, vB) == (2, 3) and vD > 6:  # the leading terms of 4A^3 and 27B^2 cancel
+        n = vD - 6
+        return f"I{n}*", 6 + n, 5 + n, 4, "Z/4" if n % 2 else "(Z/2)^2"
+    # additive and without cancellation, so vD = min(3 v(A), 2 v(B))
+    if vD != min(3 * vA, 2 * vB) or vD not in _KODAIRA_DATA:
+        raise ValueError(f"unclassifiable valuations (vA={vA}, vB={vB}, vD={vD})")
+    return _KODAIRA_DATA[vD]
 
 
 def classify_fibers(E: FunctionFieldCurve) -> list[KodairaFiber]:
@@ -278,44 +253,34 @@ def classify_fibers(E: FunctionFieldCurve) -> list[KodairaFiber]:
 
 
 def _classify(E: FunctionFieldCurve) -> list[KodairaFiber]:
-    A, B = _poly_of(E.A), _poly_of(E.B)
-    disc = (A**3 * 4 + B**2 * 27) * Fraction(-16)
-    if disc.is_zero():
-        raise ValueError("singular curve")
+    A, B, disc = _poly_of(E.A), _poly_of(E.B), _poly_of(E.discriminant())
     fibers: list[KodairaFiber] = []
-
     for layer, vD in _squarefree_layers(disc):
         # split by v(A) then v(B) so every piece has uniform valuations; the
         # pieces are monic of positive degree
-        for pa, vA in _refine_by(A, layer) if not A.is_zero() else [(layer, None)]:
-            for piece, vB in _refine_by(B, pa) if not B.is_zero() else [(pa, None)]:
+        for pa, vA in _refine_by(A, layer) if not A.is_zero() else [(layer, inf)]:
+            for piece, vB in _refine_by(B, pa) if not B.is_zero() else [(pa, inf)]:
                 for r in _rational_roots(piece):
                     lin = Poly([-r, 1])
                     piece = piece // lin
-                    place = PlaceOnBase(lin)
-                    _check_minimal(vA, vB, place)
-                    fibers.append(_fiber_record(place, _kodaira_from_valuations(vA, vB, vD)))
+                    fibers += _local_fibers(lin, vA, vB, vD)
                 if piece.degree > 0:
-                    _check_minimal(vA, vB, PlaceOnBase(piece))
-                    ftype = _kodaira_from_valuations(vA, vB, vD)
-                    fibers += [_fiber_record(PlaceOnBase(piece, i), ftype) for i in range(piece.degree)]
-
-    # the place at infinity
-    As, Bs, _k = infinity_model(E)
-    dA = As.valuation(Fraction(0)) if not As.is_zero() else None
-    dB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else None
-    discs = (As**3 * 4 + Bs**2 * 27) * Fraction(-16)
-    vD = discs.valuation(Fraction(0)) if not discs.is_zero() else 0
-    if vD:
-        place = PlaceOnBase(None)
-        _check_minimal(dA, dB, place)
-        fibers.append(_fiber_record(place, _kodaira_from_valuations(dA, dB, vD)))
+                    fibers += _local_fibers(piece, vA, vB, vD)
+    k = _twist_at_infinity(E)
+    if vD := 12 * k - disc.degree:
+        fibers += _local_fibers(None, 4 * k - A.degree if not A.is_zero() else inf,
+                                6 * k - B.degree if not B.is_zero() else inf, vD)
     return fibers
 
 
-def _check_minimal(vA, vB, place):
-    if (vA is None or vA >= 4) and (vB is None or vB >= 6):
+def _local_fibers(poly: Poly | None, vA, vB, vD: int) -> list[KodairaFiber]:
+    """The fibers at the roots of poly, or at infinity for None, from the
+    valuations they share; raises where the model is not minimal."""
+    place = PlaceOnBase(poly)
+    if vA >= 4 and vB >= 6:
         raise ValueError(f"minimality violation at {place}")
+    data = _kodaira_from_valuations(vA, vB, vD)
+    return [KodairaFiber(PlaceOnBase(poly, i), *data) for i in range(place.degree)]
 
 
 def euler_total(fibers: list[KodairaFiber]) -> int:
@@ -342,8 +307,8 @@ def component_of(P: RationalFunctionPoint, fiber: KodairaFiber, E: FunctionField
     Identity component iff the section misses the singular point of the local
     Weierstrass model. Non-identity branches carry exact labels: the value of
     y/pi^2 (type IV*), y/pi (IV), or x/pi (I0*) at the place. Each is read off
-    the leading term c pi^v of x, y and B at the place, in the model of
-    infinity_model there.
+    the leading term c pi^v of x, y and B at the place, at infinity in the
+    model twisted by _twist_at_infinity.
     """
     if fiber.type not in ("IV", "IV*", "I0*"):
         raise ValueError(f"components not implemented for type {fiber.type}")

@@ -241,13 +241,6 @@ class Poly:
             v, sums = v + 1, horner([[c * q**j for j, c in enumerate(b[-2::-1])] for b in sums], r)
         return v, _scalar(self._field, [b[-1] for b in sums], den * q ** (len(sums[0]) - 1))
 
-    def reverse(self, degree: int | None = None) -> "Poly":
-        """Coefficient reversal t -> 1/t, padded to the given degree."""
-        d = self.degree if degree is None else degree
-        if d < self.degree:
-            raise ValueError("reversal degree below actual degree")
-        return _make(self._field, [[0] * (d - self.degree) + r[::-1] for r in self._rows], self._den)
-
 
 def _make(field, rows: list[list[int]], den: int, p: Poly | None = None) -> Poly:
     """The Poly sum_k gen^k rows[k] / den over field, normalised (into p)."""

@@ -34,7 +34,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diophantine import SymmetryElement, symmetry_group
-from .elliptic import add, curve_over_omega, curve_sextic_twist, point_over_omega, section_tau
+from .elliptic import (
+    add,
+    curve_over_omega,
+    curve_sextic_twist,
+    point_over_omega,
+    section_tau,
+    sextic_section_to_xyz,
+)
 from .polynomials import Poly, RationalFunction
 from .rings import (
     QOMEGA,
@@ -161,7 +168,7 @@ def pagliani_graph_image(sign: int = 1, use_pi1: bool = False):
     (u^2, +-s) to (u^2 D, +-D^2) = +-base_change_t_u3(section_sigma1()), so
     the sum is taken there, over Q(w)(u), with no s left. psi,
     (x, y, z) = (s/y0, u^3, u s x0/y0), reads (D^2/Y, u^3, u X D/Y) in the
-    twist coordinates (X, Y).
+    twist coordinates (X, Y), which is sextic_section_to_xyz.
     """
     E = curve_over_omega(curve_sextic_twist())
     u = RationalFunction(Poly.x(zero=QOMEGA.zero()))
@@ -172,8 +179,7 @@ def pagliani_graph_image(sign: int = 1, use_pi1: bool = False):
         x, y = u * u * D, D * D
     if sign < 0:
         y = -y
-    S = add(E.point(x, y), point_over_omega(section_tau()), E)
-    return (D * D / S.y, u**3, u * S.x * D / S.y)
+    return sextic_section_to_xyz(add(E.point(x, y), point_over_omega(section_tau()), E))
 
 
 def _pagliani_candidates():

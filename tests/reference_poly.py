@@ -228,16 +228,6 @@ class Poly:
             v += 1
             rem = q
 
-    def reverse(self, degree: int | None = None) -> "Poly":
-        """Coefficient reversal t -> 1/t, padded to the given degree."""
-        d = self.degree if degree is None else degree
-        if d < self.degree:
-            raise ValueError("reversal degree below actual degree")
-        out = [self.zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(out, zero=self.zero)
-
 
 def _ring(zero):
     """The number field of a scalar zero, or None for Q."""

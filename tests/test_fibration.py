@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -30,7 +31,6 @@ from cubesum.fibration import (
     height_gram,
     height_pairing,
     height_self,
-    infinity_model,
     intersection_with_zero,
     local_contribution,
     shioda_tate_rank,
@@ -93,10 +93,43 @@ def test_sextic_twist_fibers():
     assert euler_total(fibers) == 36
 
 
+def _data(fiber):
+    return fiber.type, fiber.euler, fiber.m_t, fiber.m_simple, fiber.component_group
+
+
+def _table(fibers):
+    """{place: _data}, conjugate roots keyed by (polynomial, index)."""
+    return {key: _data(f) for key, f in fiber_by_place(fibers).items()}
+
+
+def test_multiplicative_fiber_tables():
+    t = Poly.x()
+    I1 = ("I1", 1, 1, 1, "Z/1")
+    quad, cubic = str((t**2 + 4).coeffs), str((t**3 + 4).coeffs)
+    cases = [
+        ((t * 0 - 3, t + 2),
+         {Fraction(0): I1, Fraction(-4): I1, "inf": ("II*", 10, 9, 1, "1")}),
+        ((-3 * t**2, t**3 * (t + 2)),
+         {Fraction(0): ("I1*", 7, 6, 4, "Z/4"), Fraction(-4): I1, "inf": ("IV", 4, 3, 3, "Z/3")}),
+        ((-3 * t**2, t**3 * (t**2 + 2)),
+         {Fraction(0): ("I2*", 8, 7, 4, "(Z/2)^2"), (quad, 0): I1, (quad, 1): I1, "inf": ("II", 2, 1, 1, "1")}),
+        # v(Delta) = 9 with v(A) = 2 is I3*, which shares its Euler number with III*
+        ((-3 * t**2, t**3 * (t**3 + 2)),
+         {Fraction(0): ("I3*", 9, 8, 4, "Z/4"), (cubic, 0): I1, (cubic, 1): I1, (cubic, 2): I1}),
+    ]
+    for (A, B), expected in cases:
+        fibers = classify_fibers(FunctionFieldCurve(A, B))
+        assert _table(fibers) == expected
+        assert len(fibers) == len(expected) and euler_total(fibers) == 12
+
+
 def test_minimality_violation_detected():
     t = Poly.x()
     with pytest.raises(ValueError, match="minimality"):
         classify_fibers(FunctionFieldCurve(Poly([]), t**6 * (t - 1)))
+    # B vanishes to order 6 at both roots of t^2 + 1, a place of degree 2
+    with pytest.raises(ValueError, match=r"minimality violation at Place\(root #0 of"):
+        classify_fibers(FunctionFieldCurve(Poly([]), (t**2 + 1) ** 6 * (t - 1)))
 
 
 def test_classification_rejects_a_curve_genuinely_over_q_omega():
@@ -104,14 +137,13 @@ def test_classification_rejects_a_curve_genuinely_over_q_omega():
     E = FunctionFieldCurve(t * 0, W * t**2 * (t - 1) ** 2)
     with pytest.raises(ValueError, match="only for curves with rational coefficients"):
         classify_fibers(E)
-    with pytest.raises(ValueError, match="only for curves with rational coefficients"):
-        infinity_model(E)
 
 
 def test_infinity_model_of_main_curve():
-    As, Bs, k = infinity_model(curve_main())
+    E = curve_main()
+    As, Bs, k = _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))
     s = Poly.x()
-    assert k == 2
+    assert k == fibration._twist_at_infinity(E) == 2
     assert As.is_zero()
     assert Bs == -(s**2) * (1 - s**2) ** 3
 
@@ -268,13 +300,14 @@ def test_height_matrix_validation():
 
 
 def _infinity_model_by_reduction(A, B):
-    """Oracle for infinity_model by search: raise k until both twists are
-    polynomials, then lower it while A~ and B~ stay divisible by s^4 and s^6."""
+    """The minimal model (A~, B~, k) at infinity in s = 1/t, by search: raise k
+    until both twists are polynomials, then lower it while A~ and B~ stay
+    divisible by s^4 and s^6."""
     k = 0
     while (A.degree > 4 * k and not A.is_zero()) or (B.degree > 6 * k and not B.is_zero()):
         k += 1
-    As = A.reverse(4 * k) if not A.is_zero() else A
-    Bs = B.reverse(6 * k) if not B.is_zero() else B
+    As = _reciprocal_twist(RationalFunction(A), 4 * k).num
+    Bs = _reciprocal_twist(RationalFunction(B), 6 * k).num
     while k > 0:
         vA = As.valuation(Fraction(0)) if not As.is_zero() else None
         vB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else None
@@ -310,11 +343,29 @@ def _infinity_model_curves():
 
 @pytest.mark.parametrize("E", _infinity_model_curves(), ids=lambda E: E.name)
 def test_infinity_model_matches_the_reduction_loop(E):
-    As, Bs, k = infinity_model(E)
-    assert (As, Bs, k) == _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))
-    vA = As.valuation(Fraction(0)) if not As.is_zero() else None
-    vB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else None
-    assert (vA is not None and vA < 4) or (vB is not None and vB < 6)
+    # classify_fibers reads the valuations at infinity off the degrees of A, B
+    # and Delta; the reduction loop builds the model and takes them at s = 0
+    As, Bs, k = _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))
+    assert fibration._twist_at_infinity(E) == k
+    vA = As.valuation(Fraction(0)) if not As.is_zero() else inf
+    vB = Bs.valuation(Fraction(0)) if not Bs.is_zero() else inf
+    assert vA < 4 or vB < 6
+    vD = ((As**3 * 4 + Bs**2 * 27) * -16).valuation(Fraction(0))
+    at_inf = [_data(f) for f in classify_fibers(E) if f.place.is_infinity]
+    assert at_inf == ([_kodaira_from_valuations(vA, vB, vD)] if vD else [])
+
+
+@pytest.mark.parametrize("E", _infinity_model_curves(), ids=lambda E: E.name)
+def test_fiber_at_infinity_is_the_reflected_fiber_at_zero(E):
+    # t -> 1/t with (A, B) -> (t^(4k) A(1/t), t^(6k) B(1/t)) moves the place
+    # at infinity to t = 0, where the classification divides by t
+    k = _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))[2]
+    E_ref = FunctionFieldCurve(_reciprocal_twist(E.A, 4 * k), _reciprocal_twist(E.B, 6 * k))
+    at_inf = [_data(f) for f in classify_fibers(E) if f.place.is_infinity]
+    at_zero = [_data(f) for f in classify_fibers(E_ref)
+               if not f.place.is_infinity and f.place.degree == 1 and f.place.root() == 0]
+    assert at_inf == at_zero
+    assert at_inf or E.name in ("E'_u", "A=t^3-2")  # good reduction at infinity
 
 
 def _lift(c):
@@ -363,8 +414,12 @@ def test_kodaira_lookup_rejects_inconsistent_valuations():
     # in characteristic 0, vA = 3 and vB = 5 force vD = min(3 vA, 2 vB) = 9
     with pytest.raises(ValueError, match="unclassifiable"):
         _kodaira_from_valuations(3, 5, 8)
-    assert _kodaira_from_valuations(3, 5, 9) == "III*"
-    assert _kodaira_from_valuations(None, 4, 8) == "IV*"
+    assert _kodaira_from_valuations(3, 5, 9) == ("III*", 9, 8, 2, "Z/2")
+    assert _kodaira_from_valuations(inf, 4, 8) == ("IV*", 8, 7, 3, "Z/3")
+    # only vA = 2, vB = 3 lets 4A^3 and 27B^2 cancel past t^6: vD = 9, 10 are
+    # I3* and I4* there, not III* and II*
+    assert _kodaira_from_valuations(2, 3, 9) == ("I3*", 9, 8, 4, "Z/4")
+    assert _kodaira_from_valuations(2, 3, 10) == ("I4*", 10, 9, 4, "(Z/2)^2")
 
 
 def test_reference_heights_equal_height_gram_and_det_ns():
@@ -433,20 +488,10 @@ def test_fibers_classified_once_per_curve(monkeypatch):
     assert len(runs) == 2 and runs[1] is E2
 
 
-def test_infinity_model_runs_once_per_curve(monkeypatch):
-    calls = []
-    real = fibration.infinity_model
-    monkeypatch.setattr(fibration, "infinity_model", lambda E: calls.append(E) or real(E))
-    E, s1, ws1 = omega_setup()
-    gram = height_gram([s1, ws1], E)
-    assert gram.entries == ((Fraction(2, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(2, 3)))
-    assert calls == [E]  # classify_fibers' own call
-
-
 def _reciprocal_twist(f, power):
-    """f(1/s) s^power in s = 1/t, by the normalising constructor."""
+    """f(1/s) s^power in s = 1/t, for a rational function f."""
     s = RationalFunction(Poly.x(zero=f.zero_scalar))
-    return RationalFunction(f.num.reverse(), f.den.reverse()) * s ** (power + f.den.degree - f.num.degree)
+    return f.compose(1 / s) * s**power
 
 
 def _component_by_division(P, fiber, E):
@@ -460,7 +505,7 @@ def _component_by_division(P, fiber, E):
     zc = P.x.zero_scalar
     x, y, B, root = P.x, P.y, E.B.over(zc), zc
     if fiber.place.is_infinity:
-        k = infinity_model(E)[2]
+        k = _infinity_model_by_reduction(_over_q(E.A), _over_q(E.B))[2]
         x, y, B = _reciprocal_twist(x, 2 * k), _reciprocal_twist(y, 3 * k), _reciprocal_twist(B, 6 * k)
     else:
         root += fiber.place.root()

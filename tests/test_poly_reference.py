@@ -94,8 +94,6 @@ def test_ring_operations_match_the_reference(field, data):
     same(a**k, ra**k)
     same(a.monic(), ra.monic())
     same(a.derivative(), ra.derivative())
-    same(a.reverse(), ra.reverse())
-    same(a.reverse(a.degree + 2), ra.reverse(ra.degree + 2))
     same(a.leading(), ra.leading())
     assert (a == b) == (ra == rb) and a.is_one() == ra.is_one() and a.is_zero() == ra.is_zero()
 

@@ -167,15 +167,6 @@ def test_equal_polys_scalars_and_rational_functions_hash_equal():
         assert a in {b} and b in {a}
 
 
-def test_poly_reverse():
-    t = Poly.x()
-    f = t**3 + 2 * t
-    assert f.reverse() == 2 * t**2 + 1
-    assert f.reverse(5) == 2 * t**4 + t**2
-    with pytest.raises(ValueError):
-        f.reverse(2)
-
-
 def test_poly_and_multipoly_reject_mixed_scalars():
     with pytest.raises(TypeError):
         Poly([W, ZETA])

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from cubesum import surface_checks
-from cubesum.polynomials import Poly
+from cubesum.polynomials import Poly, RationalFunction
 from cubesum.rings import QZETA12
 from cubesum.elliptic import (
     add,
@@ -15,7 +15,6 @@ from cubesum.elliptic import (
     point_over_omega,
     section_sigma1,
     section_tau,
-    sextic_section_to_xyz,
 )
 from cubesum.surface_checks import (
     SINGULAR_POINTS,
@@ -61,14 +60,17 @@ def test_pagliani_graph_wrong_projection_fails():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_graph_image_is_the_sextic_section_image(sign):
-    # the graph check applies psi's own formula; sextic_section_to_xyz undoes
-    # the minimalizing twist instead, and the two must agree
+    # the graph image goes through sextic_section_to_xyz, which undoes the
+    # minimalizing twist; psi's own formula (D^2/Y, u^3, u X D/Y) in the twist
+    # coordinates (X, Y) must give the same triple
     E = curve_over_omega(curve_sextic_twist())
     s1p = point_over_omega(base_change_t_u3(section_sigma1()))
     if sign < 0:
         s1p = negate(s1p)
-    expected = sextic_section_to_xyz(add(s1p, point_over_omega(section_tau()), E))
-    assert pagliani_graph_image(sign) == expected
+    S = add(s1p, point_over_omega(section_tau()), E)
+    u = RationalFunction(Poly.x(zero=S.x.zero_scalar))
+    D = u**6 - 1
+    assert pagliani_graph_image(sign) == (D * D / S.y, u**3, u * S.x * D / S.y)
 
 
 def test_graph_image_wrong_projection_is_off_the_curve():
